@@ -17,17 +17,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import biometrics, lwe, vortex
 from .fath import LedgerSnapshot, PeriodStats, run_period
-from .slashing import (
-    Blacklist,
-    Effect,
-    PerpetrationKind,
-    apply_effects,
-)
-from .vortex import GovernorRecord, TierInsufficient, Vortex
+from .slashing import Blacklist, PerpetrationKind, apply_effects
+from .vortex import TierInsufficient, Vortex
 
 SLOT_SECONDS_DEFAULT = 6
 MONTH_SECONDS = 2_630_016
@@ -113,6 +108,11 @@ class SimConfig:
     def validity_slots(self) -> int:
         return self.ticket_validity_slots if self.ticket_validity_slots is not None else self.month_slots
 
+    @property
+    def node_ids(self) -> list[str]:
+        width = max(2, len(str(self.num_nodes - 1)))
+        return [f"node-{i:0{width}d}" for i in range(self.num_nodes)]
+
     @classmethod
     def from_dict(cls, doc: dict) -> "SimConfig":
         try:
@@ -123,13 +123,14 @@ class SimConfig:
             if len(fees) != epochs:
                 raise ConfigInvalid("fees_per_epoch length must equal epochs")
             faults = doc.get("faults", {})
+            validity = doc.get("ticket_validity_slots")
             return cls(
                 seed=int(doc.get("seed", 0)),
                 num_nodes=int(doc["num_nodes"]),
                 slots_per_epoch=int(doc["slots_per_epoch"]),
                 epochs=epochs,
                 slot_seconds=int(doc.get("slot_seconds", SLOT_SECONDS_DEFAULT)),
-                ticket_validity_slots=doc.get("ticket_validity_slots"),
+                ticket_validity_slots=None if validity is None else int(validity),
                 initial_balance=int(doc.get("initial_balance", 1_000_000)),
                 fees_per_epoch=tuple(int(f) for f in fees),
                 fath_period_epochs=int(doc.get("fath_period_epochs", 1)),
@@ -161,6 +162,22 @@ class SimConfig:
             raise ConfigInvalid("fath_period_epochs must be positive")
         if any(f < 0 for f in self.fees_per_epoch):
             raise ConfigInvalid("fees cannot be negative")
+        if self.ticket_validity_slots is not None and self.ticket_validity_slots < 1:
+            raise ConfigInvalid("ticket_validity_slots must be positive")
+        known = set(self.node_ids)
+        windows = self.offline + self.bioauth_fail
+        for node in [w.node for w in windows] + [node for node, _ in self.false_transaction]:
+            if node not in known:
+                raise ConfigInvalid(f"fault names unknown node {node}")
+        for w in windows:
+            if w.to_slot <= w.from_slot:
+                raise ConfigInvalid(f"empty fault window for {w.node}: {w.from_slot}..{w.to_slot}")
+        # Where one window of a node ends at the slot the next begins,
+        # _apply_faults would act in list order, so windows may not touch.
+        offline = sorted(self.offline, key=lambda w: (w.node, w.from_slot))
+        for prev, nxt in zip(offline, offline[1:]):
+            if prev.node == nxt.node and nxt.from_slot <= prev.to_slot:
+                raise ConfigInvalid(f"offline windows for {nxt.node} overlap or touch")
 
 
 @dataclass
@@ -174,16 +191,6 @@ class NodeState:
     offline_window_slashed: bool = False
     online_slots_this_epoch: int = 0
     blocks_authored: int = 0
-
-
-@dataclass
-class NetworkState:
-    """Mutable side of the world the slashing effects act on."""
-
-    validator_roster: set[str] = field(default_factory=set)
-    fee_eligible: set[str] = field(default_factory=set)
-    deactivated: set[str] = field(default_factory=set)
-    governors: dict[str, GovernorRecord] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -216,18 +223,13 @@ class Simulation:
         self.events: list[SimEvent] = []
         self.blacklist = Blacklist()
         self.dao = Vortex()
-        self.state = NetworkState(governors=self.dao.governors)
         self._seq = 0
-        width = max(2, len(str(config.num_nodes - 1)))
-        for i in range(config.num_nodes):
-            node_id = f"node-{i:0{width}d}"
+        for node_id in config.node_ids:
             self.nodes[node_id] = NodeState(
                 node_id=node_id,
                 ticket_expiry_slot=0,
                 verification_deadline_slot=config.month_slots,
             )
-            self.state.fee_eligible.add(node_id)
-            self.state.validator_roster.add(node_id)
             self.dao.register_human_node(node_id, now=0)
         self.ledger = LedgerSnapshot(
             balances={nid: config.initial_balance for nid in self.nodes}
@@ -235,9 +237,6 @@ class Simulation:
         self.vault = 0
         self.period_fees: list[int] = []
         self._current_period_fees = 0
-        self.rebalances: list[dict] = []
-        self.slashes: list[dict] = []
-        self.tallies: list[dict] = []
         self._setup_governance()
         if config.crypto_pipeline:
             self._lwe_params = lwe.PROFILES["test-exhaustive"]
@@ -275,9 +274,7 @@ class Simulation:
 
     def _apply_faults(self, slot: int) -> None:
         for w in self.config.offline:
-            node = self.nodes.get(w.node)
-            if node is None:
-                continue
+            node = self.nodes[w.node]
             if slot == w.from_slot and node.online:
                 node.online = False
                 node.offline_since = slot
@@ -293,25 +290,19 @@ class Simulation:
         )
 
     def _bioauth_passes(self, node_id: str, slot: int) -> bool:
-        if self._bioauth_scripted_fail(node_id, slot):
-            if self.config.crypto_pipeline:
-                template = _template_bits(node_id)
-                probe = [1 - b for b in template]  # wrong face
-                result = biometrics.encrypted_match(
-                    self._lwe_params, self._lwe_keys, template, probe,
-                    threshold_count=sum(template), rng_seed=self.config.seed + slot,
-                )
-                if result is biometrics.MatchResult.MATCH:
-                    raise InvariantViolation("disjoint probe matched the template")
-            return False
-        if self.config.crypto_pipeline:
-            template = _template_bits(node_id)
-            result = biometrics.encrypted_match(
-                self._lwe_params, self._lwe_keys, template, template,
-                threshold_count=sum(template), rng_seed=self.config.seed + slot,
-            )
-            return result is biometrics.MatchResult.MATCH
-        return True
+        scripted_fail = self._bioauth_scripted_fail(node_id, slot)
+        if not self.config.crypto_pipeline:
+            return not scripted_fail
+        template = _template_bits(node_id)
+        probe = [1 - b for b in template] if scripted_fail else template  # complement: wrong face
+        result = biometrics.encrypted_match(
+            self._lwe_params, self._lwe_keys, template, probe,
+            threshold_count=sum(template), rng_seed=self.config.seed + slot,
+        )
+        matched = result is biometrics.MatchResult.MATCH
+        if scripted_fail and matched:
+            raise InvariantViolation("disjoint probe matched the template")
+        return matched
 
     def renew_ticket(self, node_id: str, slot: int) -> NodeState:
         """Attempt a biometric re-authentication for one node.
@@ -352,14 +343,12 @@ class Simulation:
 
     def _slash(self, node_id: str, kind: PerpetrationKind, slot: int) -> None:
         entry = self.blacklist.slash(node_id, kind, self._now(slot))
-        apply_effects(entry, self.state)
-        record = entry.to_record()
-        self.slashes.append(record)
-        self._emit(slot, "Slashed", record)
+        apply_effects(entry, self.dao.governors)
+        self._emit(slot, "Slashed", entry.to_record())
 
     def _check_misbehavior(self, slot: int) -> None:
         for node_id, at_slot in self.config.false_transaction:
-            if at_slot == slot and node_id in self.nodes:
+            if at_slot == slot:
                 self._slash(node_id, PerpetrationKind.FalseTransaction, slot)
         for node in self.nodes.values():
             if node.online or node.offline_since is None or node.offline_window_slashed:
@@ -410,14 +399,7 @@ class Simulation:
         if total == 0:
             return
         now = self._now(slot)
-        eligible = sorted(
-            nid
-            for nid in self.nodes
-            if not any(
-                e.node_id == nid and e.covers(now) and Effect.FeesStopped in e.effects
-                for e in self.blacklist.entries
-            )
-        )
+        eligible = sorted(nid for nid in self.nodes if not self.blacklist.fees_stopped(nid, now))
         balances, vault_delta, distributed = distribute_fees(
             total, eligible, self.ledger.balances
         )
@@ -445,9 +427,7 @@ class Simulation:
         prev = PeriodStats(fees_paid=self.period_fees[period - 1], period_index=period - 1)
         curr = PeriodStats(fees_paid=self.period_fees[period], period_index=period)
         self.ledger, outcome = run_period(self.ledger, prev, curr)
-        record = outcome.to_record(period)
-        self.rebalances.append(record)
-        self._emit(slot, "FathRebalance", record)
+        self._emit(slot, "FathRebalance", outcome.to_record(period))
 
     def _run_governance(self, epoch: int, slot: int) -> None:
         """Play the epoch's scripted proposals through the DAO.
@@ -493,9 +473,7 @@ class Simulation:
                 result = self.dao.tally(proposal.id, now=proposal.vote_deadline)
             except vortex.VortexError as exc:
                 raise ConfigInvalid(f"scripted vote failed: {exc}") from exc
-            record = result.to_record(proposal)
-            self.tallies.append(record)
-            self._emit(slot, "GovernanceTally", record)
+            self._emit(slot, "GovernanceTally", result.to_record(proposal))
 
     # -- driving -----------------------------------------------------------
 
@@ -520,6 +498,9 @@ class Simulation:
     def event_log(self) -> str:
         return "\n".join(e.to_json() for e in self.events) + ("\n" if self.events else "")
 
+    def _records(self, kind: str) -> list[dict]:
+        return [e.data for e in self.events if e.kind == kind]
+
     def report(self) -> dict:
         authored = {nid: n.blocks_authored for nid, n in sorted(self.nodes.items())}
         return {
@@ -537,12 +518,12 @@ class Simulation:
             "vault_balance": self.vault,
             "final_balances": dict(sorted(self.ledger.balances.items())),
             "final_supply": self.ledger.total_supply,
-            "rebalances": self.rebalances,
-            "slashes": self.slashes,
-            "tallies": self.tallies,
+            "rebalances": self._records("FathRebalance"),
+            "slashes": self._records("Slashed"),
+            "tallies": self._records("GovernanceTally"),
             "governors": {
                 nid: {"role": rec.role.value, "tier": rec.tier.name}
-                for nid, rec in sorted(self.state.governors.items())
+                for nid, rec in sorted(self.dao.governors.items())
             },
             "event_count": len(self.events),
         }

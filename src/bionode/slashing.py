@@ -12,7 +12,7 @@ second counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -172,14 +172,19 @@ class BlacklistEntry:
         }
 
 
-@dataclass
 class Blacklist:
-    """Per-node offense history and active suspension periods."""
+    """Per-node offense history and the suspension queries over it.
 
-    entries: list[BlacklistEntry] = field(default_factory=list)
+    entries is the full history in the order issued; a private per-node index
+    of the same entries answers the queries without scanning other nodes.
+    """
+
+    def __init__(self) -> None:
+        self.entries: list[BlacklistEntry] = []
+        self._by_node: dict[str, list[BlacklistEntry]] = {}
 
     def offense_count(self, node_id: str, kind: PerpetrationKind) -> int:
-        return sum(1 for e in self.entries if e.node_id == node_id and e.kind == kind)
+        return sum(1 for e in self._by_node.get(node_id, ()) if e.kind == kind)
 
     def slash(self, node_id: str, kind: PerpetrationKind, now: int) -> BlacklistEntry:
         spec = PERPETRATION_TABLE[kind]
@@ -193,28 +198,29 @@ class Blacklist:
             issued_at=now,
         )
         self.entries.append(entry)
+        self._by_node.setdefault(node_id, []).append(entry)
         return entry
 
     def is_blacklisted(self, node_id: str, now: int) -> bool:
-        return any(e.node_id == node_id and e.covers(now) for e in self.entries)
+        return any(e.covers(now) for e in self._by_node.get(node_id, ()))
+
+    def fees_stopped(self, node_id: str, now: int) -> bool:
+        return any(
+            Effect.FeesStopped in e.effects and e.covers(now)
+            for e in self._by_node.get(node_id, ())
+        )
 
 
-def apply_effects(entry: BlacklistEntry, state) -> None:
-    """Push an entry's consequences into a network state object.
+def apply_effects(entry: BlacklistEntry, governors: dict) -> None:
+    """Nullify the offender's devotion when the entry carries that effect.
 
-    The state is duck-typed: validator_roster / fee_eligible are sets of
-    node ids, deactivated is a set, governors maps node id to a record
-    with governing_since / formation_participant / has_approved_proposal.
+    governors maps node id to a record with governing_since and
+    formation_participant. The other effects need no push: authoring and
+    the fee stream ask the Blacklist directly.
     """
-    node = entry.node_id
-    if Effect.ExcludedFromValidators in entry.effects or Effect.Deactivated in entry.effects:
-        state.validator_roster.discard(node)
-    if Effect.Deactivated in entry.effects:
-        state.deactivated.add(node)
-    if Effect.FeesStopped in entry.effects:
-        state.fee_eligible.discard(node)
-    if Effect.DevotionNullified in entry.effects:
-        record = state.governors.get(node)
-        if record is not None:
-            record.governing_since = entry.issued_at
-            record.formation_participant = False
+    if Effect.DevotionNullified not in entry.effects:
+        return
+    record = governors.get(entry.node_id)
+    if record is not None:
+        record.governing_since = entry.issued_at
+        record.formation_participant = False

@@ -152,6 +152,26 @@ class TestRunSim:
     def test_missing_scenario(self):
         assert run_cli("run-sim", "/nonexistent/x.json") == 1
 
+    @pytest.mark.parametrize("extra", [
+        {"ticket_validity_slots": "abc"},
+        {"ticket_validity_slots": 0},
+        {"faults": {"offline": [{"node": "node-77", "from_slot": 1, "to_slot": 5}]}},
+        {"faults": {"false_transaction": [{"node": "ghost", "slot": 2}]}},
+        {"faults": {"offline": [{"node": "node-01", "from_slot": 5, "to_slot": 5}]}},
+        {"faults": {"offline": [{"node": "node-01", "from_slot": 1, "to_slot": 5},
+                                {"node": "node-01", "from_slot": 3, "to_slot": 9}]}},
+    ], ids=["validity-text", "validity-zero", "offline-unknown", "false-tx-unknown",
+            "empty-window", "overlapping-windows"])
+    def test_invalid_scenario_exits_one_without_traceback(self, extra, tmp_path, capsys):
+        scenario = tmp_path / "s.json"
+        doc = {"num_nodes": 3, "slots_per_epoch": 5, "epochs": 1, "fees_per_epoch": 0}
+        scenario.write_text(json.dumps({**doc, **extra}))
+        assert run_cli("run-sim", str(scenario)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err
+
     def test_malicious_scenario_emits_slash(self, capsys):
         assert run_cli("run-sim", str(SCENARIOS / "malicious.json")) == 0
         report = json.loads(capsys.readouterr().out)

@@ -243,6 +243,53 @@ class TestConfig:
         assert cfg.num_nodes == 6
         assert cfg.ticket_validity_slots == 120
 
+    def test_non_integer_ticket_validity_rejected(self):
+        with pytest.raises(ConfigInvalid):
+            SimConfig.from_dict(
+                {"num_nodes": 2, "slots_per_epoch": 5, "epochs": 1,
+                 "ticket_validity_slots": "abc"}
+            )
+
+    def test_zero_ticket_validity_rejected(self):
+        with pytest.raises(ConfigInvalid, match="ticket_validity_slots"):
+            netsim.run(small_config(ticket_validity_slots=0))
+
+    def test_node_ids_match_simulation(self):
+        cfg = small_config(num_nodes=101)
+        assert cfg.node_ids[0] == "node-000" and cfg.node_ids[-1] == "node-100"
+        assert list(Simulation(cfg).nodes) == cfg.node_ids
+
+    @pytest.mark.parametrize("faults", [
+        {"offline": (OfflineWindow("node-77", 5, 10),)},
+        {"bioauth_fail": (OfflineWindow("ghost", 5, 10),)},
+        {"false_transaction": (("ghost", 5),)},
+    ], ids=["offline", "bioauth_fail", "false_transaction"])
+    def test_fault_for_unknown_node_rejected(self, faults):
+        with pytest.raises(ConfigInvalid, match="unknown node"):
+            netsim.run(small_config(**faults))
+
+    @pytest.mark.parametrize("kind", ["offline", "bioauth_fail"])
+    @pytest.mark.parametrize("to_slot", [10, 9])
+    def test_empty_or_reversed_window_rejected(self, kind, to_slot):
+        with pytest.raises(ConfigInvalid, match="empty fault window"):
+            netsim.run(small_config(**{kind: (OfflineWindow("node-01", 10, to_slot),)}))
+
+    @pytest.mark.parametrize("second", [(15, 30), (20, 30), (0, 12)],
+                             ids=["overlap", "touch", "before"])
+    def test_overlapping_offline_windows_rejected(self, second):
+        windows = (OfflineWindow("node-01", 5, 20), OfflineWindow("node-01", *second))
+        with pytest.raises(ConfigInvalid, match="overlap"):
+            netsim.run(small_config(offline=windows))
+
+    def test_separate_offline_windows_accepted(self):
+        windows = (
+            OfflineWindow("node-01", 30, 40),
+            OfflineWindow("node-01", 5, 20),
+            OfflineWindow("node-02", 5, 20),
+        )
+        sim = netsim.run(small_config(offline=windows))
+        assert sim.nodes["node-01"].online and sim.nodes["node-02"].online
+
 
 def replay_safety(sim: Simulation) -> None:
     """Independently reconstruct authorization from the event stream."""

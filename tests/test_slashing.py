@@ -1,13 +1,13 @@
 """Perpetration table fidelity, ladder progression, date arithmetic."""
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
 from bionode.slashing import (
     DAY_SECONDS,
     FOREVER,
+    MONTH_SECONDS,
     PERPETRATION_TABLE,
     SCALING_LADDER_MONTHS,
     Blacklist,
@@ -141,38 +141,58 @@ class TestIsBlacklisted:
     def test_unknown_node(self):
         assert not Blacklist().is_blacklisted("ghost", now=0)
 
+    def test_query_between_two_entries(self):
+        bl = Blacklist()
+        bl.slash("n1", PerpetrationKind.Offline48h, now=0)  # half a month
+        bl.slash("n1", PerpetrationKind.Offline48h, now=2 * MONTH_SECONDS)  # one month
+        assert bl.is_blacklisted("n1", now=10 * DAY_SECONDS)
+        assert not bl.is_blacklisted("n1", now=MONTH_SECONDS)  # the gap
+        assert not bl.fees_stopped("n1", now=MONTH_SECONDS)
+        assert bl.is_blacklisted("n1", now=2 * MONTH_SECONDS + 20 * DAY_SECONDS)
+        assert bl.fees_stopped("n1", now=2 * MONTH_SECONDS + 20 * DAY_SECONDS)
+        assert not bl.is_blacklisted("n1", now=3 * MONTH_SECONDS)
+        # an entry issued later does not reach back before its issue time
+        assert not bl.is_blacklisted("n1", now=2 * MONTH_SECONDS - 1)
 
-@dataclass
-class FakeState:
-    validator_roster: set = field(default_factory=lambda: {"n1", "n2"})
-    fee_eligible: set = field(default_factory=lambda: {"n1", "n2"})
-    deactivated: set = field(default_factory=set)
-    governors: dict = field(default_factory=dict)
+    def test_fees_stopped_only_by_fee_stopping_entries(self):
+        bl = Blacklist()
+        bl.slash("n1", PerpetrationKind.UptimeBelow91, now=0)  # one month, fees kept
+        bl.slash("n1", PerpetrationKind.Offline48h, now=0)  # half a month, fees stopped
+        assert bl.fees_stopped("n1", now=10 * DAY_SECONDS)
+        assert not bl.fees_stopped("n1", now=20 * DAY_SECONDS)
+        assert bl.is_blacklisted("n1", now=20 * DAY_SECONDS)
 
 
 class TestApplyEffects:
+    """Each effect is answered by a Blacklist query or pushed by apply_effects."""
+
     def test_missed_verification_excludes_but_keeps_active(self):
-        state = FakeState()
         bl = Blacklist()
         entry = bl.slash("n1", PerpetrationKind.MissedMonthlyVerification, now=0)
-        apply_effects(entry, state)
-        assert "n1" not in state.validator_roster
-        assert "n1" not in state.fee_eligible
-        assert "n1" not in state.deactivated
+        assert bl.is_blacklisted("n1", now=0)
+        assert bl.fees_stopped("n1", now=0)
+        assert Effect.Deactivated not in entry.effects
+        assert not bl.is_blacklisted("n2", now=0)
+        assert not bl.fees_stopped("n2", now=0)
 
     def test_uptime_has_no_extra_consequence(self):
-        state = FakeState()
-        entry = Blacklist().slash("n1", PerpetrationKind.UptimeBelow91, now=0)
-        apply_effects(entry, state)
-        assert "n1" in state.validator_roster  # only the blacklist itself gates
-        assert "n1" in state.fee_eligible
+        bl = Blacklist()
+        bl.slash("n1", PerpetrationKind.UptimeBelow91, now=0)
+        assert bl.is_blacklisted("n1", now=0)  # only the blacklist itself gates
+        assert not bl.fees_stopped("n1", now=0)
 
     def test_false_transaction_nullifies_devotion(self):
         record = GovernorRecord(node_id="n1", governing_since=0, formation_participant=True)
-        state = FakeState(governors={"n1": record})
-        entry = Blacklist().slash("n1", PerpetrationKind.FalseTransaction, now=555)
-        apply_effects(entry, state)
-        assert "n1" in state.deactivated
-        assert "n1" not in state.fee_eligible
+        bl = Blacklist()
+        entry = bl.slash("n1", PerpetrationKind.FalseTransaction, now=555)
+        apply_effects(entry, {"n1": record})
+        assert bl.fees_stopped("n1", now=555)
         assert record.governing_since == 555
         assert record.formation_participant is False
+
+    def test_devotion_kept_without_the_effect(self):
+        record = GovernorRecord(node_id="n1", governing_since=0, formation_participant=True)
+        entry = Blacklist().slash("n1", PerpetrationKind.Offline48h, now=555)
+        apply_effects(entry, {"n1": record})
+        assert record.governing_since == 0
+        assert record.formation_participant is True
