@@ -4,9 +4,11 @@ The network's value metric per period is the total of fees paid (GNetP).
 When it rises by some fraction r between two periods, supply is minted by
 the same fraction and handed to every balance proportionally (inFath);
 when it falls, supply is burned proportionally (outFath). Balances are
-integers in smallest units, the ratio is an exact rational, and the
-per-account scaling uses largest-remainder rounding so the new balances
-always sum to the new supply exactly.
+integers in smallest units and the ratio is an exact rational. The
+scale factor 1 + r is split once into numerator and denominator, so the
+per-account scaling is an integer divmod against that one denominator;
+largest-remainder rounding then makes the new balances sum to the new
+supply exactly.
 """
 
 from __future__ import annotations
@@ -39,11 +41,14 @@ class LedgerSnapshot:
     total_supply: int = field(default=0)
 
     def __post_init__(self):
+        total = 0
+        for b in self.balances.values():
+            if b < 0:
+                raise ValueError("negative balance")
+            total += b
         if self.total_supply == 0:
-            self.total_supply = sum(self.balances.values())
-        if any(b < 0 for b in self.balances.values()):
-            raise ValueError("negative balance")
-        if sum(self.balances.values()) != self.total_supply:
+            self.total_supply = total
+        if total != self.total_supply:
             raise ValueError("balances do not sum to total supply")
 
 
@@ -90,23 +95,24 @@ def rebalance(
     if ratio <= -1:
         raise RatioBelowNegativeOne(f"ratio {ratio} would wipe out the ledger")
     factor = 1 + ratio
+    num, den = factor.numerator, factor.denominator
     new_supply = _round_half_up(ledger.total_supply * factor)
 
+    # entries are (-rem, acct): every remainder is over the same den, so
+    # ascending order is largest fractional part first, ties by account id
     floors: dict[str, int] = {}
-    remainders: list[tuple[Fraction, str]] = []
+    remainders: list[tuple[int, str]] = []
     for acct, bal in ledger.balances.items():
-        exact = bal * factor
-        fl = exact.numerator // exact.denominator
-        floors[acct] = fl
-        remainders.append((exact - fl, acct))
+        floors[acct], rem = divmod(bal * num, den)
+        remainders.append((-rem, acct))
 
     leftover = new_supply - sum(floors.values())
     # 0 <= leftover <= number of accounts by construction
-    remainders.sort(key=lambda pair: (-pair[0], pair[1]))
+    remainders.sort()
     for _, acct in remainders[:leftover]:
         floors[acct] += 1
 
-    deltas = {acct: floors[acct] - ledger.balances[acct] for acct in ledger.balances}
+    deltas = {acct: floors[acct] - bal for acct, bal in ledger.balances.items()}
     kind = "inFath" if ratio > 0 else "outFath" if ratio < 0 else "none"
     outcome = RebalanceOutcome(
         kind=kind, ratio=ratio, new_supply=new_supply, per_account_deltas=deltas

@@ -76,6 +76,13 @@ def distribute_fees(
     return new_balances, vault_delta, to_nodes
 
 
+def _int(value) -> int:
+    """A JSON integer field: a bool or a non-integral number is rejected, not coerced."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigInvalid(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class OfflineWindow:
     node: str
@@ -117,34 +124,39 @@ class SimConfig:
     def from_dict(cls, doc: dict) -> "SimConfig":
         try:
             fees = doc.get("fees_per_epoch", 0)
-            epochs = int(doc["epochs"])
+            epochs = _int(doc["epochs"])
             if isinstance(fees, int):
                 fees = [fees] * epochs
             if len(fees) != epochs:
                 raise ConfigInvalid("fees_per_epoch length must equal epochs")
             faults = doc.get("faults", {})
+            if not isinstance(faults, dict):
+                raise ConfigInvalid("faults must be an object")
+            crypto_pipeline = doc.get("crypto_pipeline", False)
+            if not isinstance(crypto_pipeline, bool):
+                raise ConfigInvalid("crypto_pipeline must be true or false")
             validity = doc.get("ticket_validity_slots")
             return cls(
-                seed=int(doc.get("seed", 0)),
-                num_nodes=int(doc["num_nodes"]),
-                slots_per_epoch=int(doc["slots_per_epoch"]),
+                seed=_int(doc.get("seed", 0)),
+                num_nodes=_int(doc["num_nodes"]),
+                slots_per_epoch=_int(doc["slots_per_epoch"]),
                 epochs=epochs,
-                slot_seconds=int(doc.get("slot_seconds", SLOT_SECONDS_DEFAULT)),
-                ticket_validity_slots=None if validity is None else int(validity),
-                initial_balance=int(doc.get("initial_balance", 1_000_000)),
-                fees_per_epoch=tuple(int(f) for f in fees),
-                fath_period_epochs=int(doc.get("fath_period_epochs", 1)),
-                crypto_pipeline=bool(doc.get("crypto_pipeline", False)),
+                slot_seconds=_int(doc.get("slot_seconds", SLOT_SECONDS_DEFAULT)),
+                ticket_validity_slots=None if validity is None else _int(validity),
+                initial_balance=_int(doc.get("initial_balance", 1_000_000)),
+                fees_per_epoch=tuple(_int(f) for f in fees),
+                fath_period_epochs=_int(doc.get("fath_period_epochs", 1)),
+                crypto_pipeline=crypto_pipeline,
                 offline=tuple(
-                    OfflineWindow(w["node"], int(w["from_slot"]), int(w["to_slot"]))
+                    OfflineWindow(w["node"], _int(w["from_slot"]), _int(w["to_slot"]))
                     for w in faults.get("offline", ())
                 ),
                 bioauth_fail=tuple(
-                    OfflineWindow(w["node"], int(w["from_slot"]), int(w["to_slot"]))
+                    OfflineWindow(w["node"], _int(w["from_slot"]), _int(w["to_slot"]))
                     for w in faults.get("bioauth_fail", ())
                 ),
                 false_transaction=tuple(
-                    (m["node"], int(m["slot"])) for m in faults.get("false_transaction", ())
+                    (m["node"], _int(m["slot"])) for m in faults.get("false_transaction", ())
                 ),
                 governance=doc.get("governance"),
             )

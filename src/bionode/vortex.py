@@ -95,6 +95,14 @@ class DelegationDepthExceeded(VortexError):
     pass
 
 
+class AlreadyRegistered(VortexError):
+    pass
+
+
+class SelfDelegation(VortexError):
+    pass
+
+
 class Role(Enum):
     HumanNode = "HumanNode"
     Governor = "Governor"
@@ -290,10 +298,19 @@ class Vortex:
         self.proposals: dict[str, Proposal] = {}
         self.pending_perpetrations: list[tuple[str, PerpetrationKind]] = []
         self._proposal_seq = 0
+        self._governor_count = 0  # records whose role is Governor; kept by _set_role
 
     # -- membership -------------------------------------------------------
 
+    def _set_role(self, record: GovernorRecord, role: Role) -> None:
+        """The one write point of a role, so governor_count() stays O(1)."""
+        self._governor_count += (role is Role.Governor) - (record.role is Role.Governor)
+        record.role = role
+
     def register_human_node(self, node_id: str, now: int = 0) -> GovernorRecord:
+        if node_id in self.governors:
+            # a fresh record would orphan the delegations that point at it
+            raise AlreadyRegistered(f"{node_id} is already registered")
         record = GovernorRecord(node_id=node_id, governing_since=now)
         self.governors[node_id] = record
         return record
@@ -301,12 +318,12 @@ class Vortex:
     def promote_to_governor(self, node_id: str, now: int) -> GovernorRecord:
         record = self.governors[node_id]
         if record.role == Role.HumanNode:
-            record.role = Role.Governor
+            self._set_role(record, Role.Governor)
             record.governing_since = now
         return record
 
     def governor_count(self) -> int:
-        return sum(1 for r in self.governors.values() if r.role == Role.Governor)
+        return self._governor_count
 
     def eligible_power(self) -> int:
         return sum(
@@ -320,6 +337,9 @@ class Vortex:
         dst = self.governors[delegatee_id]
         if src.role not in (Role.Governor, Role.Delegator):
             raise NotGovernor(f"{delegator_id} is not a Governor")
+        if delegator_id == delegatee_id:
+            # the unit would sit with a Delegator and drop out of every tally
+            raise SelfDelegation(f"{delegator_id} cannot delegate to itself")
         if dst.role == Role.Delegator:
             raise DelegationDepthExceeded("cannot delegate to a Delegator")
         if dst.role != Role.Governor:
@@ -330,7 +350,7 @@ class Vortex:
             )
         if src.delegated_to is not None:
             self.undelegate(delegator_id)  # re-delegation is instant
-        src.role = Role.Delegator
+        self._set_role(src, Role.Delegator)
         src.delegated_to = delegatee_id
         dst.delegations_received.add(delegator_id)
 
@@ -340,7 +360,7 @@ class Vortex:
             return
         self.governors[src.delegated_to].delegations_received.discard(delegator_id)
         src.delegated_to = None
-        src.role = Role.Governor
+        self._set_role(src, Role.Governor)
 
     # -- proposals --------------------------------------------------------
 
@@ -434,11 +454,12 @@ class Vortex:
         self.expire_stale(now)
         if proposal.state is not ProposalState.InPool:
             raise ProposalNotActive(f"{proposal_id} is {proposal.state.value}")
-        if governor_id in proposal.pool_upvotes | proposal.pool_downvotes:
+        if governor_id in proposal.pool_upvotes or governor_id in proposal.pool_downvotes:
             raise DuplicatePoolVote(f"{governor_id} already pool-voted on {proposal_id}")
         (proposal.pool_upvotes if upvote else proposal.pool_downvotes).add(governor_id)
         record.active_this_month = True
-        voters = len(proposal.pool_upvotes | proposal.pool_downvotes)
+        # the duplicate check keeps the two sets disjoint
+        voters = len(proposal.pool_upvotes) + len(proposal.pool_downvotes)
         if voters >= pool_threshold(self.governor_count()):
             proposal.state = ProposalState.InVote
             proposal.vote_deadline = now + WEEK_SECONDS
@@ -453,7 +474,7 @@ class Vortex:
             raise ProposalNotActive(f"{proposal_id} is {proposal.state.value}")
         if now >= proposal.vote_deadline:
             raise ProposalNotActive("voting window closed; call tally")
-        if governor_id in proposal.vote_yes | proposal.vote_no:
+        if governor_id in proposal.vote_yes or governor_id in proposal.vote_no:
             raise DuplicateVote(f"{governor_id} already voted on {proposal_id}")
         (proposal.vote_yes if yes else proposal.vote_no).add(governor_id)
         record.active_this_month = True
@@ -550,7 +571,7 @@ class Vortex:
         for record in to_demote:
             for delegator_id in sorted(record.delegations_received):
                 self.undelegate(delegator_id)
-            record.role = Role.HumanNode
+            self._set_role(record, Role.HumanNode)
             demoted.append(record.node_id)
         for record in self.governors.values():
             if record.role is Role.Governor:

@@ -160,8 +160,17 @@ class TestRunSim:
         {"faults": {"offline": [{"node": "node-01", "from_slot": 5, "to_slot": 5}]}},
         {"faults": {"offline": [{"node": "node-01", "from_slot": 1, "to_slot": 5},
                                 {"node": "node-01", "from_slot": 3, "to_slot": 9}]}},
+        {"faults": []},
+        {"crypto_pipeline": "false"},
+        {"crypto_pipeline": 0},
+        {"num_nodes": 2.9},
+        {"num_nodes": True},
+        {"fees_per_epoch": [0.5]},
+        {"faults": {"false_transaction": [{"node": "node-01", "slot": 2.5}]}},
     ], ids=["validity-text", "validity-zero", "offline-unknown", "false-tx-unknown",
-            "empty-window", "overlapping-windows"])
+            "empty-window", "overlapping-windows", "faults-list", "crypto-text",
+            "crypto-number", "nodes-fraction", "nodes-bool", "fee-fraction",
+            "slot-fraction"])
     def test_invalid_scenario_exits_one_without_traceback(self, extra, tmp_path, capsys):
         scenario = tmp_path / "s.json"
         doc = {"num_nodes": 3, "slots_per_epoch": 5, "epochs": 1, "fees_per_epoch": 0}

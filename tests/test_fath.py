@@ -11,11 +11,37 @@ from bionode.fath import (
     LedgerSnapshot,
     PeriodStats,
     RatioBelowNegativeOne,
+    RebalanceOutcome,
     UndefinedBaseline,
     compute_ratio,
     rebalance,
     run_period,
 )
+
+
+def fraction_rebalance(ledger, ratio):
+    """Oracle: largest-remainder rebalance on one Fraction per account."""
+    ratio = Fraction(ratio)
+    factor = 1 + ratio
+    exact_supply = ledger.total_supply * factor
+    new_supply = (2 * exact_supply.numerator + exact_supply.denominator) // (
+        2 * exact_supply.denominator
+    )
+    floors, remainders = {}, []
+    for acct, bal in ledger.balances.items():
+        exact = bal * factor
+        fl = exact.numerator // exact.denominator
+        floors[acct] = fl
+        remainders.append((exact - fl, acct))
+    remainders.sort(key=lambda pair: (-pair[0], pair[1]))
+    for _, acct in remainders[: new_supply - sum(floors.values())]:
+        floors[acct] += 1
+    deltas = {acct: floors[acct] - ledger.balances[acct] for acct in ledger.balances}
+    kind = "inFath" if ratio > 0 else "outFath" if ratio < 0 else "none"
+    outcome = RebalanceOutcome(
+        kind=kind, ratio=ratio, new_supply=new_supply, per_account_deltas=deltas
+    )
+    return LedgerSnapshot(balances=floors, total_supply=new_supply), outcome
 
 
 class TestRatio:
@@ -108,6 +134,59 @@ ledgers = st.dictionaries(
 ratios = st.fractions(
     min_value=Fraction(-99, 100), max_value=Fraction(10), max_denominator=997
 )
+
+
+class TestMatchesFractionOracle:
+    """Integer divmod against one denominator gives the Fraction results."""
+
+    @staticmethod
+    def assert_same(balances, ratio):
+        ledger = LedgerSnapshot(balances=balances)
+        new, outcome = rebalance(ledger, ratio)
+        want, want_outcome = fraction_rebalance(ledger, ratio)
+        assert new.balances == want.balances
+        assert list(new.balances) == list(want.balances)
+        assert new.total_supply == want.total_supply
+        assert outcome == want_outcome
+
+    @given(balances=ledgers, ratio=ratios)
+    @settings(max_examples=300, deadline=None)
+    def test_random_ledgers(self, balances, ratio):
+        self.assert_same(balances, ratio)
+
+    @given(
+        balances=ledgers,
+        ratio=st.fractions(
+            min_value=Fraction(-1, 1) + Fraction(1, 10**12),
+            max_value=Fraction(10**6),
+            max_denominator=10**15,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_large_denominators(self, balances, ratio):
+        self.assert_same(balances, ratio)
+
+    @given(
+        names=st.lists(
+            st.text(alphabet="abcdefgh", min_size=1, max_size=4),
+            min_size=2, max_size=40, unique=True,
+        ),
+        balance=st.integers(min_value=0, max_value=10**9),
+        odd=st.integers(min_value=0, max_value=10**9),
+        ratio=ratios,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equal_balances_tie_break_by_id(self, names, balance, odd, ratio):
+        # all but the last account share one balance, so every remainder
+        # but one ties and the extra units go by account id
+        balances = {name: balance for name in names}
+        balances[names[-1]] = odd
+        self.assert_same(balances, ratio)
+
+    def test_ties_go_to_smallest_ids(self):
+        ledger = LedgerSnapshot(balances={"c": 1, "a": 1, "b": 1, "d": 1})
+        new, _ = rebalance(ledger, Fraction(1, 2))
+        assert new.balances == {"c": 1, "a": 2, "b": 2, "d": 1}
 
 
 class TestProperties:

@@ -250,6 +250,13 @@ class TestConfig:
                  "ticket_validity_slots": "abc"}
             )
 
+    def test_integral_numbers_load_as_ints(self):
+        cfg = SimConfig.from_dict(
+            {"num_nodes": 3.0, "slots_per_epoch": 5, "epochs": 1, "crypto_pipeline": True}
+        )
+        assert cfg.num_nodes == 3 and type(cfg.num_nodes) is int
+        assert cfg.crypto_pipeline is True
+
     def test_zero_ticket_validity_rejected(self):
         with pytest.raises(ConfigInvalid, match="ticket_validity_slots"):
             netsim.run(small_config(ticket_validity_slots=0))

@@ -6,10 +6,13 @@ spot-checked beyond.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bionode.slashing import PerpetrationKind
 from bionode.vortex import (
     MONTH_SECONDS,
+    AlreadyRegistered,
     WEEK_SECONDS,
     YEAR_SECONDS,
     ConsulApprovalMissing,
@@ -24,11 +27,13 @@ from bionode.vortex import (
     ProposalType,
     ResubmitTooSoon,
     Role,
+    SelfDelegation,
     Tier,
     TierInsufficient,
     TooManyOpenProposals,
     VetoExhausted,
     Vortex,
+    VortexError,
     VotingStillOpen,
     approval_threshold,
     ceil_share,
@@ -385,6 +390,19 @@ class TestTiers:
         assert tiers == sorted(tiers)
 
 
+    def test_self_delegation_rejected(self):
+        dao = make_dao(3)
+        with pytest.raises(SelfDelegation):
+            dao.delegate("g0000", "g0000")
+        assert dao.governors["g0000"].role is Role.Governor
+        assert dao.eligible_power() == 3
+        dao.delegate("g0001", "g0000")
+        with pytest.raises(SelfDelegation):
+            dao.delegate("g0001", "g0001")
+        assert dao.governors["g0001"].delegated_to == "g0000"
+        assert dao.eligible_power() == 3
+
+
 class TestActivitySweep:
     def test_inactive_governor_demoted(self):
         dao = make_dao(4)
@@ -414,6 +432,102 @@ class TestActivitySweep:
         assert dao.governors["g0000"].role is Role.HumanNode
         assert dao.governors["g0001"].role is Role.Governor
         assert dao.governors["g0001"].delegated_to is None
+
+
+class TestMembership:
+    def test_reregistering_is_rejected(self):
+        dao = make_dao(2)
+        dao.delegate("g0000", "g0001")
+        with pytest.raises(AlreadyRegistered):
+            dao.register_human_node("g0001", now=5)
+        assert dao.governors["g0001"].role is Role.Governor
+        assert dao.governors["g0001"].delegations_received == {"g0000"}
+        assert dao.eligible_power() == 2
+        assert dao.governor_count() == 1
+
+
+# n4 starts unregistered; the others start as Governors
+NODES = [f"n{i}" for i in range(5)]
+node = st.sampled_from(NODES)
+membership_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("register"), node),
+        st.tuples(st.just("promote"), node),
+        st.tuples(st.just("delegate"), node, node),
+        st.tuples(st.just("undelegate"), node),
+        st.tuples(st.just("active"), node),
+        st.tuples(st.just("sweep")),
+    ),
+    max_size=40,
+)
+
+
+def run_steps(steps: list, check=lambda dao: None) -> Vortex:
+    dao = Vortex()
+    for nid in NODES[:-1]:
+        dao.register_human_node(nid, now=0)
+        dao.promote_to_governor(nid, now=0)
+    check(dao)
+    for now, step in enumerate(steps, start=1):
+        apply_step(dao, step, now)
+        check(dao)
+    return dao
+
+
+def apply_step(dao: Vortex, step: tuple, now: int) -> None:
+    kind, *ids = step
+    try:
+        if kind == "register":
+            dao.register_human_node(ids[0], now=now)
+        elif kind == "promote":
+            dao.promote_to_governor(ids[0], now=now)
+        elif kind == "delegate":
+            dao.delegate(ids[0], ids[1])
+        elif kind == "undelegate":
+            dao.undelegate(ids[0])
+        elif kind == "active":
+            dao.governors[ids[0]].active_this_month = True
+        else:
+            dao.monthly_activity_sweep(now=now)
+    except (KeyError, VortexError):
+        pass  # unknown ids and refused moves leave the state as it was
+
+
+class TestGovernorCount:
+    @given(steps=membership_steps)
+    @settings(max_examples=300, deadline=None)
+    def test_count_matches_roles_after_every_step(self, steps):
+        def check(dao):
+            governors = [r for r in dao.governors.values() if r.role is Role.Governor]
+            assert dao.governor_count() == len(governors)
+            # every delegated unit sits with a Governor, so none is lost
+            for r in dao.governors.values():
+                if r.delegated_to is not None:
+                    assert r.role is Role.Delegator
+                    assert dao.governors[r.delegated_to].role is Role.Governor
+                    assert r.node_id in dao.governors[r.delegated_to].delegations_received
+            participants = sum(
+                1 for r in dao.governors.values() if r.role in (Role.Governor, Role.Delegator)
+            )
+            assert dao.eligible_power() == participants
+
+        run_steps(steps, check)
+
+    @given(steps=membership_steps, ups=st.lists(st.booleans(), min_size=len(NODES)))
+    @settings(max_examples=300, deadline=None)
+    def test_pool_moves_to_vote_on_the_threshold_vote(self, steps, ups):
+        dao = run_steps(steps)
+        voters = sorted(nid for nid, r in dao.governors.items() if r.role is Role.Governor)
+        if not voters:
+            return
+        now = len(steps) + 1
+        p = dao.submit_proposal(voters[0], ProposalType.Product, now=now)
+        needed = pool_threshold(dao.governor_count())
+        for i, (voter, up) in enumerate(zip(voters[:needed], ups)):
+            assert p.state is ProposalState.InPool
+            dao.pool_vote(voter, p.id, upvote=up, now=now)
+            assert len(p.pool_upvotes) + len(p.pool_downvotes) == i + 1
+        assert p.state is ProposalState.InVote
 
 
 class TestFormation:
