@@ -5,10 +5,25 @@ Messages are group elements; integer payloads are carried in the exponent
 (encode_exponent), so every homomorphic operation below stays inside the
 subgroup. All randomness is drawn from explicitly seeded generators, which
 makes every operation replayable.
+
+Two caches remove repeated full-size exponentiations without changing any
+result. Subgroup membership is a pure function of (p, q, x), so
+GroupParams.contains memoises it (_in_subgroup) and the generator and the
+public key are tested once per process, not on every verify. Powers of a
+fixed base (the generator, a public key) go through a Lim-Lee comb
+(fixed_base_pow; C. H. Lim and P. J. Lee, "More Flexible Exponentiation with
+Precomputation", CRYPTO 1994). The exponent is cut into 8 rows; row i, bit k
+holds exponent bit i*a + k. The comb table holds, for each of two column
+blocks and each byte u, the product of the bases' row powers that u selects,
+so one squaring and two table multiplications consume a whole column of 8
+bits: a 1024-bit power takes 64 squarings and up to 128 multiplications
+instead of about 1200. A table holds 512 elements (~90 KB at 1024 bits), is
+built on first use for its (base, p), and comb_table keeps the last four.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from dataclasses import dataclass
@@ -85,6 +100,70 @@ def is_prime(n: int, rounds: int = 40) -> bool:
     return True
 
 
+@functools.lru_cache(maxsize=256, typed=True)
+def _in_subgroup(p: int, q: int, x: int) -> bool:
+    return 0 < x < p and pow(x, q, p) == 1
+
+
+# Lim-Lee comb shape: _COMB_ROWS rows of the exponent, each cut into two
+# blocks of _comb_block(p) bits; a column of the comb is one index byte.
+_COMB_ROWS = 8
+
+
+def _comb_block(p: int) -> int:
+    return -(-p.bit_length() // (2 * _COMB_ROWS))
+
+
+# Turns the '0'/'1' digits of row i into the bytes 0 / 2^i.
+_ROW_BITS = [bytes.maketrans(b"01", bytes([0, 1 << i])) for i in range(_COMB_ROWS)]
+
+
+@functools.lru_cache(maxsize=4)
+def comb_table(base: int, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The two comb tables of `base` mod p.
+
+    With block width b = _comb_block(p) and row width a = 2b, entry u of
+    table j is the product of base^(2^(i*a + j*b)) over the bits i set in u.
+    """
+    b = _comb_block(p)
+    # base^(2^(k*b)) for k < 16; row i of block j is k = 2i + j
+    powers = [base % p]
+    for _ in range(2 * _COMB_ROWS - 1):
+        powers.append(pow(powers[-1], 1 << b, p))
+    tables = []
+    for j in range(2):
+        table = [1]
+        for g_i in powers[j::2]:
+            table += [t * g_i % p for t in table]
+        tables.append(tuple(table))
+    return tables[0], tables[1]
+
+
+def fixed_base_pow(base: int, e: int, p: int) -> int:
+    """pow(base, e, p), by the comb of `base` when 0 <= e < 2^(16b)."""
+    b = _comb_block(p)
+    a = 2 * b
+    if e < 0 or e >> (_COMB_ROWS * a):
+        return pow(base, e, p)
+    low, high = comb_table(base, p)
+    # byte a-1-k of `columns` has bit i set iff exponent bit i*a + k is set
+    mask = (1 << a) - 1
+    columns = 0
+    for i in range(_COMB_ROWS):
+        digits = format(e >> (i * a) & mask, f"0{a}b").encode()
+        columns |= int.from_bytes(digits.translate(_ROW_BITS[i]), "big")
+    columns = columns.to_bytes(a, "big")
+    # column k of the low block pairs with column b + k of the high block
+    r = 1
+    for u_low, u_high in zip(columns[b:], columns[:b]):
+        r = r * r % p
+        if u_low:
+            r = r * low[u_low] % p
+        if u_high:
+            r = r * high[u_high] % p
+    return r
+
+
 @dataclass(frozen=True)
 class GroupParams:
     """Multiplicative group description: modulus p, subgroup order q, generator g.
@@ -100,7 +179,7 @@ class GroupParams:
 
     def contains(self, x: int) -> bool:
         """Membership test for the order-q subgroup."""
-        return 0 < x < self.p and pow(x, self.q, self.p) == 1
+        return _in_subgroup(self.p, self.q, x)
 
     def to_json(self, pk: int | None = None) -> str:
         doc = {"p": str(self.p), "q": str(self.q), "g": str(self.g)}
@@ -181,15 +260,23 @@ def keygen(params: GroupParams, rng_seed: int) -> KeyPair:
 
 def encode_exponent(params: GroupParams, x: int) -> int:
     """Encode the integer x as the group element g^x."""
-    return pow(params.g, x % params.q, params.p)
+    return fixed_base_pow(params.g, x % params.q, params.p)
 
 
-def encrypt_with_nonce(params: GroupParams, pk: int, m: int, r: int) -> Ciphertext:
-    """Encrypt with explicit randomness r (provers need to retain it)."""
-    if not params.contains(m):
+def encrypt_with_nonce(
+    params: GroupParams, pk: int, m: int, r: int, *, m_checked: bool = False
+) -> Ciphertext:
+    """Encrypt with explicit randomness r (provers need to retain it).
+
+    m must lie in the subgroup. A caller that built m as g^x from a
+    generator it has tested passes m_checked=True: g^x is then a member
+    too, and the full-size membership power is skipped.
+    """
+    if not m_checked and not params.contains(m):
         raise MessageNotInSubgroup(f"{m} is not in the order-{params.q} subgroup")
-    c = pow(params.g, r % params.q, params.p)
-    d = pow(pk, r % params.q, params.p) * m % params.p
+    r %= params.q
+    c = fixed_base_pow(params.g, r, params.p)
+    d = fixed_base_pow(pk, r, params.p) * m % params.p
     return Ciphertext(c=c, d=d, params=params)
 
 

@@ -258,6 +258,8 @@ class Simulation:
         gov = self.config.governance
         if not gov:
             return
+        if not isinstance(gov, dict) or not isinstance(gov.get("tiers", {}), dict):
+            raise ConfigInvalid("governance and its tiers must be objects")
         try:
             chosen = gov.get("governors", "all")
             members = sorted(self.nodes) if chosen == "all" else list(chosen)
@@ -270,7 +272,8 @@ class Simulation:
                 self.dao.governors[nid].tier = vortex.Tier[tier_name]
             for delegator, delegatee in gov.get("delegations", ()):
                 self.dao.delegate(delegator, delegatee)
-        except (KeyError, vortex.VortexError) as exc:
+        # TypeError / ValueError: a non-list, unhashable id or a pair of the wrong size
+        except (KeyError, TypeError, ValueError, vortex.VortexError) as exc:
             raise ConfigInvalid(f"bad governance section: {exc}") from exc
 
     # -- event plumbing ----------------------------------------------------

@@ -296,6 +296,9 @@ class Vortex:
     def __init__(self):
         self.governors: dict[str, GovernorRecord] = {}
         self.proposals: dict[str, Proposal] = {}
+        # the InPool proposals in submission order; kept where a proposal
+        # enters or leaves the pool, so expire_stale walks only the pool
+        self._in_pool: dict[str, Proposal] = {}
         self.pending_perpetrations: list[tuple[str, PerpetrationKind]] = []
         self._proposal_seq = 0
         self._governor_count = 0  # records whose role is Governor; kept by _set_role
@@ -412,6 +415,7 @@ class Vortex:
             approval_count=approval_count,
         )
         self.proposals[proposal.id] = proposal
+        self._in_pool[proposal.id] = proposal
         if record is not None:
             record.active_this_month = True
         return proposal
@@ -423,7 +427,7 @@ class Vortex:
         does not timestamp individual reactions, so "recent" is the whole
         pool window); popular: most upvotes first. Entries are pseudonyms.
         """
-        in_pool = [p for p in self.proposals.values() if p.state is ProposalState.InPool]
+        in_pool = self._in_pool.values()
         fresh = sorted(in_pool, key=lambda p: (-p.submitted_at, p.id))
         trending = sorted(
             in_pool,
@@ -438,12 +442,13 @@ class Vortex:
 
     def expire_stale(self, now: int) -> list[Proposal]:
         """Drop pool proposals that outlived their type's max pool time."""
-        expired = []
-        for p in self.proposals.values():
-            if p.state is ProposalState.InPool and now > p.submitted_at + POOL_MAX_SECONDS[p.type]:
-                p.state = ProposalState.Expired
-                p.resubmit_eligible_at = now + RESUBMIT_COOLDOWN
-                expired.append(p)
+        expired = [
+            p for p in self._in_pool.values() if now > p.submitted_at + POOL_MAX_SECONDS[p.type]
+        ]
+        for p in expired:
+            p.state = ProposalState.Expired
+            p.resubmit_eligible_at = now + RESUBMIT_COOLDOWN
+            del self._in_pool[p.id]
         return expired
 
     def pool_vote(self, governor_id: str, proposal_id: str, upvote: bool, now: int) -> Proposal:
@@ -463,6 +468,7 @@ class Vortex:
         if voters >= pool_threshold(self.governor_count()):
             proposal.state = ProposalState.InVote
             proposal.vote_deadline = now + WEEK_SECONDS
+            del self._in_pool[proposal.id]
         return proposal
 
     def cast_vote(self, governor_id: str, proposal_id: str, yes: bool, now: int) -> Proposal:

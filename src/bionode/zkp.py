@@ -15,6 +15,13 @@ the x_i or y. Three pieces cooperate:
 
 Sliding-window convolution reduces to the same primitive; conv_as_linear
 lays out one coefficient vector per output position.
+
+Every power of the generator and of the public key (encryption nonces, the
+log-eq commitments, the witness check and the verifier's g^t, pk^t) goes
+through the fixed-base comb of groups.fixed_base_pow, and membership tests
+read the memo behind GroupParams.contains. prove_linear tests g once and
+encrypts its plaintexts g^x as members by closure: g^q = 1 gives
+(g^x)^q = 1. Verifiers still test every element of the statement and proof.
 """
 
 from __future__ import annotations
@@ -27,8 +34,11 @@ from dataclasses import dataclass
 from .groups import (
     Ciphertext,
     GroupParams,
+    MessageNotInSubgroup,
     ParamsMismatch,
+    encode_exponent,
     encrypt_with_nonce,
+    fixed_base_pow,
 )
 
 
@@ -139,12 +149,12 @@ def logeq_prove(
 ) -> LogEqProof:
     """Prove h1 = g1^w and h2 = g2^w for the same (secret) w."""
     w = witness % params.q
-    if pow(g1, w, params.p) != h1 or pow(g2, w, params.p) != h2:
+    if fixed_base_pow(g1, w, params.p) != h1 or fixed_base_pow(g2, w, params.p) != h2:
         raise WitnessInconsistent("witness does not satisfy the statement")
     rng = random.Random(rng_seed)
     r = rng.randrange(0, params.q)
-    A = pow(g1, r, params.p)
-    B = pow(g2, r, params.p)
+    A = fixed_base_pow(g1, r, params.p)
+    B = fixed_base_pow(g2, r, params.p)
     z = _challenge(params, g1, h1, g2, h2, A, B)
     t = (r + w * z) % params.q
     return LogEqProof(A=A, B=B, t=t)
@@ -160,9 +170,9 @@ def logeq_verify(
     if not 0 <= proof.t < params.q:
         return False
     z = _challenge(params, g1, h1, g2, h2, proof.A, proof.B)
-    lhs1 = pow(g1, proof.t, params.p)
+    lhs1 = fixed_base_pow(g1, proof.t, params.p)
     rhs1 = proof.A * pow(h1, z, params.p) % params.p
-    lhs2 = pow(g2, proof.t, params.p)
+    lhs2 = fixed_base_pow(g2, proof.t, params.p)
     rhs2 = proof.B * pow(h2, z, params.p) % params.p
     return lhs1 == rhs1 and lhs2 == rhs2
 
@@ -187,15 +197,17 @@ def prove_linear(
     if not (len(inputs_plain) == len(randomness) == len(coefficients)):
         raise ValueError("inputs, randomness, coefficients must align")
     q, p, g = params.q, params.p, params.g
+    if not params.contains(g):
+        raise MessageNotInSubgroup(f"generator {g} is not in the order-{q} subgroup")
     rng = random.Random(rng_seed)
 
     input_cts = tuple(
-        encrypt_with_nonce(params, pk, pow(g, x % q, p), r)
+        encrypt_with_nonce(params, pk, encode_exponent(params, x), r, m_checked=True)
         for x, r in zip(inputs_plain, randomness)
     )
-    y = sum(a * x for a, x in zip(coefficients, inputs_plain)) % q
+    y = sum(a * x for a, x in zip(coefficients, inputs_plain))
     r_out = rng.randrange(1, q)
-    output_ct = encrypt_with_nonce(params, pk, pow(g, y, p), r_out)
+    output_ct = encrypt_with_nonce(params, pk, encode_exponent(params, y), r_out, m_checked=True)
     statement = LinearStatement(
         coefficients=tuple(coefficients), input_cts=input_cts, output_ct=output_ct
     )

@@ -8,6 +8,7 @@ import pytest
 from bionode import cli
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(*argv) -> int:
@@ -124,6 +125,18 @@ class TestProveVerify:
     def test_mismatched_lengths(self, tmp_path):
         assert run_cli("prove-linear", "--inputs", "1,2", "--coeffs", "3") == 1
 
+    def test_matches_golden_document(self, tmp_path):
+        """16 inputs, mixed-sign inputs and coefficients, 64-bit group: the
+        statement bytes for a fixed seed are pinned under tests/golden/."""
+        out = tmp_path / "statement.json"
+        assert run_cli(
+            "prove-linear", "--inputs", "3,-1,4,1,5,9,2,-6,5,3,5,8,9,7,9,3",
+            "--coeffs", "2,-7,1,8,-2,8,1,-8,2,8,4,-5,9,0,4,5",
+            "--bits", "64", "--seed", "42", "--output", str(out),
+        ) == 0
+        assert out.read_bytes() == (GOLDEN / "prove_linear_64.json").read_bytes()
+        assert run_cli("verify-linear", str(out)) == 0
+
     def test_byte_identical_documents(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for out in (a, b):
@@ -139,7 +152,7 @@ class TestRunSim:
         assert code == 0
         report = json.loads((out / "report.json").read_text())
         golden = json.loads(
-            (Path(__file__).parent / "golden" / "honest_report.json").read_text()
+            (GOLDEN / "honest_report.json").read_text()
         )
         assert report == golden
         assert (out / "events.ndjson").read_text().count("\n") == report["event_count"]
@@ -167,10 +180,16 @@ class TestRunSim:
         {"num_nodes": True},
         {"fees_per_epoch": [0.5]},
         {"faults": {"false_transaction": [{"node": "node-01", "slot": 2.5}]}},
+        {"governance": [1]},
+        {"governance": {"tiers": []}},
+        {"governance": {"delegations": [["node-01"]]}},
+        {"governance": {"governors": 5}},
+        {"governance": {"delegations": [["node-01", ["node-02"]]]}},
     ], ids=["validity-text", "validity-zero", "offline-unknown", "false-tx-unknown",
             "empty-window", "overlapping-windows", "faults-list", "crypto-text",
             "crypto-number", "nodes-fraction", "nodes-bool", "fee-fraction",
-            "slot-fraction"])
+            "slot-fraction", "governance-list", "tiers-list", "delegation-single",
+            "governors-number", "delegatee-list"])
     def test_invalid_scenario_exits_one_without_traceback(self, extra, tmp_path, capsys):
         scenario = tmp_path / "s.json"
         doc = {"num_nodes": 3, "slots_per_epoch": 5, "epochs": 1, "fees_per_epoch": 0}

@@ -9,8 +9,10 @@ import random
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bionode import groups
+from bionode import groups, zkp
 from bionode.groups import (
     Ciphertext,
     EmptyParticipantSet,
@@ -23,6 +25,7 @@ from bionode.groups import (
     decrypt,
     encrypt,
     encrypt_with_nonce,
+    fixed_base_pow,
     generate_params,
     hom_mul,
     hom_scalar,
@@ -239,3 +242,93 @@ class TestSerialization:
 
         doc = _json.loads(SMALL.to_json(pk=18))
         assert doc == {"p": "23", "q": "11", "g": "4", "pk": "18"}
+
+
+GROUP_64 = generate_params(64, seed=2024)
+GROUP_1024 = generate_params(1024)
+PK_64 = keygen(GROUP_64, rng_seed=1).pk
+PK_1024 = keygen(GROUP_1024, rng_seed=1).pk
+
+
+def comb_width(params: GroupParams) -> int:
+    """Exponent bits the comb of a base mod p covers: 8 rows of 2 blocks."""
+    return 16 * -(-params.p.bit_length() // 16)
+
+
+class TestFixedBasePow:
+    @pytest.mark.parametrize("params, pk", [(GROUP_64, PK_64), (GROUP_1024, PK_1024)],
+                             ids=["64", "1024"])
+    def test_edge_exponents(self, params, pk):
+        width = comb_width(params)
+        exponents = [0, 1, 2, 255, 256, params.q - 1, params.q, params.p - 1,
+                     (1 << width) - 1, 1 << width, (1 << width) + 12345, 3 << (2 * width)]
+        for base in (params.g, pk):
+            for e in exponents:
+                assert fixed_base_pow(base, e, params.p) == pow(base, e, params.p), e
+
+    @given(e=st.integers(min_value=0, max_value=GROUP_64.q - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_pow_64(self, e):
+        for base in (GROUP_64.g, PK_64):
+            assert fixed_base_pow(base, e, GROUP_64.p) == pow(base, e, GROUP_64.p)
+
+    @given(e=st.integers(min_value=0, max_value=GROUP_1024.q - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_pow_1024(self, e):
+        for base in (GROUP_1024.g, PK_1024):
+            assert fixed_base_pow(base, e, GROUP_1024.p) == pow(base, e, GROUP_1024.p)
+
+    @given(e=st.integers(min_value=1 << comb_width(GROUP_64), max_value=1 << 300)
+           | st.integers(max_value=-1, min_value=-(1 << 300)))
+    @settings(max_examples=100, deadline=None)
+    def test_exponents_outside_the_table_fall_back_to_pow(self, e):
+        assert fixed_base_pow(GROUP_64.g, e, GROUP_64.p) == pow(GROUP_64.g, e, GROUP_64.p)
+
+    def test_setup_builds_no_table(self):
+        """Parameters and keys come from pow; the first encryption, proof or
+        verification builds the comb, so setup never pays for it."""
+        groups.comb_table.cache_clear()
+        params = generate_params(1024)
+        keygen(params, rng_seed=5)
+        assert groups.comb_table.cache_info().currsize == 0
+        encrypt(params, keygen(params, rng_seed=5).pk, params.g, rng_seed=1)
+        assert groups.comb_table.cache_info().currsize == 2
+
+
+class TestMembershipCache:
+    @pytest.mark.parametrize("params", [GROUP_64, GROUP_1024], ids=["64", "1024"])
+    def test_non_member_rejected_after_a_member_is_cached(self, params):
+        # p = 2q + 1 with q odd, so -1 is a non-residue and p - g is outside
+        assert params.contains(params.g)
+        outside = params.p - params.g
+        assert pow(outside, params.q, params.p) != 1
+        assert not params.contains(outside)
+        assert params.contains(params.g)
+
+    def test_result_is_keyed_on_q(self):
+        # in the "group" of order p - 1 every unit is a member, by Fermat
+        loose = GroupParams(p=GROUP_64.p, q=GROUP_64.p - 1, g=GROUP_64.g)
+        outside = GROUP_64.p - GROUP_64.g
+        assert loose.contains(outside)
+        assert not GROUP_64.contains(outside)
+
+    def test_out_of_range_rejected(self):
+        for x in (0, -GROUP_64.g, GROUP_64.p, GROUP_64.p + GROUP_64.g):
+            assert not GROUP_64.contains(x)
+
+    def test_external_encrypt_of_non_member_raises(self):
+        outside = GROUP_64.p - GROUP_64.g
+        encrypt_with_nonce(GROUP_64, PK_64, GROUP_64.g, 7)  # caches g and both combs
+        with pytest.raises(MessageNotInSubgroup):
+            encrypt_with_nonce(GROUP_64, PK_64, outside, 7)
+        with pytest.raises(MessageNotInSubgroup):
+            encrypt_with_nonce(SMALL, 18, 5, 2)
+
+    def test_prove_linear_rejects_a_generator_outside_the_subgroup(self):
+        bad = GroupParams(p=GROUP_64.p, q=GROUP_64.q, g=GROUP_64.p - GROUP_64.g)
+        assert GROUP_64.contains(GROUP_64.g)
+        # even inputs: each g^x would pass a membership test on its own
+        with pytest.raises(MessageNotInSubgroup):
+            zkp.prove_linear(bad, PK_64, [2, 4], [3, 5], [1, 1], rng_seed=1)
+        with pytest.raises(MessageNotInSubgroup):
+            zkp.prove_linear(bad, PK_64, [1, 3], [3, 5], [1, 1], rng_seed=1)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from bionode.slashing import PerpetrationKind
 from bionode.vortex import (
     MONTH_SECONDS,
+    POOL_MAX_SECONDS,
     AlreadyRegistered,
     WEEK_SECONDS,
     YEAR_SECONDS,
@@ -196,6 +197,13 @@ class TestPool:
             "g0000", ProposalType.Product, now=late + 2 * WEEK_SECONDS, resubmit_of=p.id
         )
         assert again.state is ProposalState.InPool
+
+    def test_proposal_in_vote_does_not_expire_from_the_pool(self):
+        dao = make_dao(100)
+        p = dao.submit_proposal("g0000", ProposalType.Product, now=0)
+        drive_to_vote(dao, p.id, now=0)
+        assert dao.expire_stale(now=3 * WEEK_SECONDS) == []
+        assert p.state is ProposalState.InVote
 
     def test_pool_max_times_by_type(self):
         from bionode.vortex import POOL_MAX_SECONDS
@@ -528,6 +536,52 @@ class TestGovernorCount:
             dao.pool_vote(voter, p.id, upvote=up, now=now)
             assert len(p.pool_upvotes) + len(p.pool_downvotes) == i + 1
         assert p.state is ProposalState.InVote
+
+
+pool_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("submit"), st.integers(0, 4), st.sampled_from(list(ProposalType))),
+        st.tuples(st.just("vote"), st.integers(0, 4), st.integers(0, 30), st.booleans()),
+        st.tuples(st.just("wait"), st.integers(0, 8 * WEEK_SECONDS)),
+    ),
+    max_size=60,
+)
+
+
+class TestPoolIndex:
+    @given(steps=pool_steps)
+    @settings(max_examples=200, deadline=None)
+    def test_expiry_matches_a_scan_of_every_proposal(self, steps):
+        """expire_stale walks only the pool index; it must expire exactly the
+        proposals, in the order, that a scan over all proposals selects."""
+        dao = make_dao(5, tier=Tier.Consul)  # two pool votes move a proposal to InVote
+        now = 0
+        for kind, *args in steps:
+            if kind == "wait":
+                now += args[0]
+                stale = [
+                    p for p in dao.proposals.values()
+                    if p.state is ProposalState.InPool
+                    and now > p.submitted_at + POOL_MAX_SECONDS[p.type]
+                ]
+                assert dao.expire_stale(now) == stale
+                assert all(p.state is ProposalState.Expired for p in stale)
+                continue
+            try:
+                if kind == "submit":
+                    dao.submit_proposal(f"g{args[0]:04d}", args[1], now=now)
+                else:
+                    voter, index, up = args
+                    ids = list(dao.proposals)
+                    if ids:
+                        dao.pool_vote(f"g{voter:04d}", ids[index % len(ids)], up, now=now)
+            except VortexError:
+                pass
+        assert dao.expire_stale(now + YEAR_SECONDS) == [
+            p for p in dao.proposals.values() if p.state is ProposalState.Expired
+            and p.resubmit_eligible_at == now + YEAR_SECONDS + 2 * WEEK_SECONDS
+        ]
+        assert not any(p.state is ProposalState.InPool for p in dao.proposals.values())
 
 
 class TestFormation:
