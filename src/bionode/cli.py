@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import random
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -158,68 +159,38 @@ def cmd_prove_linear(args) -> int:
         return EXIT_USAGE
     if args.keys:
         try:
-            doc = json.loads(Path(args.keys).read_text())
-            params = groups.GroupParams(p=int(doc["p"]), q=int(doc["q"]), g=int(doc["g"]))
-            pk, sk = int(doc["pk"]), int(doc["sk"])
-        except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+            params, keys = groups.read_key_doc(json.loads(Path(args.keys).read_text()))
+        except (OSError, json.JSONDecodeError, groups.DocumentInvalid) as exc:
             print(f"error: cannot read key file: {exc}", file=sys.stderr)
             return EXIT_USAGE
     else:
+        if args.bits < groups.MIN_GROUP_BITS:
+            print(f"error: --bits must be at least {groups.MIN_GROUP_BITS}", file=sys.stderr)
+            return EXIT_USAGE
         params = groups.generate_params(args.bits, seed=args.seed)
-        pair = groups.keygen(params, rng_seed=args.seed + 1)
-        pk, sk = pair.pk, pair.sk
-    if args.save_keys:
-        Path(args.save_keys).write_text(json.dumps(
-            {"p": str(params.p), "q": str(params.q), "g": str(params.g),
-             "pk": str(pk), "sk": str(sk)}, indent=2, sort_keys=True) + "\n")
-    import random as _random
-
-    rng = _random.Random(args.seed + 2)
+        keys = groups.keygen(params, rng_seed=args.seed + 1)
+    _write_output(args.save_keys, groups.key_doc(params, keys))
+    rng = random.Random(args.seed + 2)
     randomness = [rng.randrange(1, params.q) for _ in inputs]
-    statement, proof = zkp.prove_linear(params, pk, inputs, randomness, coeffs, args.seed + 3)
-    doc = {
-        "params": {"p": str(params.p), "q": str(params.q), "g": str(params.g), "pk": str(pk)},
-        "coefficients": [str(c) for c in statement.coefficients],
-        "inputs": [{"c": str(ct.c), "d": str(ct.d)} for ct in statement.input_cts],
-        "output": {"c": str(statement.output_ct.c), "d": str(statement.output_ct.d)},
-        "proof": {"A": str(proof.A), "B": str(proof.B), "t": str(proof.t)},
-    }
+    statement, proof = zkp.prove_linear(params, keys.pk, inputs, randomness, coeffs, args.seed + 3)
     out = args.output or "statement.json"
-    Path(out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_output(out, zkp.statement_doc(params, keys.pk, statement, proof))
     print(f"statement and proof written to {out}")
     return EXIT_OK
 
 
 def cmd_verify_linear(args) -> int:
     try:
-        doc = json.loads(Path(args.statement).read_text())
-        params = groups.GroupParams(
-            p=int(doc["params"]["p"]), q=int(doc["params"]["q"]), g=int(doc["params"]["g"])
+        params, pk, statement, proof = zkp.read_statement_doc(
+            json.loads(Path(args.statement).read_text())
         )
-        pk = int(doc["params"]["pk"])
-        statement = zkp.LinearStatement(
-            coefficients=tuple(int(c) for c in doc["coefficients"]),
-            input_cts=tuple(
-                groups.Ciphertext(c=int(ct["c"]), d=int(ct["d"]), params=params)
-                for ct in doc["inputs"]
-            ),
-            output_ct=groups.Ciphertext(
-                c=int(doc["output"]["c"]), d=int(doc["output"]["d"]), params=params
-            ),
-        )
-        proof = zkp.LogEqProof(
-            A=int(doc["proof"]["A"]), B=int(doc["proof"]["B"]), t=int(doc["proof"]["t"])
-        )
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, groups.DocumentInvalid) as exc:
         print(f"error: cannot read statement: {exc}", file=sys.stderr)
         return EXIT_USAGE
     ok = zkp.verify_linear(params, pk, statement, proof)
     _write_output(args.output, {"accepted": ok})
-    if ok:
-        print("accept")
-        return EXIT_OK
-    print("reject")
-    return EXIT_REJECTED
+    print("accept" if ok else "reject")
+    return EXIT_OK if ok else EXIT_REJECTED
 
 
 # -- lwe-match ---------------------------------------------------------------

@@ -127,19 +127,8 @@ def run_period(
     try:
         ratio = compute_ratio(prev_stats, curr_stats)
     except UndefinedBaseline:
-        outcome = RebalanceOutcome(
-            kind="none",
-            ratio=Fraction(0),
-            new_supply=ledger.total_supply,
-            per_account_deltas={acct: 0 for acct in ledger.balances},
-        )
-        return ledger, outcome
+        ratio = 0
     if ratio == 0:
-        outcome = RebalanceOutcome(
-            kind="none",
-            ratio=Fraction(0),
-            new_supply=ledger.total_supply,
-            per_account_deltas={acct: 0 for acct in ledger.balances},
-        )
-        return ledger, outcome
+        deltas = dict.fromkeys(ledger.balances, 0)
+        return ledger, RebalanceOutcome("none", Fraction(0), ledger.total_supply, deltas)
     return rebalance(ledger, ratio)

@@ -19,12 +19,15 @@ so one squaring and two table multiplications consume a whole column of 8
 bits: a 1024-bit power takes 64 squarings and up to 128 multiplications
 instead of about 1200. A table holds 512 elements (~90 KB at 1024 bits), is
 built on first use for its (base, p), and comb_table keeps the last four.
+
+params_doc / read_params_doc are the codec of the params document {"p", "q",
+"g", "pk"}; a key file adds "sk". Reading validates the group and the key: a
+verifier given g = 1, pk = 1 accepts anything. Bad documents raise DocumentInvalid.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import random
 from dataclasses import dataclass
 
@@ -47,6 +50,13 @@ class ParamsMismatch(GroupError):
 
 class EmptyParticipantSet(GroupError):
     pass
+
+
+class DocumentInvalid(ValueError):
+    """A params, key or statement document is malformed or names an invalid group."""
+
+
+MIN_GROUP_BITS = 16  # the smallest p that generate_params builds and validate accepts
 
 
 # 1024-bit MODP group (RFC 2409, Oakley group 2). p is a safe prime; the
@@ -181,16 +191,15 @@ class GroupParams:
         """Membership test for the order-q subgroup."""
         return _in_subgroup(self.p, self.q, x)
 
-    def to_json(self, pk: int | None = None) -> str:
-        doc = {"p": str(self.p), "q": str(self.q), "g": str(self.g)}
-        if pk is not None:
-            doc["pk"] = str(pk)
-        return json.dumps(doc)
-
-    @classmethod
-    def from_json(cls, text: str) -> "GroupParams":
-        doc = json.loads(text)
-        return cls(p=int(doc["p"]), q=int(doc["q"]), g=int(doc["g"]))
+    def validate(self) -> None:
+        """Raise DocumentInvalid unless p = 2q + 1 is a safe prime of at least
+        MIN_GROUP_BITS bits and g != 1 lies in (so generates) the subgroup."""
+        if self.p.bit_length() < MIN_GROUP_BITS:
+            raise DocumentInvalid(f"p has fewer than {MIN_GROUP_BITS} bits")
+        if self.q != (self.p - 1) // 2 or not (is_prime(self.q) and is_prime(self.p)):
+            raise DocumentInvalid("p is not a safe prime 2q + 1")
+        if self.g == 1 or not self.contains(self.g):
+            raise DocumentInvalid("g does not generate the order-q subgroup")
 
 
 @dataclass(frozen=True)
@@ -207,14 +216,6 @@ class Ciphertext:
     d: int
     params: GroupParams
 
-    def to_json(self) -> str:
-        return json.dumps({"c": str(self.c), "d": str(self.d)})
-
-    @classmethod
-    def from_json(cls, text: str, params: GroupParams) -> "Ciphertext":
-        doc = json.loads(text)
-        return cls(c=int(doc["c"]), d=int(doc["d"]), params=params)
-
 
 @dataclass(frozen=True)
 class CollectiveKey:
@@ -230,7 +231,7 @@ def generate_params(bits: int, seed: int = 0) -> GroupParams:
     nothing here); smaller test sizes are searched deterministically from
     the seed.
     """
-    if bits < 16:
+    if bits < MIN_GROUP_BITS:
         raise ValueError("modulus below 16 bits is not a group, it is a toy")
     if bits in _PINNED_SAFE_PRIMES:
         p = _PINNED_SAFE_PRIMES[bits]
@@ -288,12 +289,9 @@ def encrypt(params: GroupParams, pk: int, m: int, rng_seed: int) -> Ciphertext:
 
 def decrypt(params: GroupParams, sk: int, ct: Ciphertext) -> int:
     """Recover m = d / c^sk."""
-    if not (params.contains(ct.c) or ct.c == 1) or not (
-        params.contains(ct.d) or ct.d == 1
-    ):
+    if not (params.contains(ct.c) and params.contains(ct.d)):
         raise InvalidCiphertext("ciphertext component outside the subgroup")
-    shared = pow(ct.c, sk % params.q, params.p)
-    return ct.d * pow(shared, -1, params.p) % params.p
+    return combine_partial_decryptions(params, ct, [partial_decrypt(params, sk, ct)])
 
 
 def hom_mul(ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
@@ -343,3 +341,39 @@ def combine_partial_decryptions(
     for s in shares:
         blind = blind * s % params.p
     return ct.d * pow(blind, -1, params.p) % params.p
+
+
+def doc_int(value) -> int:
+    """A decimal string or a JSON integer; TypeError or ValueError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError(f"not an integer: {value!r:.40}")
+    return int(value)
+
+
+def params_doc(params: GroupParams, pk: int) -> dict:
+    return {"p": str(params.p), "q": str(params.q), "g": str(params.g), "pk": str(pk)}
+
+
+def read_params_doc(doc) -> tuple[GroupParams, int]:
+    """The inverse of params_doc; the group and the key must be valid."""
+    try:
+        p, q, g, pk = (doc_int(doc[k]) for k in ("p", "q", "g", "pk"))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DocumentInvalid(f"malformed params: {exc!r}") from exc
+    params = GroupParams(p=p, q=q, g=g)
+    params.validate()
+    if pk == 1 or not params.contains(pk):
+        raise DocumentInvalid("pk is not a subgroup element other than 1")
+    return params, pk
+
+
+def key_doc(params: GroupParams, keys: KeyPair) -> dict:
+    return {**params_doc(params, keys.pk), "sk": str(keys.sk)}
+
+
+def read_key_doc(doc) -> tuple[GroupParams, KeyPair]:
+    params, pk = read_params_doc(doc)
+    try:
+        return params, KeyPair(sk=doc_int(doc["sk"]), pk=pk)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DocumentInvalid(f"malformed sk: {exc!r}") from exc

@@ -20,7 +20,6 @@ the 60-bit default modulus cannot overflow anything.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass
@@ -33,10 +32,6 @@ class PlaintextOutOfRange(Exception):
 
 
 class VectorTooLong(Exception):
-    pass
-
-
-class NoiseOverflow(Exception):
     pass
 
 
@@ -84,16 +79,6 @@ class LweCiphertext:
     @property
     def degree(self) -> int:
         return len(self.parts) - 1
-
-    def to_json(self) -> str:
-        return json.dumps([[str(c) for c in part] for part in self.parts])
-
-    @classmethod
-    def from_json(cls, text: str, params: LweParams) -> "LweCiphertext":
-        parts = tuple(tuple(int(c) for c in part) for part in json.loads(text))
-        if any(len(p) != params.d for p in parts):
-            raise ValueError("part length does not match the ring degree")
-        return cls(parts=parts, params=params)
 
 
 def _zero(d: int) -> Poly:

@@ -21,11 +21,10 @@ from dataclasses import dataclass
 
 from . import biometrics, lwe, vortex
 from .fath import LedgerSnapshot, PeriodStats, run_period
-from .slashing import Blacklist, PerpetrationKind, apply_effects
+from .slashing import MONTH_SECONDS, Blacklist, PerpetrationKind, apply_effects
 from .vortex import TierInsufficient, Vortex
 
 SLOT_SECONDS_DEFAULT = 6
-MONTH_SECONDS = 2_630_016
 OFFLINE_LIMIT_SECONDS = 48 * 3600
 UPTIME_FLOOR = 0.91
 VAULT_SHARE_PERCENT = 2
@@ -197,7 +196,6 @@ class NodeState:
     node_id: str
     online: bool = True
     ticket_expiry_slot: int = 0
-    last_renewal_slot: int | None = None
     verification_deadline_slot: int = 0
     offline_since: int | None = None
     offline_window_slashed: bool = False
@@ -237,11 +235,7 @@ class Simulation:
         self.dao = Vortex()
         self._seq = 0
         for node_id in config.node_ids:
-            self.nodes[node_id] = NodeState(
-                node_id=node_id,
-                ticket_expiry_slot=0,
-                verification_deadline_slot=config.month_slots,
-            )
+            self.nodes[node_id] = NodeState(node_id, verification_deadline_slot=config.month_slots)
             self.dao.register_human_node(node_id, now=0)
         self.ledger = LedgerSnapshot(
             balances={nid: config.initial_balance for nid in self.nodes}
@@ -256,6 +250,7 @@ class Simulation:
 
     def _setup_governance(self) -> None:
         gov = self.config.governance
+        self._proposals: dict[int, list[tuple]] = {}  # epoch -> scripted proposals
         if not gov:
             return
         if not isinstance(gov, dict) or not isinstance(gov.get("tiers", {}), dict):
@@ -272,6 +267,15 @@ class Simulation:
                 self.dao.governors[nid].tier = vortex.Tier[tier_name]
             for delegator, delegatee in gov.get("delegations", ()):
                 self.dao.delegate(delegator, delegatee)
+            # parsed before the run, so a bad entry stops it before any event
+            for item in gov.get("proposals", ()):
+                if not isinstance(item, dict) or not isinstance(item["proposer"], str):
+                    raise ConfigInvalid(f"a proposal must be an object naming its proposer: {item!r}")
+                self._proposals.setdefault(item.get("epoch"), []).append((
+                    item["proposer"], vortex.ProposalType[item["type"]],
+                    _int(item["pool_upvotes"]) if "pool_upvotes" in item else None,
+                    _int(item.get("yes", 0)), _int(item.get("no", 0)),
+                ))
         # TypeError / ValueError: a non-list, unhashable id or a pair of the wrong size
         except (KeyError, TypeError, ValueError, vortex.VortexError) as exc:
             raise ConfigInvalid(f"bad governance section: {exc}") from exc
@@ -333,7 +337,6 @@ class Simulation:
         if not self._bioauth_passes(node_id, slot):
             raise BioauthFailed(node_id)
         node.ticket_expiry_slot = slot + self.config.validity_slots
-        node.last_renewal_slot = slot
         node.verification_deadline_slot = slot + self.config.month_slots
         self._emit(slot, "TicketRenewed", {
             "node": node.node_id,
@@ -452,15 +455,10 @@ class Simulation:
         are); tally records land in the event log. A scripted proposal the
         proposer had no right to make becomes a slashing perpetration.
         """
-        gov = self.config.governance or {}
-        scripted = [p for p in gov.get("proposals", ()) if p.get("epoch") == epoch]
-        if not scripted:
-            return
         now = self._now(slot)
-        for item in scripted:
-            ptype = vortex.ProposalType[item["type"]]
+        for proposer, ptype, upvotes, yes, no in self._proposals.get(epoch, ()):
             try:
-                proposal = self.dao.submit_proposal(item["proposer"], ptype, now)
+                proposal = self.dao.submit_proposal(proposer, ptype, now)
             except TierInsufficient:
                 while self.dao.pending_perpetrations:
                     nid, kind = self.dao.pending_perpetrations.pop(0)
@@ -469,18 +467,14 @@ class Simulation:
                 continue
             except vortex.VortexError as exc:
                 raise ConfigInvalid(f"scripted proposal failed: {exc}") from exc
-            governors = [
-                nid
-                for nid in sorted(self.dao.governors)
-                if self.dao.governors[nid].role is vortex.Role.Governor
-            ]
+            governors = sorted(
+                nid for nid, r in self.dao.governors.items() if r.role is vortex.Role.Governor
+            )
             try:
-                needed = item.get(
-                    "pool_upvotes", vortex.pool_threshold(self.dao.governor_count())
-                )
-                for voter in governors[:needed]:
+                if upvotes is None:
+                    upvotes = vortex.pool_threshold(self.dao.governor_count())
+                for voter in governors[:upvotes]:
                     self.dao.pool_vote(voter, proposal.id, upvote=True, now=now)
-                yes, no = int(item.get("yes", 0)), int(item.get("no", 0))
                 for voter in governors[:yes]:
                     self.dao.cast_vote(voter, proposal.id, yes=True, now=now + 1)
                 for voter in governors[yes : yes + no]:

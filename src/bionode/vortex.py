@@ -24,10 +24,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-from .slashing import PerpetrationKind
+from .slashing import MONTH_SECONDS, PerpetrationKind
 
 WEEK_SECONDS = 604_800
-MONTH_SECONDS = 2_630_016  # 30.44 days
 YEAR_SECONDS = 31_557_600  # 365.25 days
 RESUBMIT_COOLDOWN = 2 * WEEK_SECONDS
 MAX_OPEN_PROPOSALS = 5

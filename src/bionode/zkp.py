@@ -22,23 +22,31 @@ through the fixed-base comb of groups.fixed_base_pow, and membership tests
 read the memo behind GroupParams.contains. prove_linear tests g once and
 encrypts its plaintexts g^x as members by closure: g^q = 1 gives
 (g^x)^q = 1. Verifiers still test every element of the statement and proof.
+
+statement_doc / read_statement_doc are the codec of the statement document: a
+params document (groups), coefficients, ciphertexts {"c", "d"}, proof {"A", "B", "t"}.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import random
 from dataclasses import dataclass
 
 from .groups import (
     Ciphertext,
+    DocumentInvalid,
     GroupParams,
     MessageNotInSubgroup,
     ParamsMismatch,
+    doc_int,
     encode_exponent,
     encrypt_with_nonce,
     fixed_base_pow,
+    hom_mul,
+    hom_scalar,
+    params_doc,
+    read_params_doc,
 )
 
 
@@ -73,19 +81,9 @@ class LogEqProof:
     B: int
     t: int
 
-    def to_json(self) -> str:
-        return json.dumps({"A": str(self.A), "B": str(self.B), "t": str(self.t)})
-
-    @classmethod
-    def from_json(cls, text: str) -> "LogEqProof":
-        doc = json.loads(text)
-        return cls(A=int(doc["A"]), B=int(doc["B"]), t=int(doc["t"]))
-
 
 def vss_commit(params: GroupParams, coefficients: list[int]) -> VssCommitment:
-    return VssCommitment(
-        h_list=tuple(pow(params.g, a % params.q, params.p) for a in coefficients)
-    )
+    return VssCommitment(h_list=tuple(encode_exponent(params, a) for a in coefficients))
 
 
 def poly_eval(coefficients: list[int], x: int, modulus: int) -> int:
@@ -101,7 +99,7 @@ def vss_verify_share(
 ) -> bool:
     """Check g^b == prod h_i^{a^i} for a share (a, b) claimed to be (a, f(a))."""
     a, b = share
-    lhs = pow(params.g, b % params.q, params.p)
+    lhs = encode_exponent(params, b)
     rhs = 1
     power = 1  # a^i mod q
     for h_i in commitment.h_list:
@@ -114,14 +112,12 @@ def aggregate(params: GroupParams, pk: int, statement: LinearStatement) -> Ciphe
     """Fold inputs with public coefficients: (C, D) = (prod c_i^{a_i}, prod d_i^{a_i})."""
     if len(statement.coefficients) != len(statement.input_cts):
         raise ValueError("coefficient/input length mismatch")
-    C, D = 1, 1
+    acc = Ciphertext(c=1, d=1, params=params)
     for a, ct in zip(statement.coefficients, statement.input_cts):
         if ct.params != params:
             raise ParamsMismatch("input ciphertext from a different group")
-        e = a % params.q
-        C = C * pow(ct.c, e, params.p) % params.p
-        D = D * pow(ct.d, e, params.p) % params.p
-    return Ciphertext(c=C, d=D, params=params)
+        acc = hom_mul(acc, hom_scalar(ct, a))
+    return acc
 
 
 _CHALLENGE_TAG = b"bionode/logeq/v1"
@@ -165,7 +161,7 @@ def logeq_verify(
 ) -> bool:
     """Check g1^t == A * h1^z and g2^t == B * h2^z with recomputed z."""
     for v in (g1, h1, g2, h2, proof.A, proof.B):
-        if not (params.contains(v) or v == 1):
+        if not params.contains(v):
             return False
     if not 0 <= proof.t < params.q:
         return False
@@ -225,18 +221,48 @@ def verify_linear(
     params: GroupParams, pk: int, statement: LinearStatement, proof: LogEqProof
 ) -> bool:
     """Accept iff the quotient of aggregate and output encrypts the identity."""
-    if not statement.input_cts:
-        return False
-    if len(statement.coefficients) != len(statement.input_cts):
+    p, out = params.p, statement.output_ct
+    # an output component outside 1..p-1 has no inverse mod p
+    if not (statement.input_cts and 0 < out.c < p and 0 < out.d < p):
         return False
     try:
         agg = aggregate(params, pk, statement)
-    except ParamsMismatch:
+    except (ValueError, ParamsMismatch):  # lengths differ, or a foreign input
         return False
-    p = params.p
-    u1 = agg.c * pow(statement.output_ct.c, -1, p) % p
-    u2 = agg.d * pow(statement.output_ct.d, -1, p) % p
+    u1 = agg.c * pow(out.c, -1, p) % p
+    u2 = agg.d * pow(out.d, -1, p) % p
     return logeq_verify(params, params.g, u1, pk, u2, proof)
+
+
+def statement_doc(
+    params: GroupParams, pk: int, statement: LinearStatement, proof: LogEqProof
+) -> dict:
+    out = statement.output_ct
+    return {
+        "params": params_doc(params, pk),
+        "coefficients": [str(a) for a in statement.coefficients],
+        "inputs": [{"c": str(ct.c), "d": str(ct.d)} for ct in statement.input_cts],
+        "output": {"c": str(out.c), "d": str(out.d)},
+        "proof": {"A": str(proof.A), "B": str(proof.B), "t": str(proof.t)},
+    }
+
+
+def read_statement_doc(doc) -> tuple[GroupParams, int, LinearStatement, LogEqProof]:
+    """The inverse of statement_doc. The group and the key are validated;
+    whether the proof holds is for verify_linear to say."""
+    if not (isinstance(doc, dict) and all(
+        isinstance(doc.get(k), list) for k in ("coefficients", "inputs")
+    )):
+        raise DocumentInvalid("expected an object with lists of coefficients and inputs")
+    params, pk = read_params_doc(doc.get("params"))
+    try:
+        cts = [Ciphertext(doc_int(x["c"]), doc_int(x["d"]), params)
+               for x in [*doc["inputs"], doc["output"]]]
+        coefficients = tuple(doc_int(a) for a in doc["coefficients"])
+        proof = LogEqProof(*(doc_int(doc["proof"][k]) for k in ("A", "B", "t")))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DocumentInvalid(f"malformed statement: {exc!r}") from exc
+    return params, pk, LinearStatement(coefficients, tuple(cts[:-1]), cts[-1]), proof
 
 
 def conv_as_linear(n: int, kernel: list[int]) -> list[list[int]]:

@@ -81,6 +81,17 @@ class TestScoreModalities:
         assert scores["Signature Recognition"] == 117
 
 
+# The forged statement of Bernhard-Pereira-Warinschi's kind: in a group
+# with g = 1 and pk = 1 every equation of the verifier holds.
+FORGED = {
+    "params": {"p": "23", "q": "11", "g": "1", "pk": "1"},
+    "coefficients": ["1"],
+    "inputs": [{"c": "1", "d": "1"}],
+    "output": {"c": "1", "d": "1"},
+    "proof": {"A": "1", "B": "1", "t": "0"},
+}
+
+
 class TestProveVerify:
     def test_round_trip(self, tmp_path, capsys):
         stmt = tmp_path / "statement.json"
@@ -137,6 +148,60 @@ class TestProveVerify:
         assert out.read_bytes() == (GOLDEN / "prove_linear_64.json").read_bytes()
         assert run_cli("verify-linear", str(out)) == 0
 
+    def test_saved_keys_match_golden_file(self, tmp_path):
+        """--save-keys writes the params document plus sk; the bytes for a
+        fixed seed are pinned, and reading them back through --keys gives
+        the golden statement again."""
+        keys, out = tmp_path / "keys.json", tmp_path / "statement.json"
+        argv = ["prove-linear", "--inputs", "3,-1,4,1,5,9,2,-6,5,3,5,8,9,7,9,3",
+                "--coeffs", "2,-7,1,8,-2,8,1,-8,2,8,4,-5,9,0,4,5", "--seed", "42",
+                "--output", str(out)]
+        assert run_cli(*argv, "--bits", "64", "--save-keys", str(keys)) == 0
+        assert keys.read_bytes() == (GOLDEN / "keys_64.json").read_bytes()
+        out.unlink()
+        assert run_cli(*argv, "--keys", str(GOLDEN / "keys_64.json")) == 0
+        assert out.read_bytes() == (GOLDEN / "prove_linear_64.json").read_bytes()
+
+    def test_output_without_inverse_rejected(self, tmp_path, capsys):
+        doc = json.loads((GOLDEN / "prove_linear_64.json").read_text())
+        doc["output"]["c"] = "0"
+        stmt = tmp_path / "statement.json"
+        stmt.write_text(json.dumps(doc))
+        assert run_cli("verify-linear", str(stmt)) == 3
+        assert capsys.readouterr().out == "reject\n"
+
+    def test_bits_below_floor_exits_one(self, tmp_path, capsys):
+        assert run_cli("prove-linear", "--inputs", "1", "--coeffs", "1", "--bits", "8",
+                       "--output", str(tmp_path / "s.json")) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("command, edit", [
+        ("verify-linear", lambda d, k: FORGED),
+        ("verify-linear", lambda d, k: {**FORGED, "params": {**d["params"], "g": "1", "pk": "1"}}),
+        ("verify-linear", lambda d, k: [d]),
+        ("verify-linear", lambda d, k: {**d, "params": [1]}),
+        ("verify-linear", lambda d, k: {**d, "coefficients": 5}),
+        ("verify-linear", lambda d, k: {**d, "inputs": [[1, 2]] + d["inputs"][1:]}),
+        ("--keys", lambda d, k: [k]),
+        ("--keys", lambda d, k: {**k, "g": str(int(k["p"]) - 1)}),
+    ], ids=["forged-p23", "forged-g1-pk1-64bit", "top-level-list", "params-list",
+            "coefficients-number", "input-list", "keys-list", "keys-g-order-two"])
+    def test_invalid_document_exits_one_without_traceback(self, command, edit, tmp_path, capsys):
+        golden = json.loads((GOLDEN / "prove_linear_64.json").read_text())
+        keys = json.loads((GOLDEN / "keys_64.json").read_text())
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(edit(golden, keys)))
+        if command == "verify-linear":
+            argv = ["verify-linear", str(path)]
+        else:
+            argv = ["prove-linear", "--inputs", "1", "--coeffs", "1", "--keys", str(path),
+                    "--output", str(tmp_path / "s.json")]
+        assert run_cli(*argv) == 1
+        captured = capsys.readouterr()
+        assert "accept" not in captured.out
+        assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err
+
     def test_byte_identical_documents(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for out in (a, b):
@@ -185,11 +250,16 @@ class TestRunSim:
         {"governance": {"delegations": [["node-01"]]}},
         {"governance": {"governors": 5}},
         {"governance": {"delegations": [["node-01", ["node-02"]]]}},
+        {"governance": {"proposals": [{"epoch": 0, "proposer": "node-01", "type": "Nope"}]}},
+        {"governance": {"proposals": [1]}},
+        {"governance": {"proposals": [{"epoch": 0, "type": "Product"}]}},
+        {"governance": {"proposals": 5}},
     ], ids=["validity-text", "validity-zero", "offline-unknown", "false-tx-unknown",
             "empty-window", "overlapping-windows", "faults-list", "crypto-text",
             "crypto-number", "nodes-fraction", "nodes-bool", "fee-fraction",
             "slot-fraction", "governance-list", "tiers-list", "delegation-single",
-            "governors-number", "delegatee-list"])
+            "governors-number", "delegatee-list", "proposal-type-unknown",
+            "proposal-number", "proposal-no-proposer", "proposals-number"])
     def test_invalid_scenario_exits_one_without_traceback(self, extra, tmp_path, capsys):
         scenario = tmp_path / "s.json"
         doc = {"num_nodes": 3, "slots_per_epoch": 5, "epochs": 1, "fees_per_epoch": 0}

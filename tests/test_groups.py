@@ -5,6 +5,7 @@ arithmetic (independent of the library code); primality is cross-checked
 against sympy and trial division.
 """
 
+import json
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from bionode import groups, zkp
 from bionode.groups import (
     Ciphertext,
+    DocumentInvalid,
     EmptyParticipantSet,
     GroupParams,
     InvalidCiphertext,
@@ -29,8 +31,12 @@ from bionode.groups import (
     generate_params,
     hom_mul,
     hom_scalar,
+    key_doc,
     keygen,
+    params_doc,
     partial_decrypt,
+    read_key_doc,
+    read_params_doc,
 )
 
 SMALL = GroupParams(p=23, q=11, g=4)
@@ -79,7 +85,9 @@ class TestParams:
 
     def test_json_round_trip(self):
         params = generate_params(32, seed=1)
-        assert GroupParams.from_json(params.to_json()) == params
+        pk = keygen(params, 2).pk
+        doc = json.loads(json.dumps(params_doc(params, pk)))
+        assert read_params_doc(doc) == (params, pk)
 
 
 class TestKeygen:
@@ -232,16 +240,94 @@ class TestCollectiveKeys:
 
 class TestSerialization:
     def test_ciphertext_json_round_trip(self):
-        ct = encrypt_with_nonce(SMALL, pk=18, m=16, r=2)
-        back = Ciphertext.from_json(ct.to_json(), SMALL)
-        assert (back.c, back.d) == (16, 9)
-        assert decrypt(SMALL, 3, back) == 16
+        # ciphertexts travel inside statement documents
+        params = generate_params(32, seed=1)
+        pk = keygen(params, 2).pk
+        ct = encrypt_with_nonce(params, pk, params.g, r=5)
+        statement = zkp.LinearStatement(coefficients=(3,), input_cts=(ct,), output_ct=ct)
+        proof = zkp.LogEqProof(A=1, B=1, t=0)
+        doc = json.loads(json.dumps(zkp.statement_doc(params, pk, statement, proof)))
+        assert doc["output"] == {"c": str(ct.c), "d": str(ct.d)}
+        back = zkp.read_statement_doc(doc)[2].output_ct
+        assert back == ct
+        assert decrypt(params, keygen(params, 2).sk, back) == params.g
 
     def test_params_json_includes_pk(self):
-        import json as _json
+        assert params_doc(SMALL, 18) == {"p": "23", "q": "11", "g": "4", "pk": "18"}
 
-        doc = _json.loads(SMALL.to_json(pk=18))
-        assert doc == {"p": "23", "q": "11", "g": "4", "pk": "18"}
+    def test_key_doc_round_trip(self):
+        params = generate_params(64, seed=7)
+        keys = keygen(params, 8)
+        doc = key_doc(params, keys)
+        assert doc == {**params_doc(params, keys.pk), "sk": str(keys.sk)}
+        assert read_key_doc(json.loads(json.dumps(doc))) == (params, keys)
+
+    def test_json_integers_accepted(self):
+        params = generate_params(32, seed=1)
+        pk = keygen(params, 2).pk
+        doc = {"p": params.p, "q": params.q, "g": params.g, "pk": pk}
+        assert read_params_doc(doc) == (params, pk)
+
+    @pytest.mark.parametrize("doc", [
+        [1],
+        "p",
+        {"p": "23"},
+        {"q": "11", "g": "4", "pk": "18"},
+    ], ids=["list", "string", "missing-fields", "missing-p"])
+    def test_shape_rejected(self, doc):
+        with pytest.raises(DocumentInvalid):
+            read_params_doc(doc)
+
+    @pytest.mark.parametrize("value", [True, 1.5, 3.0, None, [], {}, "", "0x1f", "abc"])
+    def test_non_integer_rejected(self, value):
+        params = generate_params(32, seed=1)
+        doc = {**params_doc(params, keygen(params, 2).pk), "g": value}
+        with pytest.raises(DocumentInvalid, match="params"):
+            read_params_doc(doc)
+
+    def test_missing_sk_rejected(self):
+        params = generate_params(32, seed=1)
+        with pytest.raises(DocumentInvalid, match="sk"):
+            read_key_doc(params_doc(params, keygen(params, 2).pk))
+
+
+class TestValidate:
+    @pytest.mark.parametrize("bits", [16, 17, 32, 64, 1024])
+    def test_generated_groups_valid(self, bits):
+        generate_params(bits, seed=bits).validate()
+
+    def test_floor_shared_with_generate_params(self):
+        with pytest.raises(ValueError):
+            generate_params(groups.MIN_GROUP_BITS - 1)
+        generate_params(groups.MIN_GROUP_BITS).validate()
+
+    @pytest.mark.parametrize("p, q, g, reason", [
+        (23, 11, 4, "fewer than 16 bits"),
+        (32_823, 16_411, 4, "safe prime"),  # q prime, p = 2q + 1 = 3 * 10941
+        (32_771, 16_385, 4, "safe prime"),  # p prime, q = 5 * 3277
+        (65_543, 32_770, 4, "safe prime"),  # q != (p - 1) / 2
+        (65_543, 32_771, 1, "generate"),
+        (65_543, 32_771, 0, "generate"),
+        (65_543, 32_771, 65_542, "generate"),  # p - 1 has order 2
+        (65_543, 32_771, 65_543, "generate"),  # g = p
+    ])
+    def test_invalid_group_rejected(self, p, q, g, reason):
+        with pytest.raises(DocumentInvalid, match=reason):
+            GroupParams(p=p, q=q, g=g).validate()
+
+    @pytest.mark.parametrize("pk", [1, 0, -1, "p-1", "p"])
+    def test_invalid_pk_rejected(self, pk):
+        params = generate_params(64, seed=2024)
+        pk = {"p-1": params.p - 1, "p": params.p}.get(pk, pk)
+        with pytest.raises(DocumentInvalid, match="pk"):
+            read_params_doc(params_doc(params, pk))
+
+    def test_read_validates_the_group(self):
+        params = generate_params(64, seed=2024)
+        pk = keygen(params, 1).pk
+        bad = GroupParams(p=params.p, q=params.q, g=params.p - 1)
+        with pytest.raises(DocumentInvalid, match="generate"):
+            read_params_doc(params_doc(bad, pk))
 
 
 GROUP_64 = generate_params(64, seed=2024)

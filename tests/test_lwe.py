@@ -286,23 +286,3 @@ class TestNoiseCalibration:
                     worst = max(worst, abs(diff) // params.t)
             assert worst * 2 <= budget, f"noise {worst} vs budget {budget}"
 
-
-class TestSerialization:
-    def test_ciphertext_json_round_trip(self):
-        keys = lwe_keygen(EXH, rng_seed=40)
-        ct = lwe_encrypt(EXH, keys.pk, (1, 0, 2, 0, 0, 3, 0, 1), rng_seed=41)
-        text = ct.to_json()
-        back = LweCiphertext.from_json(text, EXH)
-        assert back == ct
-        assert lwe_decrypt(EXH, keys.sk, back) == (1, 0, 2, 0, 0, 3, 0, 1)
-
-    def test_ciphertext_json_is_decimal_strings(self):
-        import json as _json
-
-        keys = lwe_keygen(EXH, rng_seed=42)
-        doc = _json.loads(lwe_encrypt(EXH, keys.pk, (0,) * 8, 1).to_json())
-        assert all(isinstance(c, str) and c.isdigit() for part in doc for c in part)
-
-    def test_wrong_degree_rejected(self):
-        with pytest.raises(ValueError):
-            LweCiphertext.from_json("[[\"1\", \"2\"]]", EXH)

@@ -440,3 +440,26 @@ class TestScriptedGovernance:
         cfg = small_config(governance={"governors": ["node-99"]})
         with pytest.raises(ConfigInvalid):
             netsim.Simulation(cfg)
+
+    @pytest.mark.parametrize("proposals", [
+        [{"epoch": 9, "proposer": "node-01", "type": "Nope"}],
+        [{"epoch": 9, "type": "Product"}],
+        [{"epoch": 9, "proposer": ["node-01"], "type": "Product"}],
+        [{"epoch": 9, "proposer": "node-01", "type": "Product", "yes": 1.5}],
+        [{"epoch": 9, "proposer": "node-01", "type": "Product", "pool_upvotes": None}],
+        [1],
+        5,
+    ], ids=["unknown-type", "no-proposer", "proposer-list", "yes-fraction",
+            "upvotes-null", "entry-number", "proposals-number"])
+    def test_bad_proposal_rejected_before_the_run(self, proposals):
+        """Every scripted proposal is checked at setup, also one whose epoch
+        the run never reaches."""
+        cfg = small_config(governance={"proposals": proposals})
+        with pytest.raises(ConfigInvalid):
+            netsim.Simulation(cfg)
+
+    def test_month_has_one_definition(self):
+        from bionode import slashing, vortex
+
+        assert netsim.MONTH_SECONDS is slashing.MONTH_SECONDS
+        assert vortex.MONTH_SECONDS is slashing.MONTH_SECONDS

@@ -5,12 +5,16 @@ valid statement or proof must be rejected. The plaintext oracle for
 aggregation is direct exponent arithmetic.
 """
 
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bionode.groups import (
     Ciphertext,
+    DocumentInvalid,
     GroupParams,
     decrypt,
     encrypt_with_nonce,
@@ -28,6 +32,8 @@ from bionode.zkp import (
     logeq_verify,
     poly_eval,
     prove_linear,
+    read_statement_doc,
+    statement_doc,
     verify_linear,
     vss_commit,
     vss_verify_share,
@@ -186,7 +192,7 @@ class TestLogEq:
         h1 = pow(params.g, w, params.p)
         p1 = logeq_prove(params, params.g, h1, params.g, h1, w, rng_seed=42)
         p2 = logeq_prove(params, params.g, h1, params.g, h1, w, rng_seed=42)
-        assert p1.to_json() == p2.to_json()
+        assert p1 == p2
 
 
 def _tamper_ct(ct: Ciphertext, params: GroupParams, component: str) -> Ciphertext:
@@ -251,7 +257,7 @@ class TestProveVerifyLinear:
         params, pair = group
         s1, p1 = prove_linear(params, pair.pk, [4, 2], [5, 6], [3, 1], rng_seed=55)
         s2, p2 = prove_linear(params, pair.pk, [4, 2], [5, 6], [3, 1], rng_seed=55)
-        assert p1.to_json() == p2.to_json()
+        assert p1 == p2
         assert s1 == s2
 
     def test_soundness_tamper_trials(self, group):
@@ -301,6 +307,74 @@ class TestProveVerifyLinear:
                 trials += 1
                 rejected += not verify_linear(params, pair.pk, statement, bad_proof)
         assert rejected == trials
+
+    @pytest.mark.parametrize("component", ["c", "d"])
+    def test_output_outside_range_rejected(self, group, component):
+        """An output component with no inverse mod p is a reject, not a crash."""
+        params, pair = group
+        statement, proof = prove_linear(params, pair.pk, [1, 2], [3, 4], [5, 6], 11)
+        for value in (0, params.p):
+            out = Ciphertext(**{"c": statement.output_ct.c, "d": statement.output_ct.d,
+                                component: value}, params=params)
+            forged = LinearStatement(statement.coefficients, statement.input_cts, out)
+            assert not verify_linear(params, pair.pk, forged, proof)
+
+
+_ints = st.integers(min_value=-(2**70), max_value=2**70)
+
+
+class TestStatementDoc:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        coefficients=st.lists(_ints, max_size=5),
+        components=st.lists(_ints, min_size=12, max_size=12),
+        proof=st.tuples(_ints, _ints, _ints),
+    )
+    def test_round_trip(self, group, coefficients, components, proof):
+        params, pair = group
+        cts = [Ciphertext(c=c, d=d, params=params)
+               for c, d in zip(components[::2], components[1::2])]
+        statement = LinearStatement(
+            coefficients=tuple(coefficients),
+            input_cts=tuple(cts[: len(coefficients)]),
+            output_ct=cts[-1],
+        )
+        x = (params, pair.pk, statement, LogEqProof(*proof))
+        doc = json.loads(json.dumps(statement_doc(*x)))
+        assert read_statement_doc(doc) == x
+
+    def test_document_layout(self, group):
+        params, pair = group
+        statement, proof = prove_linear(params, pair.pk, [1, 2], [3, 4], [-5, 6], 12)
+        doc = statement_doc(params, pair.pk, statement, proof)
+        assert sorted(doc) == ["coefficients", "inputs", "output", "params", "proof"]
+        assert doc["params"] == {"p": str(params.p), "q": str(params.q),
+                                 "g": str(params.g), "pk": str(pair.pk)}
+        assert doc["coefficients"] == ["-5", "6"]
+        assert doc["proof"] == {"A": str(proof.A), "B": str(proof.B), "t": str(proof.t)}
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: [d],
+        lambda d: {**d, "params": [1]},
+        lambda d: {**d, "coefficients": 5},
+        lambda d: {**d, "coefficients": "3"},  # iterates to ["3"], so it must be refused
+        lambda d: {**d, "coefficients": ["1", 2.5]},
+        lambda d: {**d, "inputs": [[1, 2]]},
+        lambda d: {**d, "inputs": {"c": "1", "d": "1"}},
+        lambda d: {**d, "output": {"c": "1"}},
+        lambda d: {**d, "proof": {"A": "1", "B": "1", "t": None}},
+        lambda d: {k: v for k, v in d.items() if k != "proof"},
+        lambda d: {**d, "params": {**d["params"], "g": "1"}},
+        lambda d: {**d, "params": {**d["params"], "pk": "1"}},
+    ], ids=["top-level-list", "params-list", "coefficients-number", "coefficients-string",
+            "coefficient-float",
+            "input-list", "inputs-object", "output-missing-d", "t-null", "no-proof",
+            "g-one", "pk-one"])
+    def test_malformed_rejected(self, group, edit):
+        params, pair = group
+        statement, proof = prove_linear(params, pair.pk, [1], [2], [3], 13)
+        with pytest.raises(DocumentInvalid):
+            read_statement_doc(edit(statement_doc(params, pair.pk, statement, proof)))
 
 
 class TestConvWindows:
