@@ -6,11 +6,13 @@ Messages are group elements; integer payloads are carried in the exponent
 subgroup. All randomness is drawn from explicitly seeded generators, which
 makes every operation replayable.
 
-Two caches remove repeated full-size exponentiations without changing any
-result. Subgroup membership is a pure function of (p, q, x), so
-GroupParams.contains memoises it (_in_subgroup) and the generator and the
-public key are tested once per process, not on every verify. Powers of a
-fixed base (the generator, a public key) go through a Lim-Lee comb
+A GroupParams is valid by construction: building one raises DocumentInvalid
+unless p = 2q + 1 is a safe prime (the pinned 1024-bit one is known by value)
+and g != 1 is a quadratic residue. The subgroup is then exactly the quadratic
+residues: x^q = (x|p) for 0 < x < p by Euler's criterion, so membership is a
+Jacobi symbol (jacobi), not a full-size power.
+
+Powers of a fixed base (the generator, a public key) go through a Lim-Lee comb
 (fixed_base_pow; C. H. Lim and P. J. Lee, "More Flexible Exponentiation with
 Precomputation", CRYPTO 1994). The exponent is cut into 8 rows; row i, bit k
 holds exponent bit i*a + k. The comb table holds, for each of two column
@@ -21,8 +23,9 @@ instead of about 1200. A table holds 512 elements (~90 KB at 1024 bits), is
 built on first use for its (base, p), and comb_table keeps the last four.
 
 params_doc / read_params_doc are the codec of the params document {"p", "q",
-"g", "pk"}; a key file adds "sk". Reading validates the group and the key: a
-verifier given g = 1, pk = 1 accepts anything. Bad documents raise DocumentInvalid.
+"g", "pk"}; a key file adds "sk". Reading builds the group, so checks it, and
+adds the document rules: p has at least MIN_GROUP_BITS bits, pk != 1 is a
+member, and a key file's pk is g^sk. Bad documents raise DocumentInvalid.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ class DocumentInvalid(ValueError):
     """A params, key or statement document is malformed or names an invalid group."""
 
 
-MIN_GROUP_BITS = 16  # the smallest p that generate_params builds and validate accepts
+MIN_GROUP_BITS = 16  # the smallest p that generate_params builds and a document may name
 
 
 # 1024-bit MODP group (RFC 2409, Oakley group 2). p is a safe prime; the
@@ -110,9 +113,18 @@ def is_prime(n: int, rounds: int = 40) -> bool:
     return True
 
 
-@functools.lru_cache(maxsize=256, typed=True)
-def _in_subgroup(p: int, q: int, x: int) -> bool:
-    return 0 < x < p and pow(x, q, p) == 1
+def jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a|n) for odd n > 0, by binary reciprocity (Cohen, GTM 138, 1.4.2)."""
+    a, sign = a % n, 1
+    while a:
+        twos = (a & -a).bit_length() - 1
+        a >>= twos
+        if twos & 1 and n & 7 in (3, 5):  # (2|n) = -1 iff n = 3, 5 mod 8
+            sign = -sign
+        if a & n & 3 == 3:  # reciprocity: (a|n) = -(n|a) iff a = n = 3 mod 4
+            sign = -sign
+        a, n = n % a, a
+    return sign if n == 1 else 0
 
 
 # Lim-Lee comb shape: _COMB_ROWS rows of the exponent, each cut into two
@@ -176,30 +188,23 @@ def fixed_base_pow(base: int, e: int, p: int) -> int:
 
 @dataclass(frozen=True)
 class GroupParams:
-    """Multiplicative group description: modulus p, subgroup order q, generator g.
-
-    q divides p - 1 and g generates the order-q subgroup. We keep the
-    modulus and the subgroup order as two separate values even though they
-    are often conflated informally.
-    """
+    """The order-q subgroup of Z_p* for a safe prime p = 2q + 1, generated by g."""
 
     p: int
     q: int
     g: int
 
-    def contains(self, x: int) -> bool:
-        """Membership test for the order-q subgroup."""
-        return _in_subgroup(self.p, self.q, x)
-
-    def validate(self) -> None:
-        """Raise DocumentInvalid unless p = 2q + 1 is a safe prime of at least
-        MIN_GROUP_BITS bits and g != 1 lies in (so generates) the subgroup."""
-        if self.p.bit_length() < MIN_GROUP_BITS:
-            raise DocumentInvalid(f"p has fewer than {MIN_GROUP_BITS} bits")
-        if self.q != (self.p - 1) // 2 or not (is_prime(self.q) and is_prime(self.p)):
+    def __post_init__(self) -> None:
+        if self.q != (self.p - 1) // 2 or not (
+            self.p in _PINNED_SAFE_PRIMES.values() or (is_prime(self.q) and is_prime(self.p))
+        ):
             raise DocumentInvalid("p is not a safe prime 2q + 1")
         if self.g == 1 or not self.contains(self.g):
             raise DocumentInvalid("g does not generate the order-q subgroup")
+
+    def contains(self, x: int) -> bool:
+        """Membership test for the order-q subgroup: the quadratic residues."""
+        return 0 < x < self.p and jacobi(x, self.p) == 1
 
 
 @dataclass(frozen=True)
@@ -264,16 +269,9 @@ def encode_exponent(params: GroupParams, x: int) -> int:
     return fixed_base_pow(params.g, x % params.q, params.p)
 
 
-def encrypt_with_nonce(
-    params: GroupParams, pk: int, m: int, r: int, *, m_checked: bool = False
-) -> Ciphertext:
-    """Encrypt with explicit randomness r (provers need to retain it).
-
-    m must lie in the subgroup. A caller that built m as g^x from a
-    generator it has tested passes m_checked=True: g^x is then a member
-    too, and the full-size membership power is skipped.
-    """
-    if not m_checked and not params.contains(m):
+def encrypt_with_nonce(params: GroupParams, pk: int, m: int, r: int) -> Ciphertext:
+    """Encrypt the subgroup element m with explicit randomness r (provers retain it)."""
+    if not params.contains(m):
         raise MessageNotInSubgroup(f"{m} is not in the order-{params.q} subgroup")
     r %= params.q
     c = fixed_base_pow(params.g, r, params.p)
@@ -360,8 +358,9 @@ def read_params_doc(doc) -> tuple[GroupParams, int]:
         p, q, g, pk = (doc_int(doc[k]) for k in ("p", "q", "g", "pk"))
     except (KeyError, TypeError, ValueError) as exc:
         raise DocumentInvalid(f"malformed params: {exc!r}") from exc
+    if p.bit_length() < MIN_GROUP_BITS:
+        raise DocumentInvalid(f"p has fewer than {MIN_GROUP_BITS} bits")
     params = GroupParams(p=p, q=q, g=g)
-    params.validate()
     if pk == 1 or not params.contains(pk):
         raise DocumentInvalid("pk is not a subgroup element other than 1")
     return params, pk
@@ -374,6 +373,9 @@ def key_doc(params: GroupParams, keys: KeyPair) -> dict:
 def read_key_doc(doc) -> tuple[GroupParams, KeyPair]:
     params, pk = read_params_doc(doc)
     try:
-        return params, KeyPair(sk=doc_int(doc["sk"]), pk=pk)
+        sk = doc_int(doc["sk"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DocumentInvalid(f"malformed sk: {exc!r}") from exc
+    if pow(params.g, sk, params.p) != pk:
+        raise DocumentInvalid("pk is not g^sk")
+    return params, KeyPair(sk=sk, pk=pk)

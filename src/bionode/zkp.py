@@ -11,17 +11,18 @@ the x_i or y. Three pieces cooperate:
   C = prod c_i^{a_i}, D = prod d_i^{a_i} is itself an encryption of g^y.
 * A Chaum-Pedersen discrete-log-equality proof on the componentwise
   quotient of the aggregate and the published output shows both encrypt
-  the same plaintext. The Fiat-Shamir challenge binds the whole statement.
+  the same plaintext. The Fiat-Shamir challenge hashes the group, the two
+  bases, their images and the commitments, not the statement itself.
 
 Sliding-window convolution reduces to the same primitive; conv_as_linear
 lays out one coefficient vector per output position.
 
 Every power of the generator and of the public key (encryption nonces, the
 log-eq commitments, the witness check and the verifier's g^t, pk^t) goes
-through the fixed-base comb of groups.fixed_base_pow, and membership tests
-read the memo behind GroupParams.contains. prove_linear tests g once and
-encrypts its plaintexts g^x as members by closure: g^q = 1 gives
-(g^x)^q = 1. Verifiers still test every element of the statement and proof.
+through the fixed-base comb of groups.fixed_base_pow. Every GroupParams is a
+valid group, so nothing here re-checks g; membership (GroupParams.contains)
+is a Jacobi symbol, cheap enough that each plaintext and every element of
+the statement and proof is tested.
 
 statement_doc / read_statement_doc are the codec of the statement document: a
 params document (groups), coefficients, ciphertexts {"c", "d"}, proof {"A", "B", "t"}.
@@ -37,7 +38,6 @@ from .groups import (
     Ciphertext,
     DocumentInvalid,
     GroupParams,
-    MessageNotInSubgroup,
     ParamsMismatch,
     doc_int,
     encode_exponent,
@@ -193,17 +193,15 @@ def prove_linear(
     if not (len(inputs_plain) == len(randomness) == len(coefficients)):
         raise ValueError("inputs, randomness, coefficients must align")
     q, p, g = params.q, params.p, params.g
-    if not params.contains(g):
-        raise MessageNotInSubgroup(f"generator {g} is not in the order-{q} subgroup")
     rng = random.Random(rng_seed)
 
     input_cts = tuple(
-        encrypt_with_nonce(params, pk, encode_exponent(params, x), r, m_checked=True)
+        encrypt_with_nonce(params, pk, encode_exponent(params, x), r)
         for x, r in zip(inputs_plain, randomness)
     )
     y = sum(a * x for a, x in zip(coefficients, inputs_plain))
     r_out = rng.randrange(1, q)
-    output_ct = encrypt_with_nonce(params, pk, encode_exponent(params, y), r_out, m_checked=True)
+    output_ct = encrypt_with_nonce(params, pk, encode_exponent(params, y), r_out)
     statement = LinearStatement(
         coefficients=tuple(coefficients), input_cts=input_cts, output_ct=output_ct
     )

@@ -202,6 +202,18 @@ class TestProveVerify:
         assert captured.err.startswith("error:")
         assert "Traceback" not in captured.err
 
+    def test_key_file_with_a_foreign_sk_exits_one(self, tmp_path, capsys):
+        keys = json.loads((GOLDEN / "keys_64.json").read_text())
+        path = tmp_path / "keys.json"
+        path.write_text(json.dumps({**keys, "sk": "5"}))
+        saved, out = tmp_path / "saved.json", tmp_path / "s.json"
+        assert run_cli("prove-linear", "--inputs", "1", "--coeffs", "1", "--keys", str(path),
+                       "--save-keys", str(saved), "--output", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert not saved.exists() and not out.exists()
+
     def test_byte_identical_documents(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for out in (a, b):

@@ -292,17 +292,20 @@ class TestSerialization:
 
 
 class TestValidate:
+    """Building a GroupParams checks the group; reading a document adds the
+    MIN_GROUP_BITS floor and the key rules."""
+
     @pytest.mark.parametrize("bits", [16, 17, 32, 64, 1024])
     def test_generated_groups_valid(self, bits):
-        generate_params(bits, seed=bits).validate()
+        params = generate_params(bits, seed=bits)
+        assert GroupParams(p=params.p, q=params.q, g=params.g) == params
 
     def test_floor_shared_with_generate_params(self):
         with pytest.raises(ValueError):
             generate_params(groups.MIN_GROUP_BITS - 1)
-        generate_params(groups.MIN_GROUP_BITS).validate()
+        assert generate_params(groups.MIN_GROUP_BITS).p.bit_length() == groups.MIN_GROUP_BITS
 
     @pytest.mark.parametrize("p, q, g, reason", [
-        (23, 11, 4, "fewer than 16 bits"),
         (32_823, 16_411, 4, "safe prime"),  # q prime, p = 2q + 1 = 3 * 10941
         (32_771, 16_385, 4, "safe prime"),  # p prime, q = 5 * 3277
         (65_543, 32_770, 4, "safe prime"),  # q != (p - 1) / 2
@@ -313,7 +316,18 @@ class TestValidate:
     ])
     def test_invalid_group_rejected(self, p, q, g, reason):
         with pytest.raises(DocumentInvalid, match=reason):
-            GroupParams(p=p, q=q, g=g).validate()
+            GroupParams(p=p, q=q, g=g)
+
+    def test_forged_generator_one_rejected(self):
+        """With g = 1 and pk = 1 every proof verifies; such a group cannot be built."""
+        with pytest.raises(DocumentInvalid, match="generate"):
+            GroupParams(p=23, q=11, g=1)
+
+    def test_document_floor(self):
+        # the p = 23 worked example is a group, but no document may name it
+        assert SMALL.contains(SMALL.g)
+        with pytest.raises(DocumentInvalid, match="fewer than 16 bits"):
+            read_params_doc(params_doc(SMALL, 18))
 
     @pytest.mark.parametrize("pk", [1, 0, -1, "p-1", "p"])
     def test_invalid_pk_rejected(self, pk):
@@ -324,10 +338,25 @@ class TestValidate:
 
     def test_read_validates_the_group(self):
         params = generate_params(64, seed=2024)
-        pk = keygen(params, 1).pk
-        bad = GroupParams(p=params.p, q=params.q, g=params.p - 1)
+        doc = {**params_doc(params, keygen(params, 1).pk), "g": str(params.p - 1)}
         with pytest.raises(DocumentInvalid, match="generate"):
-            read_params_doc(params_doc(bad, pk))
+            read_params_doc(doc)
+
+    def test_key_pair_must_match(self):
+        params = generate_params(64, seed=2024)
+        doc = {**key_doc(params, keygen(params, 1)), "sk": "5"}
+        with pytest.raises(DocumentInvalid, match="g\\^sk"):
+            read_key_doc(doc)
+
+    def test_pinned_prime_needs_no_primality_test(self, monkeypatch):
+        def refuse(n, rounds=40):
+            raise AssertionError("the pinned prime was re-tested")
+
+        params = generate_params(1024)
+        doc = key_doc(params, keygen(params, 3))
+        monkeypatch.setattr(groups, "is_prime", refuse)
+        assert read_key_doc(doc) == (params, keygen(params, 3))
+        assert generate_params(1024) == params
 
 
 GROUP_64 = generate_params(64, seed=2024)
@@ -381,22 +410,37 @@ class TestFixedBasePow:
         assert groups.comb_table.cache_info().currsize == 2
 
 
-class TestMembershipCache:
+class TestMembership:
     @pytest.mark.parametrize("params", [GROUP_64, GROUP_1024], ids=["64", "1024"])
-    def test_non_member_rejected_after_a_member_is_cached(self, params):
+    def test_p_minus_g_is_not_a_member(self, params):
         # p = 2q + 1 with q odd, so -1 is a non-residue and p - g is outside
         assert params.contains(params.g)
         outside = params.p - params.g
         assert pow(outside, params.q, params.p) != 1
         assert not params.contains(outside)
-        assert params.contains(params.g)
 
-    def test_result_is_keyed_on_q(self):
-        # in the "group" of order p - 1 every unit is a member, by Fermat
-        loose = GroupParams(p=GROUP_64.p, q=GROUP_64.p - 1, g=GROUP_64.g)
-        outside = GROUP_64.p - GROUP_64.g
-        assert loose.contains(outside)
-        assert not GROUP_64.contains(outside)
+    @pytest.mark.parametrize("params", [SMALL, GROUP_64, GROUP_1024], ids=["23", "64", "1024"])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_matches_eulers_criterion(self, params, data):
+        x = data.draw(st.integers(min_value=-params.p, max_value=2 * params.p))
+        assert params.contains(x) == (0 < x < params.p and pow(x, params.q, params.p) == 1)
+
+    def test_jacobi_matches_sympy(self):
+        rng = random.Random(8)
+        for _ in range(500):
+            n = rng.randrange(1, 1 << rng.choice([8, 64, 1024])) | 1
+            a = rng.randrange(-2 * n, 2 * n)
+            assert groups.jacobi(a, n) == sympy.jacobi_symbol(a, n), (a, n)
+
+    def test_loose_order_group_rejected(self):
+        # in the "group" of order p - 1 every unit would be a member, by Fermat
+        with pytest.raises(DocumentInvalid, match="safe prime"):
+            GroupParams(p=GROUP_64.p, q=GROUP_64.p - 1, g=GROUP_64.g)
+
+    def test_generator_outside_the_subgroup_rejected(self):
+        with pytest.raises(DocumentInvalid, match="generate"):
+            GroupParams(p=GROUP_64.p, q=GROUP_64.q, g=GROUP_64.p - GROUP_64.g)
 
     def test_out_of_range_rejected(self):
         for x in (0, -GROUP_64.g, GROUP_64.p, GROUP_64.p + GROUP_64.g):
@@ -404,17 +448,7 @@ class TestMembershipCache:
 
     def test_external_encrypt_of_non_member_raises(self):
         outside = GROUP_64.p - GROUP_64.g
-        encrypt_with_nonce(GROUP_64, PK_64, GROUP_64.g, 7)  # caches g and both combs
         with pytest.raises(MessageNotInSubgroup):
             encrypt_with_nonce(GROUP_64, PK_64, outside, 7)
         with pytest.raises(MessageNotInSubgroup):
             encrypt_with_nonce(SMALL, 18, 5, 2)
-
-    def test_prove_linear_rejects_a_generator_outside_the_subgroup(self):
-        bad = GroupParams(p=GROUP_64.p, q=GROUP_64.q, g=GROUP_64.p - GROUP_64.g)
-        assert GROUP_64.contains(GROUP_64.g)
-        # even inputs: each g^x would pass a membership test on its own
-        with pytest.raises(MessageNotInSubgroup):
-            zkp.prove_linear(bad, PK_64, [2, 4], [3, 5], [1, 1], rng_seed=1)
-        with pytest.raises(MessageNotInSubgroup):
-            zkp.prove_linear(bad, PK_64, [1, 3], [3, 5], [1, 1], rng_seed=1)
