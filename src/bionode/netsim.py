@@ -7,7 +7,8 @@ the scenario script, split 98/2 between the active nodes (equally, with
 largest-remainder apportionment) and the Formation vault, and feed the
 proportional supply rebase every configured number of epochs. Offline
 windows and scripted misbehavior produce blacklist entries that gate both
-authoring and the fee stream.
+authoring and the fee stream. The fault script, compiled once into
+slot-keyed lookups, is the only record of who is offline or failing bioauth.
 
 The loop is single-threaded and consults no ambient clock or entropy:
 identical configs produce byte-identical event logs.
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 from . import biometrics, lwe, vortex
@@ -175,16 +177,22 @@ class SimConfig:
             raise ConfigInvalid("fees cannot be negative")
         if self.ticket_validity_slots is not None and self.ticket_validity_slots < 1:
             raise ConfigInvalid("ticket_validity_slots must be positive")
+        k = self.fath_period_epochs  # only whole periods are compared
+        periods = [sum(self.fees_per_epoch[i : i + k]) for i in range(0, len(self.fees_per_epoch) - k + 1, k)]
+        if any(prev and not curr for prev, curr in zip(periods, periods[1:])):
+            raise ConfigInvalid("fees fall to zero over a Fath period: the rebase would wipe out the supply")
         known = set(self.node_ids)
         windows = self.offline + self.bioauth_fail
         for node in [w.node for w in windows] + [node for node, _ in self.false_transaction]:
             if node not in known:
                 raise ConfigInvalid(f"fault names unknown node {node}")
+        if any(w.from_slot < 0 for w in windows) or any(s < 0 for _, s in self.false_transaction):
+            raise ConfigInvalid("fault slots cannot be negative")
         for w in windows:
             if w.to_slot <= w.from_slot:
                 raise ConfigInvalid(f"empty fault window for {w.node}: {w.from_slot}..{w.to_slot}")
-        # Where one window of a node ends at the slot the next begins,
-        # _apply_faults would act in list order, so windows may not touch.
+        # A node goes offline at each window's start and back online at its
+        # end, so a node's windows may not touch: the two would cancel out.
         offline = sorted(self.offline, key=lambda w: (w.node, w.from_slot))
         for prev, nxt in zip(offline, offline[1:]):
             if prev.node == nxt.node and nxt.from_slot <= prev.to_slot:
@@ -194,13 +202,8 @@ class SimConfig:
 @dataclass
 class NodeState:
     node_id: str
-    online: bool = True
     ticket_expiry_slot: int = 0
     verification_deadline_slot: int = 0
-    offline_since: int | None = None
-    offline_window_slashed: bool = False
-    online_slots_this_epoch: int = 0
-    blocks_authored: int = 0
 
 
 @dataclass(frozen=True)
@@ -243,10 +246,32 @@ class Simulation:
         self.vault = 0
         self.period_fees: list[int] = []
         self._current_period_fees = 0
+        self._compile_faults()
         self._setup_governance()
         if config.crypto_pipeline:
             self._lwe_params = lwe.PROFILES["test-exhaustive"]
             self._lwe_keys = lwe.lwe_keygen(self._lwe_params, config.seed)
+
+    def _compile_faults(self) -> None:
+        """validate() rules out negative slots and touching windows, so an
+        offline window flips its node into the ``_offline`` set once and out once."""
+        self._offline: set[str] = set()
+        self._flips: dict[int, list[str]] = defaultdict(list)  # slot -> nodes
+        self._bioauth_fail: dict[str, list[OfflineWindow]] = defaultdict(list)
+        for w in self.config.offline:
+            self._flips[w.from_slot].append(w.node)
+            self._flips[w.to_slot].append(w.node)
+        for w in self.config.bioauth_fail:
+            self._bioauth_fail[w.node].append(w)
+        # slot -> slashes: FalseTransaction in script order, then Offline48h in
+        # node order at the slot that completes more than 48 hours offline
+        self._scripted_slashes: dict[int, list[tuple[str, PerpetrationKind]]] = defaultdict(list)
+        for node_id, slot in self.config.false_transaction:
+            self._scripted_slashes[slot].append((node_id, PerpetrationKind.FalseTransaction))
+        limit = OFFLINE_LIMIT_SECONDS // self.config.slot_seconds
+        for w in sorted(self.config.offline, key=lambda w: w.node):  # ids sort in node order
+            if w.from_slot + limit < w.to_slot:
+                self._scripted_slashes[w.from_slot + limit].append((w.node, PerpetrationKind.Offline48h))
 
     def _setup_governance(self) -> None:
         gov = self.config.governance
@@ -291,25 +316,8 @@ class Simulation:
 
     # -- per-slot mechanics --------------------------------------------------
 
-    def _apply_faults(self, slot: int) -> None:
-        for w in self.config.offline:
-            node = self.nodes[w.node]
-            if slot == w.from_slot and node.online:
-                node.online = False
-                node.offline_since = slot
-                node.offline_window_slashed = False
-            if slot == w.to_slot and not node.online:
-                node.online = True
-                node.offline_since = None
-
-    def _bioauth_scripted_fail(self, node_id: str, slot: int) -> bool:
-        return any(
-            w.node == node_id and w.from_slot <= slot < w.to_slot
-            for w in self.config.bioauth_fail
-        )
-
     def _bioauth_passes(self, node_id: str, slot: int) -> bool:
-        scripted_fail = self._bioauth_scripted_fail(node_id, slot)
+        scripted_fail = any(w.from_slot <= slot < w.to_slot for w in self._bioauth_fail.get(node_id, ()))
         if not self.config.crypto_pipeline:
             return not scripted_fail
         template = _template_bits(node_id)
@@ -350,7 +358,7 @@ class Simulation:
                 continue  # ticket still fresh
             expired_now = node.ticket_expiry_slot == slot and slot > 0
             renewed = False
-            if node.online:
+            if node.node_id not in self._offline:
                 try:
                     self.renew_ticket(node.node_id, slot)
                     renewed = True
@@ -365,17 +373,8 @@ class Simulation:
         self._emit(slot, "Slashed", entry.to_record())
 
     def _check_misbehavior(self, slot: int) -> None:
-        for node_id, at_slot in self.config.false_transaction:
-            if at_slot == slot:
-                self._slash(node_id, PerpetrationKind.FalseTransaction, slot)
-        for node in self.nodes.values():
-            if node.online or node.offline_since is None or node.offline_window_slashed:
-                continue
-            # the current slot is already being spent offline, hence the +1
-            offline_seconds = (slot - node.offline_since + 1) * self.config.slot_seconds
-            if offline_seconds > OFFLINE_LIMIT_SECONDS:
-                node.offline_window_slashed = True
-                self._slash(node.node_id, PerpetrationKind.Offline48h, slot)
+        for node_id, kind in self._scripted_slashes.get(slot, ()):
+            self._slash(node_id, kind, slot)
         for node in self.nodes.values():
             if slot >= node.verification_deadline_slot:
                 node.verification_deadline_slot = slot + self.config.month_slots
@@ -386,7 +385,7 @@ class Simulation:
         return sorted(
             node.node_id
             for node in self.nodes.values()
-            if node.online
+            if node.node_id not in self._offline
             and node.ticket_expiry_slot > slot
             and not self.blacklist.is_blacklisted(node.node_id, now)
         )
@@ -399,17 +398,17 @@ class Simulation:
         node = self.nodes[author]
         if self.blacklist.is_blacklisted(author, self._now(slot)) or node.ticket_expiry_slot <= slot:
             raise InvariantViolation(f"unauthorized author {author} at slot {slot}")
-        node.blocks_authored += 1
         self._emit(slot, "BlockAuthored", {"node": author})
 
     # -- per-epoch mechanics ---------------------------------------------------
 
     def _check_uptime(self, slot: int) -> None:
-        for node in self.nodes.values():
-            ratio = node.online_slots_this_epoch / self.config.slots_per_epoch
-            if ratio < UPTIME_FLOOR:
-                self._slash(node.node_id, PerpetrationKind.UptimeBelow91, slot)
-            node.online_slots_this_epoch = 0
+        spe, offline = self.config.slots_per_epoch, Counter()
+        for w in self.config.offline:  # each window's overlap with the epoch ending at slot
+            offline[w.node] += max(0, min(w.to_slot, slot + 1) - max(w.from_slot, slot + 1 - spe))
+        for node_id in self.nodes:
+            if (spe - offline[node_id]) / spe < UPTIME_FLOOR:
+                self._slash(node_id, PerpetrationKind.UptimeBelow91, slot)
 
     def _distribute_fees(self, epoch: int, slot: int) -> None:
         total = self.config.fees_per_epoch[epoch]
@@ -491,12 +490,10 @@ class Simulation:
         for epoch in range(cfg.epochs):
             for s in range(cfg.slots_per_epoch):
                 slot = epoch * cfg.slots_per_epoch + s
-                self._apply_faults(slot)
+                self._offline.symmetric_difference_update(self._flips.get(slot, ()))
                 self._try_renewals(slot)
                 self._check_misbehavior(slot)
                 self._author_block(slot)
-                for node in self.nodes.values():
-                    node.online_slots_this_epoch += int(node.online)
             last_slot = (epoch + 1) * cfg.slots_per_epoch - 1
             self._check_uptime(last_slot)
             self._distribute_fees(epoch, last_slot)
@@ -511,7 +508,7 @@ class Simulation:
         return [e.data for e in self.events if e.kind == kind]
 
     def report(self) -> dict:
-        authored = {nid: n.blocks_authored for nid, n in sorted(self.nodes.items())}
+        authored = Counter(data["node"] for data in self._records("BlockAuthored"))
         return {
             "config": {
                 "seed": self.config.seed,
@@ -521,7 +518,7 @@ class Simulation:
                 "slot_seconds": self.config.slot_seconds,
                 "fath_period_epochs": self.config.fath_period_epochs,
             },
-            "blocks_per_node": authored,
+            "blocks_per_node": {nid: authored[nid] for nid in sorted(self.nodes)},
             "skipped_slots": sum(1 for e in self.events if e.kind == "SlotSkipped"),
             "fees_injected": sum(self.config.fees_per_epoch),
             "vault_balance": self.vault,

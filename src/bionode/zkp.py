@@ -108,7 +108,7 @@ def vss_verify_share(
     return lhs == rhs
 
 
-def aggregate(params: GroupParams, pk: int, statement: LinearStatement) -> Ciphertext:
+def aggregate(params: GroupParams, statement: LinearStatement) -> Ciphertext:
     """Fold inputs with public coefficients: (C, D) = (prod c_i^{a_i}, prod d_i^{a_i})."""
     if len(statement.coefficients) != len(statement.input_cts):
         raise ValueError("coefficient/input length mismatch")
@@ -207,7 +207,7 @@ def prove_linear(
     )
 
     r_prime = sum(a * r for a, r in zip(coefficients, randomness)) % q
-    agg = aggregate(params, pk, statement)
+    agg = aggregate(params, statement)
     u1 = agg.c * pow(output_ct.c, -1, p) % p
     u2 = agg.d * pow(output_ct.d, -1, p) % p
     witness = (r_prime - r_out) % q
@@ -220,11 +220,13 @@ def verify_linear(
 ) -> bool:
     """Accept iff the quotient of aggregate and output encrypts the identity."""
     p, out = params.p, statement.output_ct
-    # an output component outside 1..p-1 has no inverse mod p
-    if not (statement.input_cts and 0 < out.c < p and 0 < out.d < p):
+    # outside 1..p-1 an output component has no inverse mod p, and an input
+    # component is another spelling of a residue the proof would also accept
+    cts = (*statement.input_cts, out)
+    if not (statement.input_cts and all(0 < x < p for ct in cts for x in (ct.c, ct.d))):
         return False
     try:
-        agg = aggregate(params, pk, statement)
+        agg = aggregate(params, statement)
     except (ValueError, ParamsMismatch):  # lengths differ, or a foreign input
         return False
     u1 = agg.c * pow(out.c, -1, p) % p

@@ -170,6 +170,19 @@ class TestProveVerify:
         assert run_cli("verify-linear", str(stmt)) == 3
         assert capsys.readouterr().out == "reject\n"
 
+    @pytest.mark.parametrize("component, shift", [("c", 1), ("d", 1), ("c", -1)],
+                             ids=["c-plus-p", "d-plus-p", "c-minus-p"])
+    def test_input_outside_range_rejected(self, component, shift, tmp_path, capsys):
+        """An input component moved by p is the same residue spelled another
+        way; the proof must not carry over to that document."""
+        doc = json.loads((GOLDEN / "prove_linear_64.json").read_text())
+        first = doc["inputs"][0]
+        first[component] = str(int(first[component]) + shift * int(doc["params"]["p"]))
+        stmt = tmp_path / "statement.json"
+        stmt.write_text(json.dumps(doc))
+        assert run_cli("verify-linear", str(stmt)) == 3
+        assert capsys.readouterr().out == "reject\n"
+
     def test_bits_below_floor_exits_one(self, tmp_path, capsys):
         assert run_cli("prove-linear", "--inputs", "1", "--coeffs", "1", "--bits", "8",
                        "--output", str(tmp_path / "s.json")) == 1
@@ -266,12 +279,17 @@ class TestRunSim:
         {"governance": {"proposals": [1]}},
         {"governance": {"proposals": [{"epoch": 0, "type": "Product"}]}},
         {"governance": {"proposals": 5}},
+        {"faults": {"offline": [{"node": "node-01", "from_slot": -5, "to_slot": 100}]}},
+        {"faults": {"bioauth_fail": [{"node": "node-01", "from_slot": -5, "to_slot": 100}]}},
+        {"faults": {"false_transaction": [{"node": "node-01", "slot": -3}]}},
+        {"epochs": 2, "fees_per_epoch": [5, 0]},
     ], ids=["validity-text", "validity-zero", "offline-unknown", "false-tx-unknown",
             "empty-window", "overlapping-windows", "faults-list", "crypto-text",
             "crypto-number", "nodes-fraction", "nodes-bool", "fee-fraction",
             "slot-fraction", "governance-list", "tiers-list", "delegation-single",
             "governors-number", "delegatee-list", "proposal-type-unknown",
-            "proposal-number", "proposal-no-proposer", "proposals-number"])
+            "proposal-number", "proposal-no-proposer", "proposals-number",
+            "offline-negative", "bioauth-negative", "false-tx-negative", "fees-fall-to-zero"])
     def test_invalid_scenario_exits_one_without_traceback(self, extra, tmp_path, capsys):
         scenario = tmp_path / "s.json"
         doc = {"num_nodes": 3, "slots_per_epoch": 5, "epochs": 1, "fees_per_epoch": 0}

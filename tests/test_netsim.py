@@ -2,7 +2,9 @@
 
 Safety and conservation are re-derived from the event logs themselves (not
 from the simulator's own counters): every authored block is replayed
-against the blacklist/ticket state reconstructed from prior events.
+against the blacklist/ticket state reconstructed from prior events. Over
+generated scenarios, the fault slashes are checked against a per-slot scan
+of every offline window, the simulator's old fault loop kept as an oracle.
 """
 
 import hashlib
@@ -11,6 +13,8 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bionode import netsim
 from bionode.netsim import (
@@ -58,8 +62,8 @@ class TestRoundRobin:
     def test_fairness_over_full_rotations(self):
         cfg = small_config(num_nodes=5, slots_per_epoch=25, epochs=4, fees_per_epoch=(0,) * 4)
         sim = netsim.run(cfg)
-        blocks = {nid: n.blocks_authored for nid, n in sim.nodes.items()}
-        assert set(blocks.values()) == {20}  # 100 slots / 5 nodes
+        blocks = sim.report()["blocks_per_node"]
+        assert list(blocks) == cfg.node_ids and set(blocks.values()) == {20}  # 100 slots / 5 nodes
 
     def test_blacklisted_node_leaves_rotation_next_slot(self):
         cfg = small_config(false_transaction=(("node-01", 10),), epochs=1)
@@ -281,6 +285,29 @@ class TestConfig:
         with pytest.raises(ConfigInvalid, match="empty fault window"):
             netsim.run(small_config(**{kind: (OfflineWindow("node-01", 10, to_slot),)}))
 
+    @pytest.mark.parametrize("faults", [
+        {"offline": (OfflineWindow("node-01", -5, 100),)},
+        {"bioauth_fail": (OfflineWindow("node-01", -5, 100),)},
+        {"false_transaction": (("node-01", -3),)},
+    ], ids=["offline", "bioauth_fail", "false_transaction"])
+    def test_negative_fault_slot_rejected(self, faults):
+        """A fault before slot 0 was ignored (offline), applied (bioauth) or
+        dropped (false transaction); now all three are refused."""
+        with pytest.raises(ConfigInvalid, match="negative"):
+            netsim.Simulation(small_config(**faults))
+
+    @pytest.mark.parametrize("fees, period", [((5, 0), 1), ((5, 0, 0, 0), 2), ((1, 2, 0, 0), 2)])
+    def test_fees_falling_to_zero_rejected(self, fees, period):
+        """A Fath period with no fees after one with fees is a -100% rebase,
+        which fath refuses; the scenario is refused before the run instead."""
+        cfg = small_config(epochs=len(fees), fees_per_epoch=fees, fath_period_epochs=period)
+        with pytest.raises(ConfigInvalid, match="zero"):
+            netsim.Simulation(cfg)
+
+    @pytest.mark.parametrize("fees, period", [((0, 5), 1), ((5, 0), 2), ((5, 5, 0), 2)])
+    def test_fees_falling_to_zero_within_a_period_accepted(self, fees, period):
+        netsim.run(small_config(epochs=len(fees), fees_per_epoch=fees, fath_period_epochs=period))
+
     @pytest.mark.parametrize("second", [(15, 30), (20, 30), (0, 12)],
                              ids=["overlap", "touch", "before"])
     def test_overlapping_offline_windows_rejected(self, second):
@@ -295,7 +322,13 @@ class TestConfig:
             OfflineWindow("node-02", 5, 20),
         )
         sim = netsim.run(small_config(offline=windows))
-        assert sim.nodes["node-01"].online and sim.nodes["node-02"].online
+        # both nodes author again once their first window ends at 20 ...
+        back = {e.data["node"] for e in sim.events if e.kind == "BlockAuthored" and 20 <= e.slot < 29}
+        assert back == {"node-00", "node-01", "node-02"}
+        # ... and node-01's later window costs it the second epoch's uptime
+        uptime = [(e.slot, e.data["node"]) for e in sim.events
+                  if e.kind == "Slashed" and e.data["kind"] == "UptimeBelow91"]
+        assert uptime == [(29, "node-01"), (29, "node-02"), (59, "node-01")]
 
 
 def replay_safety(sim: Simulation) -> None:
@@ -321,6 +354,96 @@ def replay_safety(sim: Simulation) -> None:
             node = e.data["node"]
             assert expiry.get(node, 0) > e.slot, f"expired author at slot {e.slot}"
             assert now >= blocked_until.get(node, 0), f"blacklisted author at {e.slot}"
+
+
+def oracle_fault_scan(cfg: SimConfig) -> tuple[list[tuple[int, str, str]], list[set[str]]]:
+    """Scan every offline window at every slot. Returns (slot, node, kind) of
+    each Offline48h and UptimeBelow91 slash, and the offline nodes per slot."""
+    online = dict.fromkeys(cfg.node_ids, True)
+    since: dict[str, int] = {}
+    slashed = dict.fromkeys(cfg.node_ids, False)
+    online_slots = dict.fromkeys(cfg.node_ids, 0)
+    found, offline_at = [], []
+    for slot in range(cfg.epochs * cfg.slots_per_epoch):
+        for w in cfg.offline:
+            if slot == w.from_slot and online[w.node]:
+                online[w.node], since[w.node], slashed[w.node] = False, slot, False
+            if slot == w.to_slot and not online[w.node]:
+                online[w.node] = True
+        for nid in cfg.node_ids:
+            # the current slot is already being spent offline, hence the +1
+            if not online[nid] and not slashed[nid] and (slot - since[nid] + 1) * cfg.slot_seconds > 48 * 3600:
+                slashed[nid] = True
+                found.append((slot, nid, "Offline48h"))
+            online_slots[nid] += online[nid]
+        offline_at.append({nid for nid, up in online.items() if not up})
+        if (slot + 1) % cfg.slots_per_epoch == 0:
+            for nid in cfg.node_ids:
+                if online_slots[nid] / cfg.slots_per_epoch < 0.91:
+                    found.append((slot, nid, "UptimeBelow91"))
+                online_slots[nid] = 0
+    return found, offline_at
+
+
+@st.composite
+def scenarios(draw) -> SimConfig:
+    """A small valid scenario: a node's offline windows never touch, bioauth
+    windows may overlap, and faults may fall after the last slot. Window
+    lengths lean towards the 48-hour limit. Fee scripts that validate()
+    refuses (falling to zero over a Fath period) are dropped."""
+    num_nodes = draw(st.integers(1, 6))
+    slots_per_epoch, epochs = draw(st.integers(1, 40)), draw(st.integers(1, 4))
+    slot_seconds = draw(st.one_of(st.sampled_from((3600, 3599, 2700)), st.integers(1, 3600)))
+    limit = 48 * 3600 // slot_seconds
+    length = st.one_of(st.integers(1, 60), st.integers(limit - 1, limit + 2))
+    ids = [f"node-{i:02d}" for i in range(num_nodes)]
+    slot = st.integers(0, slots_per_epoch * epochs + 5)
+    offline = []
+    for nid in ids:
+        end = -1  # a gap of at least one slot keeps windows from touching
+        for gap, n in draw(st.lists(st.tuples(st.integers(1, 30), length), max_size=3)):
+            offline.append(OfflineWindow(nid, end + gap, end + gap + n))
+            end = offline[-1].to_slot
+    bioauth = [OfflineWindow(nid, a, a + n) for nid, a, n in
+               draw(st.lists(st.tuples(st.sampled_from(ids), slot, st.integers(1, 60)), max_size=4))]
+    cfg = small_config(
+        num_nodes=num_nodes, slots_per_epoch=slots_per_epoch, epochs=epochs, slot_seconds=slot_seconds,
+        ticket_validity_slots=draw(st.one_of(st.none(), st.integers(1, 60))),
+        fees_per_epoch=tuple(draw(st.lists(st.integers(0, 10**6), min_size=epochs, max_size=epochs))),
+        fath_period_epochs=draw(st.integers(1, 2)),
+        offline=tuple(draw(st.permutations(offline))),
+        bioauth_fail=tuple(bioauth),
+        false_transaction=tuple(draw(st.lists(st.tuples(st.sampled_from(ids), slot), max_size=3))),
+    )
+    periods = [sum(cfg.fees_per_epoch[i : i + cfg.fath_period_epochs])
+               for i in range(0, epochs - cfg.fath_period_epochs + 1, cfg.fath_period_epochs)]
+    assume(all(curr or not prev for prev, curr in zip(periods, periods[1:])))
+    return cfg
+
+
+class TestGeneratedScenarios:
+    @settings(max_examples=150, deadline=None)
+    @given(cfg=scenarios())
+    def test_invariants(self, cfg):
+        sim = netsim.run(cfg)
+        expected_slashes, offline_at = oracle_fault_scan(cfg)
+        fault_slashes = [(e.slot, e.data["node"], e.data["kind"]) for e in sim.events
+                         if e.kind == "Slashed" and e.data["kind"] in ("Offline48h", "UptimeBelow91")]
+        assert fault_slashes == expected_slashes
+        assert not any(e.data["node"] in offline_at[e.slot] for e in sim.events
+                       if e.kind in ("BlockAuthored", "TicketRenewed"))
+        replay_safety(sim)
+        report = sim.report()
+        assert sum(report["final_balances"].values()) == report["final_supply"]
+        fees = [e.data for e in sim.events if e.kind == "FeesDistributed"]
+        assert sum(f["vault_delta"] for f in fees) == sim.vault
+        assert sum(f["distributed"] + f["vault_delta"] for f in fees) == sum(cfg.fees_per_epoch)
+        assert list(report["blocks_per_node"]) == cfg.node_ids
+        total_slots = cfg.epochs * cfg.slots_per_epoch
+        assert sum(report["blocks_per_node"].values()) + report["skipped_slots"] == total_slots
+        again = netsim.run(cfg)
+        assert again.event_log() == sim.event_log()
+        assert json.dumps(again.report(), sort_keys=True) == json.dumps(report, sort_keys=True)
 
 
 class TestGoldenScenarios:
@@ -362,7 +485,7 @@ class TestGoldenScenarios:
             cfg = netsim.load_scenario(str(SCENARIOS / f"{name}.json"))
             sim = netsim.run(cfg)
             total_slots = cfg.epochs * cfg.slots_per_epoch
-            authored = sum(n.blocks_authored for n in sim.nodes.values())
+            authored = sum(sim.report()["blocks_per_node"].values())
             skipped = sum(1 for e in sim.events if e.kind == "SlotSkipped")
             assert authored + skipped == total_slots
 

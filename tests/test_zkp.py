@@ -92,7 +92,7 @@ class TestAggregate:
         statement = LinearStatement(
             coefficients=(1,), input_cts=(ct,), output_ct=ct
         )
-        agg = aggregate(params, pair.pk, statement)
+        agg = aggregate(params, statement)
         assert (agg.c, agg.d) == (ct.c, ct.d)
 
     def test_linear_oracle(self, group):
@@ -103,7 +103,7 @@ class TestAggregate:
             for x, r in [(1, 3), (1, 5)]
         )
         statement = LinearStatement(coefficients=(2, 3), input_cts=cts, output_ct=cts[0])
-        agg = aggregate(params, pair.pk, statement)
+        agg = aggregate(params, statement)
         # plaintext oracle: y = 2*1 + 3*1 = 5
         assert decrypt(params, pair.sk, agg) == pow(g, 5, p)
 
@@ -114,7 +114,7 @@ class TestAggregate:
             for x, r in [(4, 3), (9, 5)]
         )
         statement = LinearStatement(coefficients=(0, 0), input_cts=cts, output_ct=cts[0])
-        agg = aggregate(params, pair.pk, statement)
+        agg = aggregate(params, statement)
         assert (agg.c, agg.d) == (1, 1)
         assert decrypt(params, pair.sk, agg) == 1
 
@@ -135,7 +135,7 @@ class TestAggregate:
                 coefficients=tuple(coeffs), input_cts=cts, output_ct=cts[0]
             )
             y = sum(a * x for a, x in zip(coeffs, xs)) % q
-            assert decrypt(params, pair.sk, aggregate(params, pair.pk, statement)) == pow(g, y, p)
+            assert decrypt(params, pair.sk, aggregate(params, statement)) == pow(g, y, p)
 
 
 class TestLogEq:
