@@ -10,6 +10,11 @@ windows and scripted misbehavior produce blacklist entries that gate both
 authoring and the fee stream. The fault script, compiled once into
 slot-keyed lookups, is the only record of who is offline or failing bioauth.
 
+Per-slot work follows what changes, not the node count: a slot calendar
+files each offline flip, ticket expiry, verification deadline and suspension
+end under its slot, and the sorted authorized roster is re-checked only for
+the nodes those events, renewals and slashes touch.
+
 The loop is single-threaded and consults no ambient clock or entropy:
 identical configs produce byte-identical event logs.
 """
@@ -18,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
@@ -169,8 +175,10 @@ class SimConfig:
             raise ConfigInvalid("need at least one node")
         if self.slots_per_epoch < 1 or self.epochs < 0:
             raise ConfigInvalid("bad epoch geometry")
-        if self.slot_seconds < 1:
-            raise ConfigInvalid("slot_seconds must be positive")
+        if not 1 <= self.slot_seconds <= MONTH_SECONDS:
+            raise ConfigInvalid(f"slot_seconds must be between 1 and a month ({MONTH_SECONDS})")
+        if len(self.fees_per_epoch) != self.epochs:
+            raise ConfigInvalid("fees_per_epoch length must equal epochs")
         if self.fath_period_epochs < 1:
             raise ConfigInvalid("fath_period_epochs must be positive")
         if any(f < 0 for f in self.fees_per_epoch):
@@ -246,6 +254,15 @@ class Simulation:
         self.vault = 0
         self.period_fees: list[int] = []
         self._current_period_fees = 0
+        # the slot calendar: slot -> nodes whose standing may change then;
+        # each bucket is popped when its slot is processed
+        self._expiries: dict[int, set[str]] = defaultdict(set)
+        self._deadlines: dict[int, set[str]] = defaultdict(set)
+        self._deadlines[config.month_slots] = set(self.nodes)
+        self._suspension_ends: dict[int, set[str]] = defaultdict(set)
+        self._stale = set(self.nodes)  # ticket expired: renewal is tried every slot
+        self._roster: list[str] = []  # sorted; re-checked only for _touched nodes
+        self._touched: set[str] = set()
         self._compile_faults()
         self._setup_governance()
         if config.crypto_pipeline:
@@ -346,49 +363,77 @@ class Simulation:
             raise BioauthFailed(node_id)
         node.ticket_expiry_slot = slot + self.config.validity_slots
         node.verification_deadline_slot = slot + self.config.month_slots
+        self._expiries[node.ticket_expiry_slot].add(node_id)
+        self._deadlines[node.verification_deadline_slot].add(node_id)
+        self._stale.discard(node_id)
+        self._touched.add(node_id)
         self._emit(slot, "TicketRenewed", {
             "node": node.node_id,
             "expiry_slot": node.ticket_expiry_slot,
         })
         return node
 
+    def _open_slot(self, slot: int) -> None:
+        """Pop the calendar's offline flips, ticket expiries and suspension ends due at slot."""
+        flips = self._flips.pop(slot, ())
+        self._offline.symmetric_difference_update(flips)
+        # a bucket may name a node whose ticket was renewed since it was filed
+        expired = [n for n in self._expiries.pop(slot, ()) if self.nodes[n].ticket_expiry_slot == slot]
+        self._stale.update(expired)
+        self._touched.update(flips, expired, self._suspension_ends.pop(slot, ()))
+
     def _try_renewals(self, slot: int) -> None:
-        for node in self.nodes.values():
-            if node.ticket_expiry_slot > slot:
-                continue  # ticket still fresh
-            expired_now = node.ticket_expiry_slot == slot and slot > 0
+        for node_id in sorted(self._stale):  # ids sort in node order
+            expired_now = self.nodes[node_id].ticket_expiry_slot == slot and slot > 0
             renewed = False
-            if node.node_id not in self._offline:
+            if node_id not in self._offline:
                 try:
-                    self.renew_ticket(node.node_id, slot)
+                    self.renew_ticket(node_id, slot)
                     renewed = True
                 except (Blacklisted, BioauthFailed):
                     pass
             if expired_now and not renewed:
-                self._emit(slot, "TicketExpired", {"node": node.node_id})
+                self._emit(slot, "TicketExpired", {"node": node_id})
 
     def _slash(self, node_id: str, kind: PerpetrationKind, slot: int) -> None:
         entry = self.blacklist.slash(node_id, kind, self._now(slot))
         apply_effects(entry, self.dao.governors)
+        if entry.ends_at is not None:  # the first slot whose time reaches the end
+            self._suspension_ends[-(-entry.ends_at // self.config.slot_seconds)].add(node_id)
+        self._touched.add(node_id)
         self._emit(slot, "Slashed", entry.to_record())
 
     def _check_misbehavior(self, slot: int) -> None:
-        for node_id, kind in self._scripted_slashes.get(slot, ()):
+        for node_id, kind in self._scripted_slashes.pop(slot, ()):
             self._slash(node_id, kind, slot)
-        for node in self.nodes.values():
-            if slot >= node.verification_deadline_slot:
+        # a deadline is always set after the slot being processed (validate()
+        # keeps month_slots >= 1), so each one is met exactly at its bucket
+        for node_id in sorted(self._deadlines.pop(slot, ())):
+            node = self.nodes[node_id]
+            if node.verification_deadline_slot == slot:  # else moved by a renewal
                 node.verification_deadline_slot = slot + self.config.month_slots
-                self._slash(node.node_id, PerpetrationKind.MissedMonthlyVerification, slot)
+                self._deadlines[node.verification_deadline_slot].add(node_id)
+                self._slash(node_id, PerpetrationKind.MissedMonthlyVerification, slot)
 
     def authorized_roster(self, slot: int) -> list[str]:
-        now = self._now(slot)
-        return sorted(
-            node.node_id
-            for node in self.nodes.values()
-            if node.node_id not in self._offline
-            and node.ticket_expiry_slot > slot
-            and not self.blacklist.is_blacklisted(node.node_id, now)
-        )
+        """Online nodes with a fresh ticket and no suspension, in id order.
+        Only the nodes touched since the last slot are checked again, so
+        slots must be asked for in order."""
+        now, roster = self._now(slot), self._roster
+        for node_id in self._touched:
+            i = bisect_left(roster, node_id)
+            listed = i < len(roster) and roster[i] == node_id
+            authorized = (
+                node_id not in self._offline
+                and self.nodes[node_id].ticket_expiry_slot > slot
+                and not self.blacklist.is_blacklisted(node_id, now)
+            )
+            if authorized and not listed:
+                roster.insert(i, node_id)
+            elif listed and not authorized:
+                del roster[i]
+        self._touched.clear()
+        return list(roster)
 
     def _author_block(self, slot: int) -> None:
         author = next_author(slot, self.authorized_roster(slot))
@@ -490,7 +535,7 @@ class Simulation:
         for epoch in range(cfg.epochs):
             for s in range(cfg.slots_per_epoch):
                 slot = epoch * cfg.slots_per_epoch + s
-                self._offline.symmetric_difference_update(self._flips.get(slot, ()))
+                self._open_slot(slot)
                 self._try_renewals(slot)
                 self._check_misbehavior(slot)
                 self._author_block(slot)

@@ -12,7 +12,7 @@ second counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
@@ -152,13 +152,15 @@ class BlacklistEntry:
     period_months: object  # Fraction or FOREVER
     effects: frozenset[Effect]
     issued_at: int  # seconds of simulated time
+    ends_at: int | None = field(init=False)  # first second not covered; None: forever
+
+    def __post_init__(self) -> None:
+        months = self.period_months
+        ends_at = None if months == FOREVER else self.issued_at + months_to_seconds(months)
+        object.__setattr__(self, "ends_at", ends_at)
 
     def covers(self, now: int) -> bool:
-        if now < self.issued_at:
-            return False
-        if self.period_months == FOREVER:
-            return True
-        return now < self.issued_at + months_to_seconds(self.period_months)
+        return self.issued_at <= now and (self.ends_at is None or now < self.ends_at)
 
     def to_record(self) -> dict:
         months = self.period_months

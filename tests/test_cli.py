@@ -283,13 +283,15 @@ class TestRunSim:
         {"faults": {"bioauth_fail": [{"node": "node-01", "from_slot": -5, "to_slot": 100}]}},
         {"faults": {"false_transaction": [{"node": "node-01", "slot": -3}]}},
         {"epochs": 2, "fees_per_epoch": [5, 0]},
+        {"slot_seconds": 2_630_017},
     ], ids=["validity-text", "validity-zero", "offline-unknown", "false-tx-unknown",
             "empty-window", "overlapping-windows", "faults-list", "crypto-text",
             "crypto-number", "nodes-fraction", "nodes-bool", "fee-fraction",
             "slot-fraction", "governance-list", "tiers-list", "delegation-single",
             "governors-number", "delegatee-list", "proposal-type-unknown",
             "proposal-number", "proposal-no-proposer", "proposals-number",
-            "offline-negative", "bioauth-negative", "false-tx-negative", "fees-fall-to-zero"])
+            "offline-negative", "bioauth-negative", "false-tx-negative", "fees-fall-to-zero",
+            "slot-over-a-month"])
     def test_invalid_scenario_exits_one_without_traceback(self, extra, tmp_path, capsys):
         scenario = tmp_path / "s.json"
         doc = {"num_nodes": 3, "slots_per_epoch": 5, "epochs": 1, "fees_per_epoch": 0}

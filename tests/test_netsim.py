@@ -4,7 +4,9 @@ Safety and conservation are re-derived from the event logs themselves (not
 from the simulator's own counters): every authored block is replayed
 against the blacklist/ticket state reconstructed from prior events. Over
 generated scenarios, the fault slashes are checked against a per-slot scan
-of every offline window, the simulator's old fault loop kept as an oracle.
+of every offline window, the simulator's old fault loop kept as an oracle,
+and every slot's authorized roster against a full scan of all nodes, the
+simulator's old roster build, on the generated and the golden scenarios.
 """
 
 import hashlib
@@ -13,7 +15,7 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bionode import netsim
@@ -23,6 +25,7 @@ from bionode.netsim import (
     SimConfig,
     Simulation,
 )
+from bionode.slashing import MONTH_SECONDS
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 GOLDEN = Path(__file__).parent / "golden"
@@ -66,7 +69,7 @@ class TestRoundRobin:
         assert list(blocks) == cfg.node_ids and set(blocks.values()) == {20}  # 100 slots / 5 nodes
 
     def test_blacklisted_node_leaves_rotation_next_slot(self):
-        cfg = small_config(false_transaction=(("node-01", 10),), epochs=1)
+        cfg = small_config(false_transaction=(("node-01", 10),), epochs=1, fees_per_epoch=(300,))
         sim = netsim.run(cfg)
         late_authors = {
             e.data["node"]
@@ -242,6 +245,20 @@ class TestConfig:
                  "fees_per_epoch": [1, 2]}
             )
 
+    @pytest.mark.parametrize("cfg", [SimConfig(), small_config(epochs=1)], ids=["too-short", "too-long"])
+    def test_fee_length_mismatch_built_in_code_rejected(self, cfg):
+        """from_dict checked the length, validate() did not: the default
+        config (two epochs, no fees) died with an IndexError in the fee split."""
+        with pytest.raises(ConfigInvalid, match="fees_per_epoch length"):
+            netsim.run(cfg)
+
+    def test_slot_longer_than_a_month_rejected(self):
+        """With month_slots 0 a ticket expired in the slot it was issued and
+        every node was slashed for a missed verification in every slot."""
+        with pytest.raises(ConfigInvalid, match="slot_seconds"):
+            netsim.Simulation(small_config(slot_seconds=MONTH_SECONDS + 1))
+        assert netsim.run(small_config(slot_seconds=MONTH_SECONDS)).config.month_slots == 1
+
     def test_scenario_round_trip(self):
         cfg = netsim.load_scenario(str(SCENARIOS / "faulty.json"))
         assert cfg.num_nodes == 6
@@ -385,17 +402,64 @@ def oracle_fault_scan(cfg: SimConfig) -> tuple[list[tuple[int, str, str]], list[
     return found, offline_at
 
 
+def oracle_roster(sim: Simulation, slot: int, offline: set[str]) -> list[str]:
+    """The simulator's old roster build: every node, one blacklist query each."""
+    now = slot * sim.config.slot_seconds
+    return sorted(
+        node.node_id
+        for node in sim.nodes.values()
+        if node.node_id not in offline
+        and node.ticket_expiry_slot > slot
+        and not sim.blacklist.is_blacklisted(node.node_id, now)
+    )
+
+
+def run_checking_roster(cfg: SimConfig) -> tuple[Simulation, list[list[str]]]:
+    """Run cfg, checking each slot's roster against oracle_roster, with the
+    offline nodes taken from oracle_fault_scan. Returns the rosters by slot."""
+    sim = Simulation(cfg)
+    _, offline_at = oracle_fault_scan(cfg)
+    calendar_roster, rosters = sim.authorized_roster, []
+
+    def checked(slot: int) -> list[str]:
+        roster = calendar_roster(slot)
+        assert roster == oracle_roster(sim, slot, offline_at[slot]), f"roster at slot {slot}"
+        rosters.append(roster)
+        return roster
+
+    sim.authorized_roster = checked
+    sim.run()
+    assert len(rosters) == cfg.epochs * cfg.slots_per_epoch
+    return sim, rosters
+
+
+# A month in at most 40 slots, and half a month in at most 20: missed monthly
+# verifications and the end of their half-month suspensions fall inside runs
+# of up to 160 slots.
+LONG_SLOT = st.integers(MONTH_SECONDS // 40, MONTH_SECONDS)
+
+# Within the ranges scenarios() draws from: node-01 cannot renew when its
+# ticket expires at 20, which is also its monthly deadline, and is suspended
+# until slot 31; node-02 has been offline over 48 hours at slot 6 and, its
+# ticket still fresh, rejoins the roster when its suspension ends at slot 17.
+CALENDAR_CONFIG = small_config(
+    slot_seconds=MONTH_SECONDS // 20, slots_per_epoch=40, epochs=2,
+    bioauth_fail=(OfflineWindow("node-01", 15, 30),), offline=(OfflineWindow("node-02", 5, 8),),
+)
+
+
 @st.composite
 def scenarios(draw) -> SimConfig:
     """A small valid scenario: a node's offline windows never touch, bioauth
     windows may overlap, and faults may fall after the last slot. Window
-    lengths lean towards the 48-hour limit. Fee scripts that validate()
-    refuses (falling to zero over a Fath period) are dropped."""
+    lengths lean towards the 48-hour limit. Some slots are long enough for
+    monthly deadlines and suspension ends to fall inside the run. Fee scripts
+    that validate() refuses (falling to zero over a Fath period) are dropped."""
     num_nodes = draw(st.integers(1, 6))
     slots_per_epoch, epochs = draw(st.integers(1, 40)), draw(st.integers(1, 4))
-    slot_seconds = draw(st.one_of(st.sampled_from((3600, 3599, 2700)), st.integers(1, 3600)))
+    slot_seconds = draw(st.one_of(st.sampled_from((3600, 3599, 2700)), st.integers(1, 3600), LONG_SLOT))
     limit = 48 * 3600 // slot_seconds
-    length = st.one_of(st.integers(1, 60), st.integers(limit - 1, limit + 2))
+    length = st.one_of(st.integers(1, 60), st.integers(max(1, limit - 1), limit + 2))
     ids = [f"node-{i:02d}" for i in range(num_nodes)]
     slot = st.integers(0, slots_per_epoch * epochs + 5)
     offline = []
@@ -424,8 +488,9 @@ def scenarios(draw) -> SimConfig:
 class TestGeneratedScenarios:
     @settings(max_examples=150, deadline=None)
     @given(cfg=scenarios())
+    @example(cfg=CALENDAR_CONFIG)
     def test_invariants(self, cfg):
-        sim = netsim.run(cfg)
+        sim, _ = run_checking_roster(cfg)
         expected_slashes, offline_at = oracle_fault_scan(cfg)
         fault_slashes = [(e.slot, e.data["node"], e.data["kind"]) for e in sim.events
                          if e.kind == "Slashed" and e.data["kind"] in ("Offline48h", "UptimeBelow91")]
@@ -445,8 +510,31 @@ class TestGeneratedScenarios:
         assert again.event_log() == sim.event_log()
         assert json.dumps(again.report(), sort_keys=True) == json.dumps(report, sort_keys=True)
 
+    def test_calendar_events_fall_inside_the_run(self):
+        """Each kind of calendar event changes someone's standing in the run:
+        a ticket expiry, a monthly-verification deadline and a suspension end."""
+        sim, rosters = run_checking_roster(CALENDAR_CONFIG)
+        changes = [(e.slot, e.kind, e.data["node"]) for e in sim.events
+                   if e.kind in ("TicketExpired", "Slashed", "TicketRenewed") and 0 < e.slot <= 31]
+        assert changes == [
+            (6, "Slashed", "node-02"),
+            (20, "TicketRenewed", "node-00"),
+            (20, "TicketExpired", "node-01"),
+            (20, "TicketRenewed", "node-02"),
+            (20, "Slashed", "node-01"),  # the deadline, missed
+            (31, "TicketRenewed", "node-01"),  # at 30 still suspended
+        ]
+        assert [e.data["kind"] for e in sim.events if e.kind == "Slashed"] == [
+            "Offline48h", "MissedMonthlyVerification"]
+        # offline from 5, suspended from 6; back at 17 with no event of its own
+        assert ["node-02" in r for r in rosters[4:18]] == [True] + [False] * 12 + [True]
+
 
 class TestGoldenScenarios:
+    @pytest.mark.parametrize("name", ["honest", "faulty", "malicious", "governed"])
+    def test_roster_matches_full_scan_every_slot(self, name):
+        run_checking_roster(netsim.load_scenario(str(SCENARIOS / f"{name}.json")))
+
     @pytest.mark.parametrize("name", ["honest", "faulty", "malicious"])
     def test_report_matches_golden(self, name):
         cfg = netsim.load_scenario(str(SCENARIOS / f"{name}.json"))
