@@ -7,13 +7,15 @@ the scenario script, split 98/2 between the active nodes (equally, with
 largest-remainder apportionment) and the Formation vault, and feed the
 proportional supply rebase every configured number of epochs. Offline
 windows and scripted misbehavior produce blacklist entries that gate both
-authoring and the fee stream. The fault script, compiled once into
-slot-keyed lookups, is the only record of who is offline or failing bioauth.
+authoring and the fee stream. Each fact has one record: tickets and
+deadlines in ``NodeState``, suspensions in the ``Blacklist``, who is offline
+or failing bioauth in the fault windows.
 
-Per-slot work follows what changes, not the node count: a slot calendar
-files each offline flip, ticket expiry, verification deadline and suspension
-end under its slot, and the sorted authorized roster is re-checked only for
-the nodes those events, renewals and slashes touch.
+Per-slot work follows what changes, not the node count: one calendar maps a
+slot to the nodes to look at then (slot 0, both ends of each offline window,
+ticket expiry, verification deadline, suspension end, the slot after a failed
+bioauth), and what is due is read from the records. Only woken, renewed and
+slashed nodes are offered a renewal or re-checked for the sorted roster.
 
 The loop is single-threaded and consults no ambient clock or entropy:
 identical configs produce byte-identical event logs.
@@ -36,6 +38,7 @@ SLOT_SECONDS_DEFAULT = 6
 OFFLINE_LIMIT_SECONDS = 48 * 3600
 UPTIME_FLOOR = 0.91
 VAULT_SHARE_PERCENT = 2
+TEMPLATE_BITS = 4  # length of a node's biometric template in the crypto pipeline
 
 
 class ConfigInvalid(Exception):
@@ -106,7 +109,7 @@ class SimConfig:
     slot_seconds: int = SLOT_SECONDS_DEFAULT
     ticket_validity_slots: int | None = None  # default: one month of slots
     initial_balance: int = 1_000_000
-    fees_per_epoch: tuple[int, ...] = ()
+    fees_per_epoch: tuple[int, ...] = (0, 0)
     fath_period_epochs: int = 1
     crypto_pipeline: bool = False
     offline: tuple[OfflineWindow, ...] = ()
@@ -199,8 +202,8 @@ class SimConfig:
         for w in windows:
             if w.to_slot <= w.from_slot:
                 raise ConfigInvalid(f"empty fault window for {w.node}: {w.from_slot}..{w.to_slot}")
-        # A node goes offline at each window's start and back online at its
-        # end, so a node's windows may not touch: the two would cancel out.
+        # Offline48h is fixed per window, so two touching windows would hide
+        # a continuous stretch of more than 48 hours offline.
         offline = sorted(self.offline, key=lambda w: (w.node, w.from_slot))
         for prev, nxt in zip(offline, offline[1:]):
             if prev.node == nxt.node and nxt.from_slot <= prev.to_slot:
@@ -228,12 +231,17 @@ class SimEvent:
         )
 
 
-def _template_bits(node_id: str, n: int = 4) -> list[int]:
+def _template_bits(node_id: str) -> list[int]:
     digest = hashlib.sha256(node_id.encode()).digest()
-    bits = [(digest[i // 8] >> (i % 8)) & 1 for i in range(n)]
+    bits = [(digest[i // 8] >> (i % 8)) & 1 for i in range(TEMPLATE_BITS)]
     if not any(bits):
         bits[0] = 1  # a node's template is never empty
     return bits
+
+
+def _covered(windows: dict[str, list[OfflineWindow]], node_id: str, slot: int) -> bool:
+    """Whether one of node_id's windows (offline or bioauth-fail) covers slot."""
+    return any(w.from_slot <= slot < w.to_slot for w in windows.get(node_id, ()))
 
 
 class Simulation:
@@ -254,13 +262,9 @@ class Simulation:
         self.vault = 0
         self.period_fees: list[int] = []
         self._current_period_fees = 0
-        # the slot calendar: slot -> nodes whose standing may change then;
-        # each bucket is popped when its slot is processed
-        self._expiries: dict[int, set[str]] = defaultdict(set)
-        self._deadlines: dict[int, set[str]] = defaultdict(set)
-        self._deadlines[config.month_slots] = set(self.nodes)
-        self._suspension_ends: dict[int, set[str]] = defaultdict(set)
-        self._stale = set(self.nodes)  # ticket expired: renewal is tried every slot
+        # the calendar: slot -> nodes to look at then, popped when the slot is processed
+        self._wake: dict[int, set[str]] = defaultdict(set)
+        self._wake[0], self._wake[config.month_slots] = set(self.nodes), set(self.nodes)
         self._roster: list[str] = []  # sorted; re-checked only for _touched nodes
         self._touched: set[str] = set()
         self._compile_faults()
@@ -270,14 +274,14 @@ class Simulation:
             self._lwe_keys = lwe.lwe_keygen(self._lwe_params, config.seed)
 
     def _compile_faults(self) -> None:
-        """validate() rules out negative slots and touching windows, so an
-        offline window flips its node into the ``_offline`` set once and out once."""
-        self._offline: set[str] = set()
-        self._flips: dict[int, list[str]] = defaultdict(list)  # slot -> nodes
+        """Index the fault windows by node and wake each node at both ends of
+        its offline windows; validate() rules out negative slots."""
+        self._offline: dict[str, list[OfflineWindow]] = defaultdict(list)
         self._bioauth_fail: dict[str, list[OfflineWindow]] = defaultdict(list)
         for w in self.config.offline:
-            self._flips[w.from_slot].append(w.node)
-            self._flips[w.to_slot].append(w.node)
+            self._offline[w.node].append(w)
+            self._wake[w.from_slot].add(w.node)
+            self._wake[w.to_slot].add(w.node)
         for w in self.config.bioauth_fail:
             self._bioauth_fail[w.node].append(w)
         # slot -> slashes: FalseTransaction in script order, then Offline48h in
@@ -334,7 +338,7 @@ class Simulation:
     # -- per-slot mechanics --------------------------------------------------
 
     def _bioauth_passes(self, node_id: str, slot: int) -> bool:
-        scripted_fail = any(w.from_slot <= slot < w.to_slot for w in self._bioauth_fail.get(node_id, ()))
+        scripted_fail = _covered(self._bioauth_fail, node_id, slot)
         if not self.config.crypto_pipeline:
             return not scripted_fail
         template = _template_bits(node_id)
@@ -363,9 +367,8 @@ class Simulation:
             raise BioauthFailed(node_id)
         node.ticket_expiry_slot = slot + self.config.validity_slots
         node.verification_deadline_slot = slot + self.config.month_slots
-        self._expiries[node.ticket_expiry_slot].add(node_id)
-        self._deadlines[node.verification_deadline_slot].add(node_id)
-        self._stale.discard(node_id)
+        self._wake[node.ticket_expiry_slot].add(node_id)
+        self._wake[node.verification_deadline_slot].add(node_id)
         self._touched.add(node_id)
         self._emit(slot, "TicketRenewed", {
             "node": node.node_id,
@@ -373,46 +376,41 @@ class Simulation:
         })
         return node
 
-    def _open_slot(self, slot: int) -> None:
-        """Pop the calendar's offline flips, ticket expiries and suspension ends due at slot."""
-        flips = self._flips.pop(slot, ())
-        self._offline.symmetric_difference_update(flips)
-        # a bucket may name a node whose ticket was renewed since it was filed
-        expired = [n for n in self._expiries.pop(slot, ()) if self.nodes[n].ticket_expiry_slot == slot]
-        self._stale.update(expired)
-        self._touched.update(flips, expired, self._suspension_ends.pop(slot, ()))
-
-    def _try_renewals(self, slot: int) -> None:
-        for node_id in sorted(self._stale):  # ids sort in node order
-            expired_now = self.nodes[node_id].ticket_expiry_slot == slot and slot > 0
-            renewed = False
-            if node_id not in self._offline:
+    def _try_renewals(self, slot: int, woken: list[str]) -> None:
+        """Offer a renewal to each woken node whose ticket has expired, unless the end of an
+        offline window or suspension will wake it; one that fails bioauth is woken next slot."""
+        now = self._now(slot)
+        for node_id in woken:
+            expiry = self.nodes[node_id].ticket_expiry_slot
+            if expiry > slot:
+                continue
+            if not (_covered(self._offline, node_id, slot) or self.blacklist.is_blacklisted(node_id, now)):
                 try:
                     self.renew_ticket(node_id, slot)
-                    renewed = True
-                except (Blacklisted, BioauthFailed):
-                    pass
-            if expired_now and not renewed:
+                    continue
+                except BioauthFailed:
+                    self._wake[slot + 1].add(node_id)
+            if expiry == slot > 0:
                 self._emit(slot, "TicketExpired", {"node": node_id})
 
     def _slash(self, node_id: str, kind: PerpetrationKind, slot: int) -> None:
         entry = self.blacklist.slash(node_id, kind, self._now(slot))
         apply_effects(entry, self.dao.governors)
         if entry.ends_at is not None:  # the first slot whose time reaches the end
-            self._suspension_ends[-(-entry.ends_at // self.config.slot_seconds)].add(node_id)
+            self._wake[-(-entry.ends_at // self.config.slot_seconds)].add(node_id)
         self._touched.add(node_id)
         self._emit(slot, "Slashed", entry.to_record())
 
-    def _check_misbehavior(self, slot: int) -> None:
+    def _check_misbehavior(self, slot: int, woken: list[str]) -> None:
         for node_id, kind in self._scripted_slashes.pop(slot, ()):
             self._slash(node_id, kind, slot)
         # a deadline is always set after the slot being processed (validate()
-        # keeps month_slots >= 1), so each one is met exactly at its bucket
-        for node_id in sorted(self._deadlines.pop(slot, ())):
+        # keeps month_slots >= 1), so each node is woken exactly at its deadline
+        for node_id in woken:
             node = self.nodes[node_id]
-            if node.verification_deadline_slot == slot:  # else moved by a renewal
+            if node.verification_deadline_slot == slot:
                 node.verification_deadline_slot = slot + self.config.month_slots
-                self._deadlines[node.verification_deadline_slot].add(node_id)
+                self._wake[node.verification_deadline_slot].add(node_id)
                 self._slash(node_id, PerpetrationKind.MissedMonthlyVerification, slot)
 
     def authorized_roster(self, slot: int) -> list[str]:
@@ -424,8 +422,8 @@ class Simulation:
             i = bisect_left(roster, node_id)
             listed = i < len(roster) and roster[i] == node_id
             authorized = (
-                node_id not in self._offline
-                and self.nodes[node_id].ticket_expiry_slot > slot
+                self.nodes[node_id].ticket_expiry_slot > slot
+                and not _covered(self._offline, node_id, slot)
                 and not self.blacklist.is_blacklisted(node_id, now)
             )
             if authorized and not listed:
@@ -535,9 +533,10 @@ class Simulation:
         for epoch in range(cfg.epochs):
             for s in range(cfg.slots_per_epoch):
                 slot = epoch * cfg.slots_per_epoch + s
-                self._open_slot(slot)
-                self._try_renewals(slot)
-                self._check_misbehavior(slot)
+                woken = sorted(self._wake.pop(slot, ()))  # ids sort in node order
+                self._touched.update(woken)
+                self._try_renewals(slot, woken)
+                self._check_misbehavior(slot, woken)
                 self._author_block(slot)
             last_slot = (epoch + 1) * cfg.slots_per_epoch - 1
             self._check_uptime(last_slot)

@@ -5,13 +5,18 @@ from the simulator's own counters): every authored block is replayed
 against the blacklist/ticket state reconstructed from prior events. Over
 generated scenarios, the fault slashes are checked against a per-slot scan
 of every offline window, the simulator's old fault loop kept as an oracle,
-and every slot's authorized roster against a full scan of all nodes, the
-simulator's old roster build, on the generated and the golden scenarios.
+every slot's renewals against the nodes whose ticket had expired and that
+were online, unsuspended and passing bioauth, and every slot's authorized
+roster against a full scan of all nodes, the simulator's old roster build,
+on the generated and the golden scenarios. No renewal may be offered to a
+node that is offline or suspended. A 300-node run in the shape of the
+sim-churn benchmark has its event-log and report SHA-256s pinned.
 """
 
 import hashlib
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -115,6 +120,19 @@ class TestTickets:
         assert slash.data["node"] == "node-02"
         assert slash.data["kind"] == "MissedMonthlyVerification"
         assert slash.slot == 730
+
+    def test_deadline_missed_while_offline(self):
+        """Only its deadline wakes a node that is offline through it: node-02
+        never renews, node-01 last renews at 15, and both miss the deadline."""
+        cfg = small_config(
+            slot_seconds=MONTH_SECONDS // 20, slots_per_epoch=40, epochs=1, fees_per_epoch=(300,),
+            ticket_validity_slots=5,
+            offline=(OfflineWindow("node-01", 16, 38), OfflineWindow("node-02", 0, 25)),
+        )
+        sim = netsim.run(cfg)
+        missed = [(e.slot, e.data["node"]) for e in sim.events
+                  if e.kind == "Slashed" and e.data["kind"] == "MissedMonthlyVerification"]
+        assert missed == [(20, "node-02"), (35, "node-01")]
 
     def test_blacklisted_node_cannot_renew(self):
         cfg = small_config(
@@ -245,12 +263,19 @@ class TestConfig:
                  "fees_per_epoch": [1, 2]}
             )
 
-    @pytest.mark.parametrize("cfg", [SimConfig(), small_config(epochs=1)], ids=["too-short", "too-long"])
+    @pytest.mark.parametrize("cfg", [small_config(fees_per_epoch=(300,)), small_config(epochs=1)],
+                             ids=["too-short", "too-long"])
     def test_fee_length_mismatch_built_in_code_rejected(self, cfg):
-        """from_dict checked the length, validate() did not: the default
-        config (two epochs, no fees) died with an IndexError in the fee split."""
+        """from_dict checked the length, validate() did not: two epochs with
+        one fee died with an IndexError in the fee split."""
         with pytest.raises(ConfigInvalid, match="fees_per_epoch length"):
             netsim.run(cfg)
+
+    def test_default_config_runs(self):
+        """The defaults were two epochs with no fees, which validate() refuses."""
+        sim = netsim.run(SimConfig())
+        assert sim.config.fees_per_epoch == (0, 0)
+        assert sum(sim.report()["blocks_per_node"].values()) == 120
 
     def test_slot_longer_than_a_month_rejected(self):
         """With month_slots 0 a ticket expired in the slot it was issued and
@@ -414,12 +439,40 @@ def oracle_roster(sim: Simulation, slot: int, offline: set[str]) -> list[str]:
     )
 
 
+def oracle_renewals(cfg: SimConfig, sim: Simulation, offline_at: list[set[str]]) -> list[set[str]]:
+    """The nodes that must renew at each slot, replayed from the events: the
+    ticket has expired, the node is online, no suspension issued at an earlier
+    slot covers it and it is outside every bioauth-fail window."""
+    expiry = dict.fromkeys(cfg.node_ids, 0)
+    blocked_until = dict.fromkeys(cfg.node_ids, 0)
+    events = iter(sim.events)
+    event = next(events, None)
+    due = []
+    for slot in range(cfg.epochs * cfg.slots_per_epoch):
+        now = slot * cfg.slot_seconds
+        due.append({
+            nid for nid in cfg.node_ids
+            if expiry[nid] <= slot and nid not in offline_at[slot] and now >= blocked_until[nid]
+            and not any(w.node == nid and w.from_slot <= slot < w.to_slot for w in cfg.bioauth_fail)
+        })
+        while event is not None and event.slot == slot:
+            if event.kind == "TicketRenewed":
+                expiry[event.data["node"]] = event.data["expiry_slot"]
+            elif event.kind == "Slashed":
+                months = event.data["period_months"]
+                until = float("inf") if months == "forever" else now + Fraction(months) * MONTH_SECONDS
+                blocked_until[event.data["node"]] = max(blocked_until[event.data["node"]], until)
+            event = next(events, None)
+    return due
+
+
 def run_checking_roster(cfg: SimConfig) -> tuple[Simulation, list[list[str]]]:
     """Run cfg, checking each slot's roster against oracle_roster, with the
-    offline nodes taken from oracle_fault_scan. Returns the rosters by slot."""
+    offline nodes taken from oracle_fault_scan, and that no renewal is
+    offered to a node that is offline or suspended. Returns the rosters by slot."""
     sim = Simulation(cfg)
     _, offline_at = oracle_fault_scan(cfg)
-    calendar_roster, rosters = sim.authorized_roster, []
+    calendar_roster, renew, rosters = sim.authorized_roster, sim.renew_ticket, []
 
     def checked(slot: int) -> list[str]:
         roster = calendar_roster(slot)
@@ -427,7 +480,14 @@ def run_checking_roster(cfg: SimConfig) -> tuple[Simulation, list[list[str]]]:
         rosters.append(roster)
         return roster
 
-    sim.authorized_roster = checked
+    def offered(node_id: str, slot: int):
+        now = slot * cfg.slot_seconds
+        assert node_id not in offline_at[slot], f"renewal offered to offline {node_id} at slot {slot}"
+        assert not any(e.node_id == node_id and e.covers(now) for e in sim.blacklist.entries), (
+            f"renewal offered to suspended {node_id} at slot {slot}")
+        return renew(node_id, slot)
+
+    sim.authorized_roster, sim.renew_ticket = checked, offered
     sim.run()
     assert len(rosters) == cfg.epochs * cfg.slots_per_epoch
     return sim, rosters
@@ -485,10 +545,54 @@ def scenarios(draw) -> SimConfig:
     return cfg
 
 
+def churn_config(seed: int = 9, num_nodes: int = 300, epochs: int = 34) -> SimConfig:
+    """A seeded network in the shape of the sim-churn benchmark: hour-long
+    slots, 168-slot tickets, offline and bioauth-fail windows, false
+    transactions, delegations and a proposal each epoch, every eighth one
+    above a Citizen's tier. The run is longer than a month (730 slots), so
+    missed monthly verifications and the end of half-month suspensions fall
+    inside it; a third of the offline nodes go offline twice."""
+    rng = random.Random(f"churn:{seed}")
+    spe, ids = 24, SimConfig(num_nodes=num_nodes).node_ids
+    total = spe * epochs
+    k_off, k_bio, k_ft, k_del = num_nodes // 10, num_nodes // 20, max(1, num_nodes // 100), num_nodes // 20
+    picked = rng.sample(ids, k_off + k_bio + k_ft)
+    offline_hours = (6, 12, 24, 36, 48, 60, 72, 96, 120, 168)
+    bioauth_hours = (24, 48, 96, 168, 336, 800)
+    offline = []
+    for i, nid in enumerate(picked[:k_off]):
+        start = rng.randrange(total)
+        offline.append(OfflineWindow(nid, start, start + offline_hours[i % 10]))
+        if i % 3 == 0:
+            later = offline[-1].to_slot + rng.randrange(1, 200)
+            offline.append(OfflineWindow(nid, later, later + offline_hours[-1 - i % 10]))
+    bioauth = []
+    for i, nid in enumerate(picked[k_off : k_off + k_bio]):
+        start = rng.randrange(total)
+        bioauth.append(OfflineWindow(nid, start, start + bioauth_hours[i % 6]))
+    false_tx = tuple((nid, rng.randrange(total)) for nid in picked[k_off + k_bio :])
+    pairs = rng.sample(ids, 2 * k_del)
+    delegations = [[a, b] for a, b in zip(pairs[:k_del], pairs[k_del:])]
+    voters = sorted(set(ids) - set(pairs[:k_del]))
+    proposals = [
+        {"epoch": e, "proposer": rng.choice(voters), "type": "FeeDistribution" if e % 8 == 7 else "Product",
+         "yes": len(voters) * (2 + e % 2) // 5, "no": len(voters) // 5}
+        for e in range(epochs)
+    ]
+    return SimConfig(
+        seed=seed, num_nodes=num_nodes, slots_per_epoch=spe, epochs=epochs, slot_seconds=3600,
+        ticket_validity_slots=168,
+        fees_per_epoch=tuple(10**6 + (rng.randrange(50_000, 300_000) if e % 2 else 0) for e in range(epochs)),
+        offline=tuple(offline), bioauth_fail=tuple(bioauth), false_transaction=false_tx,
+        governance={"governors": "all", "delegations": delegations, "proposals": proposals},
+    )
+
+
 class TestGeneratedScenarios:
     @settings(max_examples=150, deadline=None)
     @given(cfg=scenarios())
     @example(cfg=CALENDAR_CONFIG)
+    @example(cfg=churn_config())
     def test_invariants(self, cfg):
         sim, _ = run_checking_roster(cfg)
         expected_slashes, offline_at = oracle_fault_scan(cfg)
@@ -498,6 +602,11 @@ class TestGeneratedScenarios:
         assert not any(e.data["node"] in offline_at[e.slot] for e in sim.events
                        if e.kind in ("BlockAuthored", "TicketRenewed"))
         replay_safety(sim)
+        renewed = [set() for _ in offline_at]
+        for e in sim.events:
+            if e.kind == "TicketRenewed":
+                renewed[e.slot].add(e.data["node"])
+        assert renewed == oracle_renewals(cfg, sim, offline_at)
         report = sim.report()
         assert sum(report["final_balances"].values()) == report["final_supply"]
         fees = [e.data for e in sim.events if e.kind == "FeesDistributed"]
@@ -509,6 +618,15 @@ class TestGeneratedScenarios:
         again = netsim.run(cfg)
         assert again.event_log() == sim.event_log()
         assert json.dumps(again.report(), sort_keys=True) == json.dumps(report, sort_keys=True)
+
+    def test_no_renewal_offered_while_suspended(self):
+        """node-01's ticket expires at 20, where it fails bioauth and is
+        suspended until 31: it was offered a renewal at every slot between."""
+        sim = Simulation(CALENDAR_CONFIG)
+        calls, renew = [], sim.renew_ticket
+        sim.renew_ticket = lambda node_id, slot: calls.append((slot, node_id)) or renew(node_id, slot)
+        sim.run()
+        assert [slot for slot, nid in calls if nid == "node-01" and 20 <= slot <= 31] == [20, 31]
 
     def test_calendar_events_fall_inside_the_run(self):
         """Each kind of calendar event changes someone's standing in the run:
@@ -534,6 +652,26 @@ class TestGoldenScenarios:
     @pytest.mark.parametrize("name", ["honest", "faulty", "malicious", "governed"])
     def test_roster_matches_full_scan_every_slot(self, name):
         run_checking_roster(netsim.load_scenario(str(SCENARIOS / f"{name}.json")))
+
+    def test_churn_hashes_stable(self):
+        sim = netsim.run(churn_config())
+        report = json.dumps(sim.report(), sort_keys=True)
+        assert hashlib.sha256(sim.event_log().encode()).hexdigest() == (
+            GOLDEN / "churn_events.sha256").read_text().strip()
+        assert hashlib.sha256(report.encode()).hexdigest() == (GOLDEN / "churn_report.sha256").read_text().strip()
+
+    def test_churn_config_exercises_every_slash_and_calendar_event(self):
+        """The churn golden has every kind of slash, expired tickets and an
+        Offline48h suspension (half a month) that ends inside the run."""
+        cfg = churn_config()
+        sim = netsim.run(cfg)
+        slashes = [(e.slot, e.data["kind"]) for e in sim.events if e.kind == "Slashed"]
+        assert {kind for _, kind in slashes} == {
+            "Offline48h", "UptimeBelow91", "FalseTransaction", "MissedMonthlyVerification",
+            "MismatchedProposalTypeNoRight"}
+        assert any(e.kind == "TicketExpired" for e in sim.events)
+        assert any(kind == "Offline48h" and slot + cfg.month_slots // 2 < cfg.epochs * cfg.slots_per_epoch
+                   for slot, kind in slashes)
 
     @pytest.mark.parametrize("name", ["honest", "faulty", "malicious"])
     def test_report_matches_golden(self, name):
