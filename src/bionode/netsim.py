@@ -377,17 +377,19 @@ class Simulation:
         return node
 
     def _try_renewals(self, slot: int, woken: list[str]) -> None:
-        """Offer a renewal to each woken node whose ticket has expired, unless the end of an
-        offline window or suspension will wake it; one that fails bioauth is woken next slot."""
-        now = self._now(slot)
+        """Offer a renewal to each woken online node whose ticket has expired. One that is
+        offline or suspended waits for the end of the window or suspension to wake it;
+        one that fails bioauth is woken next slot."""
         for node_id in woken:
             expiry = self.nodes[node_id].ticket_expiry_slot
             if expiry > slot:
                 continue
-            if not (_covered(self._offline, node_id, slot) or self.blacklist.is_blacklisted(node_id, now)):
+            if not _covered(self._offline, node_id, slot):
                 try:
                     self.renew_ticket(node_id, slot)
                     continue
+                except Blacklisted:
+                    pass
                 except BioauthFailed:
                     self._wake[slot + 1].add(node_id)
             if expiry == slot > 0:

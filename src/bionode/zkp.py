@@ -109,7 +109,9 @@ def vss_verify_share(
 
 
 def aggregate(params: GroupParams, statement: LinearStatement) -> Ciphertext:
-    """Fold inputs with public coefficients: (C, D) = (prod c_i^{a_i}, prod d_i^{a_i})."""
+    """Fold inputs with public coefficients: (C, D) = (prod c_i^{a_i}, prod d_i^{a_i}).
+
+    A small a_i of either sign costs two short powers, not full-size ones (see hom_scalar)."""
     if len(statement.coefficients) != len(statement.input_cts):
         raise ValueError("coefficient/input length mismatch")
     acc = Ciphertext(c=1, d=1, params=params)

@@ -1,5 +1,6 @@
 """CLI surface: exit codes, output documents, determinism."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -146,6 +147,19 @@ class TestProveVerify:
             "--bits", "64", "--seed", "42", "--output", str(out),
         ) == 0
         assert out.read_bytes() == (GOLDEN / "prove_linear_64.json").read_bytes()
+        assert run_cli("verify-linear", str(out)) == 0
+
+    def test_matches_golden_hash_at_1024_bits(self, tmp_path):
+        """The same inputs on the pinned 1024-bit group: the statement's
+        SHA-256 for a fixed seed is pinned under tests/golden/."""
+        out = tmp_path / "statement.json"
+        assert run_cli(
+            "prove-linear", "--inputs", "3,-1,4,1,5,9,2,-6,5,3,5,8,9,7,9,3",
+            "--coeffs", "2,-7,1,8,-2,8,1,-8,2,8,4,-5,9,0,4,5",
+            "--bits", "1024", "--seed", "42", "--output", str(out),
+        ) == 0
+        expected = (GOLDEN / "prove_linear_1024.sha256").read_text().strip()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
         assert run_cli("verify-linear", str(out)) == 0
 
     def test_saved_keys_match_golden_file(self, tmp_path):

@@ -9,13 +9,15 @@ every slot's renewals against the nodes whose ticket had expired and that
 were online, unsuspended and passing bioauth, and every slot's authorized
 roster against a full scan of all nodes, the simulator's old roster build,
 on the generated and the golden scenarios. No renewal may be offered to a
-node that is offline or suspended. A 300-node run in the shape of the
-sim-churn benchmark has its event-log and report SHA-256s pinned.
+node that is offline, nor to a suspended one at a slot where nothing on its
+own record wakes it. A 300-node run in the shape of the sim-churn benchmark
+has its event-log and report SHA-256s pinned.
 """
 
 import hashlib
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -469,10 +471,20 @@ def oracle_renewals(cfg: SimConfig, sim: Simulation, offline_at: list[set[str]])
 def run_checking_roster(cfg: SimConfig) -> tuple[Simulation, list[list[str]]]:
     """Run cfg, checking each slot's roster against oracle_roster, with the
     offline nodes taken from oracle_fault_scan, and that no renewal is
-    offered to a node that is offline or suspended. Returns the rosters by slot."""
+    offered to a node that is offline. A suspended node may be offered one,
+    which renew_ticket refuses, only at a slot that something of its own made
+    due, replayed from the events: slot 0 or the first deadline, a ticket
+    expiry or verification deadline set by a renewal or a missed deadline,
+    the end of one of its offline windows or suspensions, or the slot after a
+    failed bioauth. Returns the rosters by slot."""
     sim = Simulation(cfg)
     _, offline_at = oracle_fault_scan(cfg)
     calendar_roster, renew, rosters = sim.authorized_roster, sim.renew_ticket, []
+    month = cfg.month_slots
+    due: dict[str, set[int]] = {nid: {0, month} for nid in cfg.node_ids}
+    for w in cfg.offline:
+        due[w.node].add(w.to_slot)
+    replayed = 0
 
     def checked(slot: int) -> list[str]:
         roster = calendar_roster(slot)
@@ -481,11 +493,24 @@ def run_checking_roster(cfg: SimConfig) -> tuple[Simulation, list[list[str]]]:
         return roster
 
     def offered(node_id: str, slot: int):
+        nonlocal replayed
         now = slot * cfg.slot_seconds
         assert node_id not in offline_at[slot], f"renewal offered to offline {node_id} at slot {slot}"
-        assert not any(e.node_id == node_id and e.covers(now) for e in sim.blacklist.entries), (
-            f"renewal offered to suspended {node_id} at slot {slot}")
-        return renew(node_id, slot)
+        for e in sim.events[replayed:]:
+            if e.kind == "TicketRenewed":
+                due[e.data["node"]] |= {e.data["expiry_slot"], e.slot + month}
+            elif e.kind == "Slashed" and e.data["kind"] == "MissedMonthlyVerification":
+                due[e.data["node"]].add(e.slot + month)
+        replayed = len(sim.events)
+        entries = [e for e in sim.blacklist.entries if e.node_id == node_id]
+        if any(e.covers(now) for e in entries):
+            ends = {-(-e.ends_at // cfg.slot_seconds) for e in entries if e.ends_at is not None}
+            assert slot in due[node_id] | ends, f"renewal offered to suspended {node_id} at slot {slot} with nothing due"
+        try:
+            return renew(node_id, slot)
+        except netsim.BioauthFailed:
+            due[node_id].add(slot + 1)
+            raise
 
     sim.authorized_roster, sim.renew_ticket = checked, offered
     sim.run()
@@ -621,12 +646,39 @@ class TestGeneratedScenarios:
 
     def test_no_renewal_offered_while_suspended(self):
         """node-01's ticket expires at 20, where it fails bioauth and is
-        suspended until 31: it was offered a renewal at every slot between."""
+        suspended until 31. renew_ticket refuses the retry at 21, which sets
+        no retry of its own: the next offer is at the suspension end, not at
+        every slot between."""
         sim = Simulation(CALENDAR_CONFIG)
         calls, renew = [], sim.renew_ticket
         sim.renew_ticket = lambda node_id, slot: calls.append((slot, node_id)) or renew(node_id, slot)
         sim.run()
-        assert [slot for slot, nid in calls if nid == "node-01" and 20 <= slot <= 31] == [20, 31]
+        assert [slot for slot, nid in calls if nid == "node-01" and 20 <= slot <= 31] == [20, 21, 31]
+
+    def test_one_blacklist_query_per_renewal_offered(self):
+        """_try_renewals leaves the suspension check to renew_ticket, so a
+        renewal offered asks the Blacklist once, not twice."""
+        sim = Simulation(churn_config())
+        ask, renew, try_renewals = sim.blacklist.is_blacklisted, sim.renew_ticket, sim._try_renewals
+        counts, inside = Counter(), []
+
+        def counted_ask(node_id: str, now: int) -> bool:
+            counts["queries"] += bool(inside)
+            return ask(node_id, now)
+
+        def counted_renew(node_id: str, slot: int):
+            counts["offers"] += 1
+            return renew(node_id, slot)
+
+        def renewals(slot: int, woken: list[str]) -> None:
+            inside.append(slot)
+            try_renewals(slot, woken)
+            inside.pop()
+
+        sim.blacklist.is_blacklisted, sim.renew_ticket, sim._try_renewals = counted_ask, counted_renew, renewals
+        sim.run()
+        assert counts["offers"] > 1000
+        assert counts["queries"] == counts["offers"]
 
     def test_calendar_events_fall_inside_the_run(self):
         """Each kind of calendar event changes someone's standing in the run:

@@ -2,7 +2,9 @@
 
 Soundness is exercised statistically: every single-component tamper of a
 valid statement or proof must be rejected. The plaintext oracle for
-aggregation is direct exponent arithmetic.
+aggregation is direct exponent arithmetic; the ciphertext oracle is the old
+fold, oracle_aggregate, which raises every component to the full exponent
+a mod q.
 """
 
 import json
@@ -19,6 +21,7 @@ from bionode.groups import (
     decrypt,
     encrypt_with_nonce,
     generate_params,
+    hom_scalar,
     keygen,
 )
 from bionode.zkp import (
@@ -42,13 +45,52 @@ from bionode.zkp import (
 SMALL = GroupParams(p=23, q=11, g=4)
 # q = 83 keeps exhaustive VSS sweeps cheap; p = 2q+1 = 167
 VSS_GROUP = GroupParams(p=167, q=83, g=4)
+GROUP_64 = generate_params(64, seed=2024)
+GROUP_1024 = generate_params(1024)
+
+
+def oracle_aggregate(params: GroupParams, coefficients, cts) -> tuple[int, int]:
+    """aggregate's old fold: each component to the full exponent a mod q."""
+    p, q = params.p, params.q
+    c = d = 1
+    for a, ct in zip(coefficients, cts):
+        c = c * pow(ct.c, a % q, p) % p
+        d = d * pow(ct.d, a % q, p) % p
+    return c, d
+
+
+def special_components(params: GroupParams) -> list[int]:
+    """1, the non-residues p - 1 and p - g, and values outside 1..p-1."""
+    p = params.p
+    return [1, p - 1, p - params.g, 0, p, p + 1, 2 * p + params.g, -params.g]
+
+
+def special_coefficients(params: GroupParams) -> list[int]:
+    q = params.q
+    return [0, 1, -1, 5, -5, q, -q, q + 1, q - 1, 2 * q - 3]
+
+
+def components(params: GroupParams):
+    """Members, their negatives (non-residues), any of 1..p-1, the specials
+    and values around them."""
+    p = params.p
+    member = st.integers(1, params.q - 1).map(lambda r: pow(params.g, r, p))
+    return st.one_of(
+        member, member.map(lambda c: p - c), st.integers(1, p - 1),
+        st.sampled_from(special_components(params)), st.integers(-2 * p, 3 * p),
+    )
+
+
+def coefficients(params: GroupParams):
+    q = params.q
+    return st.one_of(
+        st.sampled_from(special_coefficients(params)), st.integers(-50, 50), st.integers(-3 * q, 3 * q),
+    )
 
 
 @pytest.fixture(scope="module")
 def group():
-    params = generate_params(64, seed=2024)
-    pair = keygen(params, rng_seed=1)
-    return params, pair
+    return GROUP_64, keygen(GROUP_64, rng_seed=1)
 
 
 class TestVss:
@@ -136,6 +178,40 @@ class TestAggregate:
             )
             y = sum(a * x for a, x in zip(coeffs, xs)) % q
             assert decrypt(params, pair.sk, aggregate(params, statement)) == pow(g, y, p)
+
+
+class TestSignedExponent:
+    """hom_scalar takes a short power and a Legendre symbol where the
+    exponent is near q; it and aggregate must equal the old fold exactly,
+    on any component, in the subgroup or not."""
+
+    @pytest.mark.parametrize("params", [GROUP_64, GROUP_1024], ids=["64", "1024"])
+    def test_special_values(self, params):
+        for x in special_components(params):
+            for k in special_coefficients(params):
+                ct = Ciphertext(c=x, d=params.p - x, params=params)
+                got = hom_scalar(ct, k)
+                assert (got.c, got.d) == oracle_aggregate(params, [k], [ct]), (x, k)
+
+    @pytest.mark.parametrize("params", [GROUP_64, GROUP_1024], ids=["64", "1024"])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_hom_scalar_matches_oracle(self, params, data):
+        ct = Ciphertext(c=data.draw(components(params)), d=data.draw(components(params)), params=params)
+        k = data.draw(coefficients(params))
+        got = hom_scalar(ct, k)
+        assert (got.c, got.d) == oracle_aggregate(params, [k], [ct])
+
+    @pytest.mark.parametrize("params", [GROUP_64, GROUP_1024], ids=["64", "1024"])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_aggregate_matches_oracle(self, params, data):
+        n = data.draw(st.integers(1, 8))
+        cts = tuple(Ciphertext(c=data.draw(components(params)), d=data.draw(components(params)), params=params)
+                    for _ in range(n))
+        coeffs = tuple(data.draw(coefficients(params)) for _ in range(n))
+        agg = aggregate(params, LinearStatement(coefficients=coeffs, input_cts=cts, output_ct=cts[0]))
+        assert (agg.c, agg.d) == oracle_aggregate(params, coeffs, cts)
 
 
 class TestLogEq:
