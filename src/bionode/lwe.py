@@ -14,8 +14,8 @@ F(Q) = sum q_j x^(n-j) place their dot product in the coefficient of x^n
 of the product, with no wrap-around as long as n <= d/2. That is the whole
 trick behind matching encrypted templates with one ciphertext multiply.
 
-Polynomial multiplication is schoolbook; coefficients are Python ints so
-the 60-bit default modulus cannot overflow anything.
+Polynomial multiplication is one big-integer product (Kronecker substitution);
+coefficients are Python ints so the 60-bit default modulus cannot overflow.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from .groups import ParamsMismatch
 
@@ -53,8 +54,16 @@ class LweParams:
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
 
+    @cached_property
+    def _gaussian_table(self) -> tuple[int, tuple[float, ...]]:
+        """Bits per proposal r on [0, 2B], B = int(6*sigma), and P(accept r - B)."""
+        bound = int(6 * self.sigma)
+        two_sigma_sq = 2 * self.sigma * self.sigma
+        accept = tuple(math.exp(-(k * k) / two_sigma_sq) for k in range(-bound, bound + 1))
+        return len(accept).bit_length(), accept
 
-# q chosen prime with q = 1 (mod 2d) so an NTT backend could slot in later.
+
+# q prime, q = 1 (mod 2d); no NTT needs that now, but a new q would move every byte.
 PROFILES = {
     "test-small": LweParams(d=16, q=65537, t=17, sigma=3.0),
     "test-exhaustive": LweParams(d=8, q=549755814449, t=17, sigma=3.0),
@@ -98,29 +107,27 @@ def poly_scale(a: Poly, k: int, q: int) -> Poly:
 
 
 def poly_mul(a: Poly, b: Poly, q: int) -> Poly:
-    """Negacyclic schoolbook product in Z_q[x]/(x^d + 1)."""
+    """Negacyclic product in Z_q[x]/(x^d + 1): the inputs, reduced mod q, are packed
+    w bytes per coefficient, enough for a convolution slot's largest value d*(q-1)^2."""
     d = len(a)
-    acc = [0] * (2 * d)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            acc[i + j] += ai * bj
+    w = (2 * q.bit_length() + d.bit_length() + 7) // 8
+    pa, pb = (int.from_bytes(b"".join((x % q).to_bytes(w, "little") for x in p), "little") for p in (a, b))
+    prod = (pa * pb).to_bytes(2 * d * w, "little")
+    acc = [int.from_bytes(prod[i : i + w], "little") for i in range(0, 2 * d * w, w)]
     return tuple((acc[k] - acc[k + d]) % q for k in range(d))
 
 
-def sample_gaussian(rng: random.Random, sigma: float) -> int:
-    """Discrete Gaussian by rejection from a uniform proposal on [-6s, 6s]."""
-    bound = int(6 * sigma)
-    two_sigma_sq = 2 * sigma * sigma
-    while True:
-        k = rng.randint(-bound, bound)
-        if rng.random() < math.exp(-(k * k) / two_sigma_sq):
-            return k
-
-
 def sample_gaussian_poly(rng: random.Random, params: LweParams) -> Poly:
-    return tuple(sample_gaussian(rng, params.sigma) % params.q for _ in range(params.d))
+    """d discrete Gaussians mod q by rejection from a uniform proposal on [-6s, 6s]; an
+    attempt draws what rng.randint(-B, B) draws (getrandbits until in range), then rng.random()."""
+    (bits, accept), q, d = params._gaussian_table, params.q, params.d
+    n, getrandbits, uniform = len(accept), rng.getrandbits, rng.random
+    out = []
+    while len(out) < d:
+        r = getrandbits(bits)
+        if r < n and uniform() < accept[r]:
+            out.append((r - n // 2) % q)
+    return tuple(out)
 
 
 def sample_uniform_poly(rng: random.Random, params: LweParams) -> Poly:

@@ -379,7 +379,8 @@ class Simulation:
     def _try_renewals(self, slot: int, woken: list[str]) -> None:
         """Offer a renewal to each woken online node whose ticket has expired. One that is
         offline or suspended waits for the end of the window or suspension to wake it;
-        one that fails bioauth is woken next slot."""
+        one that fails bioauth, for the first end of a bioauth-fail window covering the
+        slot (the next slot if none does: a failed encrypted match)."""
         for node_id in woken:
             expiry = self.nodes[node_id].ticket_expiry_slot
             if expiry > slot:
@@ -391,7 +392,8 @@ class Simulation:
                 except Blacklisted:
                     pass
                 except BioauthFailed:
-                    self._wake[slot + 1].add(node_id)
+                    ends = [w.to_slot for w in self._bioauth_fail.get(node_id, ()) if w.from_slot <= slot < w.to_slot]
+                    self._wake[min(ends, default=slot + 1)].add(node_id)
             if expiry == slot > 0:
                 self._emit(slot, "TicketExpired", {"node": node_id})
 

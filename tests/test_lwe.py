@@ -1,17 +1,31 @@
-"""Ring-LWE scheme: round trips, homomorphism, packing, noise headroom.
+"""Ring-LWE scheme: ring products, the Gaussian stream, round trips,
+homomorphism, packing, noise headroom, and the bytes of the default ring.
 
-The plaintext oracle multiplies polynomials with numpy (full convolution,
-then negacyclic fold) -- written independently of the library's pure-int
-schoolbook loop. The exhaustive inner-product sweep covers every pair of
-4-bit vectors.
+Two oracles check poly_mul, both written independently of the library's
+Kronecker-substituted product: oracle_poly_mul, the pure-int schoolbook
+loop, exact at every modulus; and a numpy convolution on centered values,
+which stays inside int64 only for small moduli and also serves as the
+plaintext-ring oracle. randint_sample_gaussian is the rejection sampler as
+first written on rng.randint; the library's sampler must draw the same
+stream. The exhaustive inner-product sweep covers every pair of 4-bit
+vectors.
 """
 
+import contextlib
+import hashlib
+import io
 import itertools
+import json
+import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bionode import cli
 from bionode.groups import ParamsMismatch
 from bionode.lwe import (
     PROFILES,
@@ -29,12 +43,26 @@ from bionode.lwe import (
     lwe_keygen,
     lwe_mul,
     poly_mul,
+    sample_gaussian_poly,
 )
 
+GOLDEN = Path(__file__).parent / "golden"
 TINY = LweParams(d=4, q=12289, t=2, sigma=3.0)
 SMALL = PROFILES["test-small"]
 EXH = PROFILES["test-exhaustive"]
 DEFAULT = PROFILES["default"]
+RINGS = [TINY, *PROFILES.values()]
+
+
+def oracle_poly_mul(a, b, q):
+    """Negacyclic schoolbook product in Z_q[x]/(x^d + 1), on Python ints of
+    any size and sign."""
+    d = len(a)
+    acc = [0] * (2 * d)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            acc[i + j] += ai * bj
+    return tuple((acc[k] - acc[k + d]) % q for k in range(d))
 
 
 def ring_mul_oracle(a, b, modulus, d):
@@ -49,12 +77,78 @@ def ring_mul_oracle(a, b, modulus, d):
     return tuple(int(x) % modulus for x in out)
 
 
+def randint_sample_gaussian(rng, sigma):
+    """Discrete Gaussian by rejection from a uniform proposal on [-6s, 6s],
+    as first written on rng.randint: the random stream the library keeps."""
+    bound = int(6 * sigma)
+    two_sigma_sq = 2 * sigma * sigma
+    while True:
+        k = rng.randint(-bound, bound)
+        if rng.random() < math.exp(-(k * k) / two_sigma_sq):
+            return k
+
+
 def rand_plain(rng, params):
     return tuple(rng.randrange(params.t) for _ in range(params.d))
 
 
+def monomial(d, i):
+    return tuple(int(k == i) for k in range(d))
+
+
+@st.composite
+def ring_operands(draw, reduced=True):
+    """A modulus and two operands of one of RINGS. Coefficients lie in
+    [0, q), or with reduced=False in (-3q, 3q); both lean towards 0 and q - 1,
+    which fill a slot the most."""
+    params = draw(st.sampled_from(RINGS))
+    q = params.q
+    coeff = st.integers(0, q - 1) if reduced else st.integers(-3 * q + 1, 3 * q - 1)
+    poly = st.lists(st.one_of(coeff, st.sampled_from((0, q - 1))), min_size=params.d, max_size=params.d)
+    return q, tuple(draw(poly)), tuple(draw(poly))
+
+
 class TestPolyArithmetic:
-    def test_schoolbook_matches_oracle(self):
+    @settings(max_examples=300, deadline=None)
+    @given(operands=ring_operands())
+    def test_matches_schoolbook_oracle(self, operands):
+        q, a, b = operands
+        assert poly_mul(a, b, q) == oracle_poly_mul(a, b, q)
+
+    @settings(max_examples=200, deadline=None)
+    @given(operands=ring_operands(reduced=False))
+    def test_unreduced_inputs_are_reduced_first(self, operands):
+        """A negative coefficient or one at or above q means the same as its
+        residue mod q."""
+        q, a, b = operands
+        assert poly_mul(a, b, q) == oracle_poly_mul(a, b, q)
+
+    @pytest.mark.parametrize("params", RINGS, ids=lambda p: f"d{p.d}")
+    def test_edge_cases(self, params):
+        d, q = params.d, params.q
+        top = (q - 1,) * d  # every term is (q-1)^2: the largest slot values
+        zero = (0,) * d
+        for a, b in [(top, top), (zero, zero), (zero, top), (top, zero)]:
+            assert poly_mul(a, b, q) == oracle_poly_mul(a, b, q)
+        # (-1)(-1) summed over k + 1 terms at x^k, less d - 1 - k wrapped ones
+        assert poly_mul(top, top, q) == tuple((2 * k + 2 - d) % q for k in range(d))
+        # x^(d-1) * x^(d-1) = x^(2d-2) = -x^(d-2)
+        last = monomial(d, d - 1)
+        assert poly_mul(last, last, q) == tuple(q - 1 if k == d - 2 else 0 for k in range(d))
+
+    @pytest.mark.parametrize("params", RINGS, ids=lambda p: f"d{p.d}")
+    def test_out_of_range_coefficients_do_not_carry(self, params):
+        """Coefficients that overflow a slot unreduced (just below a power
+        of two far above q, or far below zero) are reduced before packing."""
+        d, q = params.d, params.q
+        wide = (2 ** (2 * q.bit_length() + d.bit_length() + 8) - 1,) * d
+        negative = tuple(-q * k - 1 for k in range(d))
+        top = (q - 1,) * d
+        for a in (wide, negative):
+            assert poly_mul(a, top, q) == oracle_poly_mul(a, top, q)
+            assert poly_mul(top, a, q) == poly_mul(top, tuple(x % q for x in a), q)
+
+    def test_matches_numpy_oracle(self):
         rng = random.Random(0)
         for _ in range(200):
             d = rng.choice([4, 8, 16])
@@ -72,6 +166,23 @@ class TestPolyArithmetic:
         xd1 = tuple(1 if i == d - 1 else 0 for i in range(d))
         x1 = tuple(1 if i == 1 else 0 for i in range(d))
         assert poly_mul(xd1, x1, q) == tuple([q - 1] + [0] * (d - 1))
+
+
+class TestGaussianStream:
+    @pytest.mark.parametrize("sigma", [1.0, 3.0, 3.2])
+    def test_same_draws_and_state_as_randint_sampler(self, sigma):
+        """sample_gaussian_poly draws exactly the randint sampler's values and
+        leaves the generator in the same state, so no key, ciphertext or
+        match drawn after it moves. A change to randint inside CPython
+        fails here."""
+        params = LweParams(d=64, q=DEFAULT.q, t=DEFAULT.t, sigma=sigma)
+        for seed in range(60):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            for _ in range(5):
+                want = tuple(randint_sample_gaussian(theirs, sigma) % params.q for _ in range(params.d))
+                assert sample_gaussian_poly(ours, params) == want
+            assert ours.getstate() == theirs.getstate()
+            assert ours.random() == theirs.random()
 
 
 class TestKeygen:
@@ -286,3 +397,36 @@ class TestNoiseCalibration:
                     worst = max(worst, abs(diff) // params.t)
             assert worst * 2 <= budget, f"noise {worst} vs budget {budget}"
 
+
+
+TEMPLATE = "10110100111010010110001101011100"
+
+
+def default_ring_bytes() -> bytes:
+    """keygen, two encryptions, their product and its decrypt_raw at the
+    default profile, then lwe-match stdout for a genuine probe (3 bits off)
+    and an impostor (12 bits off) on seeds 1-3."""
+    keys = lwe_keygen(DEFAULT, rng_seed=2024)
+    rng = random.Random(2025)
+    ct1 = lwe_encrypt(DEFAULT, keys.pk, rand_plain(rng, DEFAULT), rng_seed=1)
+    ct2 = lwe_encrypt(DEFAULT, keys.pk, rand_plain(rng, DEFAULT), rng_seed=2)
+    product = lwe_mul(ct1, ct2)
+    ring = {"sk": keys.sk, "pk": keys.pk, "ct1": ct1.parts, "ct2": ct2.parts,
+            "product": product.parts, "raw": decrypt_raw(DEFAULT, keys.sk, product)}
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        for seed in (1, 2, 3):
+            for flips in (3, 12):
+                probe = "".join(str(int(b) ^ (i < flips)) for i, b in enumerate(TEMPLATE))
+                assert cli.main(["lwe-match", "--template", TEMPLATE, "--probe", probe,
+                                 "--threshold", "14", "--seed", str(seed)]) == 0
+    return json.dumps(ring, sort_keys=True).encode() + stdout.getvalue().encode()
+
+
+class TestGoldenRing:
+    def test_default_ring_matches_golden_hash(self):
+        """Every key, ciphertext and product coefficient at the default
+        profile, and lwe-match output, are pinned under tests/golden/; the
+        match outcome alone would not show a drift in the random stream."""
+        expected = (GOLDEN / "lwe_default.sha256").read_text().strip()
+        assert hashlib.sha256(default_ring_bytes()).hexdigest() == expected

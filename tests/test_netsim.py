@@ -475,8 +475,9 @@ def run_checking_roster(cfg: SimConfig) -> tuple[Simulation, list[list[str]]]:
     which renew_ticket refuses, only at a slot that something of its own made
     due, replayed from the events: slot 0 or the first deadline, a ticket
     expiry or verification deadline set by a renewal or a missed deadline,
-    the end of one of its offline windows or suspensions, or the slot after a
-    failed bioauth. Returns the rosters by slot."""
+    the end of one of its offline windows or suspensions, or the end of a
+    bioauth-fail window covering a failed bioauth (the slot after it if none
+    does). Returns the rosters by slot."""
     sim = Simulation(cfg)
     _, offline_at = oracle_fault_scan(cfg)
     calendar_roster, renew, rosters = sim.authorized_roster, sim.renew_ticket, []
@@ -509,7 +510,8 @@ def run_checking_roster(cfg: SimConfig) -> tuple[Simulation, list[list[str]]]:
         try:
             return renew(node_id, slot)
         except netsim.BioauthFailed:
-            due[node_id].add(slot + 1)
+            ends = {w.to_slot for w in cfg.bioauth_fail if w.node == node_id and w.from_slot <= slot < w.to_slot}
+            due[node_id] |= ends or {slot + 1}
             raise
 
     sim.authorized_roster, sim.renew_ticket = checked, offered
@@ -646,14 +648,38 @@ class TestGeneratedScenarios:
 
     def test_no_renewal_offered_while_suspended(self):
         """node-01's ticket expires at 20, where it fails bioauth and is
-        suspended until 31. renew_ticket refuses the retry at 21, which sets
-        no retry of its own: the next offer is at the suspension end, not at
-        every slot between."""
+        suspended until 31. The retry waits for its bioauth-fail window to end
+        at 30, where renew_ticket refuses it as suspended, which sets no retry
+        of its own: the next offer is at the suspension end, not at every slot
+        between."""
         sim = Simulation(CALENDAR_CONFIG)
         calls, renew = [], sim.renew_ticket
         sim.renew_ticket = lambda node_id, slot: calls.append((slot, node_id)) or renew(node_id, slot)
         sim.run()
-        assert [slot for slot, nid in calls if nid == "node-01" and 20 <= slot <= 31] == [20, 21, 31]
+        assert [slot for slot, nid in calls if nid == "node-01" and 20 <= slot <= 31] == [20, 30, 31]
+
+    def test_failed_bioauth_sleeps_until_its_window_ends(self):
+        """A node that fails bioauth inside a scripted window is offered a
+        renewal again only when its window ends or its own calendar wakes it.
+        On the churn config 8 of the 15 windows see a failure, at a ticket
+        expiry, and two of them one more, at slot 730, the first monthly
+        deadline of every node. Waking the node the slot after each failure
+        made 1,293 failures, up to 563 in one window."""
+        cfg = churn_config()
+        sim = Simulation(cfg)
+        renew, failures = sim.renew_ticket, Counter()
+
+        def counted_renew(node_id: str, slot: int):
+            try:
+                return renew(node_id, slot)
+            except netsim.BioauthFailed:
+                failures.update(w for w in cfg.bioauth_fail
+                                if w.node == node_id and w.from_slot <= slot < w.to_slot)
+                raise
+
+        sim.renew_ticket = counted_renew
+        sim.run()
+        assert sorted(failures.values()) == [1] * 6 + [2] * 2
 
     def test_one_blacklist_query_per_renewal_offered(self):
         """_try_renewals leaves the suspension check to renew_ticket, so a
