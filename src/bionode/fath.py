@@ -5,15 +5,18 @@ When it rises by some fraction r between two periods, supply is minted by
 the same fraction and handed to every balance proportionally (inFath);
 when it falls, supply is burned proportionally (outFath). Balances are
 integers in smallest units and the ratio is an exact rational. The
-scale factor 1 + r is split once into numerator and denominator, so the
-per-account scaling is an integer divmod against that one denominator;
-largest-remainder rounding then makes the new balances sum to the new
-supply exactly.
+scale factor 1 + r is split once into numerator and denominator, so each
+account's scaled balance is an integer floor and remainder against that
+one denominator. Largest-remainder rounding then makes the new balances
+sum to the new supply exactly: the units the floors leave over go to the
+accounts above the remainder cut (the leftover-th largest remainder) and
+then to the accounts tied at it, smallest id first.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -38,7 +41,7 @@ class PeriodStats:
 @dataclass
 class LedgerSnapshot:
     balances: dict[str, int]
-    total_supply: int = field(default=0)
+    total_supply: int | None = None  # None: the sum of the balances
 
     def __post_init__(self):
         total = 0
@@ -46,7 +49,7 @@ class LedgerSnapshot:
             if b < 0:
                 raise ValueError("negative balance")
             total += b
-        if self.total_supply == 0:
+        if self.total_supply is None:
             self.total_supply = total
         if total != self.total_supply:
             raise ValueError("balances do not sum to total supply")
@@ -85,11 +88,13 @@ def rebalance(
 ) -> tuple[LedgerSnapshot, RebalanceOutcome]:
     """Scale every balance by (1 + ratio), conserving the new supply exactly.
 
-    Each account receives floor(balance * (1+ratio)); the units still
-    missing from the rounded new supply go to the accounts with the
-    largest fractional remainders (ties broken by account id), so no dust
-    is created or lost and every account stays within one smallest unit
-    of its exact share.
+    Each account receives floor(balance * (1+ratio)). The units still
+    missing from the rounded new supply go one each to the accounts with
+    the largest fractional remainders, ties broken by account id: every
+    account above the cut (the leftover-th largest remainder) gets one,
+    and the rest go to the accounts whose remainder equals the cut,
+    smallest id first. So no dust is created or lost, and every account
+    stays within one smallest unit of its exact share.
     """
     ratio = Fraction(ratio)
     if ratio <= -1:
@@ -98,26 +103,25 @@ def rebalance(
     num, den = factor.numerator, factor.denominator
     new_supply = _round_half_up(ledger.total_supply * factor)
 
-    # entries are (-rem, acct): every remainder is over the same den, so
-    # ascending order is largest fractional part first, ties by account id
-    floors: dict[str, int] = {}
-    remainders: list[tuple[int, str]] = []
-    for acct, bal in ledger.balances.items():
-        floors[acct], rem = divmod(bal * num, den)
-        remainders.append((-rem, acct))
+    old = ledger.balances
+    floors = [b * num // den for b in old.values()]
+    rems = [b * num % den for b in old.values()]
+    leftover = new_supply - sum(floors)
+    # 0 <= leftover <= the number of non-zero remainders, so the cut is
+    # non-zero; with nothing left over it is den, above every remainder,
+    # so no account is above or tied at it
+    cut = sorted(rems)[-leftover] if leftover else den
+    balances = dict(zip(old, map(operator.add, floors, map(cut.__lt__, rems))))
+    tied = sorted(acct for acct, rem in zip(old, rems) if rem == cut)
+    for acct in tied[: new_supply - sum(balances.values())]:
+        balances[acct] += 1
 
-    leftover = new_supply - sum(floors.values())
-    # 0 <= leftover <= number of accounts by construction
-    remainders.sort()
-    for _, acct in remainders[:leftover]:
-        floors[acct] += 1
-
-    deltas = {acct: floors[acct] - bal for acct, bal in ledger.balances.items()}
+    deltas = dict(zip(old, map(operator.sub, balances.values(), old.values())))
     kind = "inFath" if ratio > 0 else "outFath" if ratio < 0 else "none"
     outcome = RebalanceOutcome(
         kind=kind, ratio=ratio, new_supply=new_supply, per_account_deltas=deltas
     )
-    return LedgerSnapshot(balances=floors, total_supply=new_supply), outcome
+    return LedgerSnapshot(balances=balances, total_supply=new_supply), outcome
 
 
 def run_period(

@@ -1,10 +1,15 @@
 """Rebase arithmetic: the three-period worked example plus conservation,
-proportionality, and composition properties on randomized ledgers."""
+proportionality, and composition properties on randomized ledgers, an
+oracle on exact fractions, and a byte pin of a rebase at scale."""
 
+import hashlib
+import json
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bionode.fath import (
@@ -17,6 +22,8 @@ from bionode.fath import (
     rebalance,
     run_period,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def fraction_rebalance(ledger, ratio):
@@ -81,6 +88,14 @@ class TestRebalance:
         assert outcome.kind == "none"
         assert all(d == 0 for d in outcome.per_account_deltas.values())
 
+    def test_stated_supply_of_zero_is_checked(self):
+        with pytest.raises(ValueError, match="do not sum"):
+            LedgerSnapshot(balances={"a": 5}, total_supply=0)
+        with pytest.raises(ValueError, match="do not sum"):
+            LedgerSnapshot(balances={"a": 5}, total_supply=4)
+        assert LedgerSnapshot(balances={"a": 0}, total_supply=0).total_supply == 0
+        assert LedgerSnapshot(balances={"a": 5}).total_supply == 5
+
     def test_ratio_below_minus_one(self):
         with pytest.raises(RatioBelowNegativeOne):
             rebalance(LedgerSnapshot(balances={"a": 1}), Fraction(-3, 2))
@@ -137,7 +152,8 @@ ratios = st.fractions(
 
 
 class TestMatchesFractionOracle:
-    """Integer divmod against one denominator gives the Fraction results."""
+    """Integer floors and remainders against one denominator, and the
+    remainder cut, give the Fraction results."""
 
     @staticmethod
     def assert_same(balances, ratio):
@@ -146,8 +162,10 @@ class TestMatchesFractionOracle:
         want, want_outcome = fraction_rebalance(ledger, ratio)
         assert new.balances == want.balances
         assert list(new.balances) == list(want.balances)
+        assert list(outcome.per_account_deltas) == list(balances)
         assert new.total_supply == want.total_supply
         assert outcome == want_outcome
+        return new, outcome
 
     @given(balances=ledgers, ratio=ratios)
     @settings(max_examples=300, deadline=None)
@@ -187,6 +205,82 @@ class TestMatchesFractionOracle:
         ledger = LedgerSnapshot(balances={"c": 1, "a": 1, "b": 1, "d": 1})
         new, _ = rebalance(ledger, Fraction(1, 2))
         assert new.balances == {"c": 1, "a": 2, "b": 2, "d": 1}
+
+    @given(
+        names=st.lists(
+            st.text(alphabet="abcdefgh", min_size=1, max_size=4),
+            min_size=3, max_size=40, unique=True,
+        ),
+        tied_balance=st.integers(min_value=1, max_value=10**9),
+        others=st.lists(st.integers(min_value=0, max_value=10**9), max_size=8),
+        ratio=ratios,
+        order=st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_tie_straddles_the_cut_in_shuffled_order(
+        self, names, tied_balance, others, ratio, order
+    ):
+        # most accounts share one balance, so one remainder ties many ways;
+        # some of the tied accounts get a leftover unit and some do not
+        others = others[: len(names) - 2]
+        values = others + [tied_balance] * (len(names) - len(others))
+        order.shuffle(names)
+        balances = dict(zip(names, values))
+        factor = 1 + ratio
+        cut_rem = tied_balance * factor.numerator % factor.denominator
+        new, _ = fraction_rebalance(LedgerSnapshot(balances=balances), ratio)
+        tied = [a for a, b in balances.items()
+                if b * factor.numerator % factor.denominator == cut_rem]
+        awarded = [a for a in tied if new.balances[a] > balances[a] * factor]
+        assume(0 < len(awarded) < len(tied))
+        assert sorted(awarded) == sorted(tied)[: len(awarded)]
+        self.assert_same(balances, ratio)
+
+    @pytest.mark.parametrize(
+        "balances, ratio",
+        [
+            ({"b": 1, "a": 1, "c": 1}, Fraction(1, 10)),  # 3.3 rounds to 3
+            ({"x": 5, "y": 15}, Fraction(1, 5)),  # every remainder is 0
+            ({"a": 0, "b": 0}, Fraction(3, 7)),
+        ],
+    )
+    def test_nothing_left_over(self, balances, ratio):
+        new, _ = self.assert_same(balances, ratio)
+        assert new.balances == {
+            acct: bal * (1 + ratio) // 1 for acct, bal in balances.items()
+        }
+
+    @pytest.mark.parametrize(
+        "balances, ratio",
+        [
+            ({"b": 1, "z": 0, "a": 1, "c": 1}, Fraction(9, 10)),  # 5.7 rounds to 6
+            ({"q": 2, "p": 3, "r": 10}, Fraction(-1, 2)),  # 7.5 rounds half up to 8
+            ({"m": 1, "k": 0, "n": 3}, Fraction(999, 1000)),  # 7.996 rounds to 8
+        ],
+    )
+    def test_every_non_zero_remainder_gets_a_unit(self, balances, ratio):
+        new, _ = self.assert_same(balances, ratio)
+        for acct, bal in balances.items():
+            exact = bal * (1 + ratio)
+            assert new.balances[acct] == -(-exact // 1)  # the ceiling
+
+    @given(
+        balances=st.dictionaries(
+            st.text(alphabet="abcdefgh", min_size=1, max_size=3),
+            st.sampled_from([0, 0, 0, 1, 2, 3, 10**9]),
+            max_size=20,
+        ),
+        ratio=ratios,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_zero_balances(self, balances, ratio):
+        new, _ = self.assert_same(balances, ratio)
+        assert all(new.balances[a] == 0 for a, b in balances.items() if b == 0)
+
+    def test_empty_ledger(self):
+        new, outcome = self.assert_same({}, Fraction(7, 100))
+        assert new.balances == {} and new.total_supply == 0
+        assert outcome.per_account_deltas == {}
 
 
 class TestProperties:
@@ -236,3 +330,31 @@ class TestProperties:
             after = Fraction(new.balances[acct], new.total_supply) if new.total_supply else 0
             if ledger.total_supply and new.total_supply:
                 assert abs(after - before) <= Fraction(n, new.total_supply)
+
+
+def rebase_steps_bytes() -> bytes:
+    """A seeded 20,000-account ledger, ids in random order and a third of
+    the balances drawn from a few shared values (so remainders tie across
+    the cut), rebased by 7/100, then -7/107, then a ratio over a 13-digit
+    denominator; each step's ordered balances and deltas, as JSON lines."""
+    rng = random.Random("fath-rebase-golden")
+    ids = [f"acct-{n:08d}" for n in rng.sample(range(10**8), 20_000)]
+    shared = (0, 1, 3, 100, 10**6 + 7)
+    ledger = LedgerSnapshot(balances={
+        acct: rng.choice(shared) if rng.random() < 1 / 3 else rng.randrange(10**9)
+        for acct in ids
+    })
+    lines = []
+    for ratio in (Fraction(7, 100), Fraction(-7, 107), Fraction(123_456_789_013, 10**12 + 39)):
+        ledger, outcome = rebalance(ledger, ratio)
+        lines.append(json.dumps([list(ledger.balances.items()),
+                                 list(outcome.per_account_deltas.items())]))
+    return "\n".join(lines).encode()
+
+
+class TestGoldenRebase:
+    def test_rebase_at_scale_matches_golden_hash(self):
+        """Every balance and delta of three rebases over 20,000 unsorted
+        accounts is pinned under tests/golden/."""
+        expected = (GOLDEN / "fath_rebase.sha256").read_text().strip()
+        assert hashlib.sha256(rebase_steps_bytes()).hexdigest() == expected
