@@ -44,11 +44,9 @@ class LedgerSnapshot:
     total_supply: int | None = None  # None: the sum of the balances
 
     def __post_init__(self):
-        total = 0
-        for b in self.balances.values():
-            if b < 0:
-                raise ValueError("negative balance")
-            total += b
+        if min(self.balances.values(), default=0) < 0:
+            raise ValueError("negative balance")
+        total = sum(self.balances.values())
         if self.total_supply is None:
             self.total_supply = total
         if total != self.total_supply:

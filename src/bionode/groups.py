@@ -77,10 +77,11 @@ _MODP_1024 = int(
 
 _PINNED_SAFE_PRIMES = {1024: _MODP_1024}
 
+_MILLER_RABIN_ROUNDS = 40  # random witnesses above the deterministic-base range
 _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
 
 
-def is_prime(n: int, rounds: int = 40) -> bool:
+def is_prime(n: int) -> bool:
     """Miller-Rabin primality test (deterministic bases below 3.3e24)."""
     if n < 2:
         return False
@@ -99,7 +100,7 @@ def is_prime(n: int, rounds: int = 40) -> bool:
     else:
         # witnesses derived from n so the test itself stays deterministic
         rng = random.Random(n)
-        bases = [rng.randrange(2, n - 1) for _ in range(rounds)]
+        bases = [rng.randrange(2, n - 1) for _ in range(_MILLER_RABIN_ROUNDS)]
     for a in bases:
         a %= n
         if a < 2:

@@ -85,10 +85,6 @@ class LweCiphertext:
     parts: tuple[Poly, ...]
     params: LweParams
 
-    @property
-    def degree(self) -> int:
-        return len(self.parts) - 1
-
 
 def _zero(d: int) -> Poly:
     return (0,) * d

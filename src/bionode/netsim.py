@@ -13,8 +13,9 @@ or failing bioauth in the fault windows.
 
 Per-slot work follows what changes, not the node count: one calendar maps a
 slot to the nodes to look at then (slot 0, both ends of each offline window,
-ticket expiry, verification deadline, suspension end, the slot after a failed
-bioauth), and what is due is read from the records. Only woken, renewed and
+ticket expiry, verification deadline, suspension end, and after a failed
+bioauth the first end of a bioauth-fail window covering it, or the next slot if
+none does), and what is due is read from the records. Only woken, renewed and
 slashed nodes are offered a renewal or re-checked for the sorted roster.
 
 The loop is single-threaded and consults no ambient clock or entropy:
@@ -170,7 +171,8 @@ class SimConfig:
                 ),
                 governance=doc.get("governance"),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            # OverflowError: an epoch count too large to index a list
             raise ConfigInvalid(str(exc)) from exc
 
     def validate(self) -> None:
@@ -252,7 +254,6 @@ class Simulation:
         self.events: list[SimEvent] = []
         self.blacklist = Blacklist()
         self.dao = Vortex()
-        self._seq = 0
         for node_id in config.node_ids:
             self.nodes[node_id] = NodeState(node_id, verification_deadline_slot=config.month_slots)
             self.dao.register_human_node(node_id, now=0)
@@ -329,8 +330,7 @@ class Simulation:
     # -- event plumbing ----------------------------------------------------
 
     def _emit(self, slot: int, kind: str, data: dict) -> None:
-        self.events.append(SimEvent(slot=slot, seq=self._seq, kind=kind, data=data))
-        self._seq += 1
+        self.events.append(SimEvent(slot=slot, seq=len(self.events), kind=kind, data=data))
 
     def _now(self, slot: int) -> int:
         return slot * self.config.slot_seconds
@@ -506,10 +506,7 @@ class Simulation:
             try:
                 proposal = self.dao.submit_proposal(proposer, ptype, now)
             except TierInsufficient:
-                while self.dao.pending_perpetrations:
-                    nid, kind = self.dao.pending_perpetrations.pop(0)
-                    if nid in self.nodes:
-                        self._slash(nid, kind, slot)
+                self._slash(proposer, PerpetrationKind.MismatchedProposalTypeNoRight, slot)
                 continue
             except vortex.VortexError as exc:
                 raise ConfigInvalid(f"scripted proposal failed: {exc}") from exc

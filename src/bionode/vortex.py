@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-from .slashing import MONTH_SECONDS, PerpetrationKind
+from .slashing import MONTH_SECONDS
 
 WEEK_SECONDS = 604_800
 YEAR_SECONDS = 31_557_600  # 365.25 days
@@ -237,10 +237,8 @@ class Proposal:
     type: ProposalType
     state: ProposalState
     submitted_at: int
-    pool_upvotes: set[str] = field(default_factory=set)
-    pool_downvotes: set[str] = field(default_factory=set)
-    vote_yes: set[str] = field(default_factory=set)
-    vote_no: set[str] = field(default_factory=set)
+    pool: dict[str, bool] = field(default_factory=dict)  # governor -> upvoted
+    votes: dict[str, bool] = field(default_factory=dict)  # governor -> voted yes
     vote_deadline: int | None = None
     resubmit_eligible_at: int | None = None
     approval_count: int = 0
@@ -298,8 +296,6 @@ class Vortex:
         # the InPool proposals in submission order; kept where a proposal
         # enters or leaves the pool, so expire_stale walks only the pool
         self._in_pool: dict[str, Proposal] = {}
-        self.pending_perpetrations: list[tuple[str, PerpetrationKind]] = []
-        self._proposal_seq = 0
         self._governor_count = 0  # records whose role is Governor; kept by _set_role
 
     # -- membership -------------------------------------------------------
@@ -388,9 +384,7 @@ class Vortex:
             # a plain human node proposes with Citizen-level rights
             tier = record.tier if record.role == Role.Governor else Tier.Citizen
         if tier.value < MIN_TIER_FOR_TYPE[ptype].value:
-            self.pending_perpetrations.append(
-                (proposer, PerpetrationKind.MismatchedProposalTypeNoRight)
-            )
+            # a slashable perpetration; the caller that owns the blacklist slashes it
             raise TierInsufficient(f"{tier.name} may not submit {ptype.value}")
         if self._open_count(proposer) >= MAX_OPEN_PROPOSALS:
             raise TooManyOpenProposals(f"{proposer} already has {MAX_OPEN_PROPOSALS} open")
@@ -404,9 +398,8 @@ class Vortex:
                 )
             approval_count = prior.approval_count
 
-        self._proposal_seq += 1
         proposal = Proposal(
-            id=f"hup-{self._proposal_seq}",
+            id=f"hup-{len(self.proposals) + 1}",  # proposals are never removed
             proposer=proposer,
             type=ptype,
             state=ProposalState.InPool,
@@ -428,11 +421,8 @@ class Vortex:
         """
         in_pool = self._in_pool.values()
         fresh = sorted(in_pool, key=lambda p: (-p.submitted_at, p.id))
-        trending = sorted(
-            in_pool,
-            key=lambda p: (-(len(p.pool_upvotes) + len(p.pool_downvotes)), p.id),
-        )
-        popular = sorted(in_pool, key=lambda p: (-len(p.pool_upvotes), p.id))
+        trending = sorted(in_pool, key=lambda p: (-len(p.pool), p.id))
+        popular = sorted(in_pool, key=lambda p: (-sum(p.pool.values()), p.id))
         return {
             "fresh": [p.pseudonym for p in fresh],
             "trending": [p.pseudonym for p in trending],
@@ -458,13 +448,11 @@ class Vortex:
         self.expire_stale(now)
         if proposal.state is not ProposalState.InPool:
             raise ProposalNotActive(f"{proposal_id} is {proposal.state.value}")
-        if governor_id in proposal.pool_upvotes or governor_id in proposal.pool_downvotes:
+        if governor_id in proposal.pool:
             raise DuplicatePoolVote(f"{governor_id} already pool-voted on {proposal_id}")
-        (proposal.pool_upvotes if upvote else proposal.pool_downvotes).add(governor_id)
+        proposal.pool[governor_id] = upvote
         record.active_this_month = True
-        # the duplicate check keeps the two sets disjoint
-        voters = len(proposal.pool_upvotes) + len(proposal.pool_downvotes)
-        if voters >= pool_threshold(self.governor_count()):
+        if len(proposal.pool) >= pool_threshold(self.governor_count()):
             proposal.state = ProposalState.InVote
             proposal.vote_deadline = now + WEEK_SECONDS
             del self._in_pool[proposal.id]
@@ -479,9 +467,9 @@ class Vortex:
             raise ProposalNotActive(f"{proposal_id} is {proposal.state.value}")
         if now >= proposal.vote_deadline:
             raise ProposalNotActive("voting window closed; call tally")
-        if governor_id in proposal.vote_yes or governor_id in proposal.vote_no:
+        if governor_id in proposal.votes:
             raise DuplicateVote(f"{governor_id} already voted on {proposal_id}")
-        (proposal.vote_yes if yes else proposal.vote_no).add(governor_id)
+        proposal.votes[governor_id] = yes
         record.active_this_month = True
         return proposal
 
@@ -492,16 +480,15 @@ class Vortex:
         if now < proposal.vote_deadline:
             raise VotingStillOpen(f"deadline at {proposal.vote_deadline}")
 
-        def power_of(voters: set[str]) -> int:
-            return sum(
-                voting_power(self.governors[v])
-                for v in voters
-                if v in self.governors and self.governors[v].role == Role.Governor
-            )
-
         eligible = self.eligible_power()
-        yes = power_of(proposal.vote_yes)
-        cast = yes + power_of(proposal.vote_no)
+        cast = yes = 0
+        for voter, in_favour in proposal.votes.items():
+            record = self.governors[voter]
+            # a voter who has since delegated or been demoted counts zero
+            power = voting_power(record) if record.role is Role.Governor else 0
+            cast += power
+            if in_favour:
+                yes += power
         quorum_met, approved = decide(eligible, cast, yes)
         if approved:
             proposal.state = ProposalState.Approved

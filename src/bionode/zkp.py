@@ -126,7 +126,8 @@ _CHALLENGE_TAG = b"bionode/logeq/v1"
 
 
 def _challenge(params: GroupParams, g1, h1, g2, h2, A, B) -> int:
-    """Fiat-Shamir challenge bound to the full statement, reduced mod q."""
+    """Fiat-Shamir challenge over the group, the two bases, their images and
+    the commitments A, B, reduced mod q; the statement itself is not hashed."""
     h = hashlib.sha256()
     h.update(_CHALLENGE_TAG)
     for v in (params.p, params.q, params.g, g1, h1, g2, h2, A, B):

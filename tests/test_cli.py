@@ -298,6 +298,7 @@ class TestRunSim:
         {"faults": {"false_transaction": [{"node": "node-01", "slot": -3}]}},
         {"epochs": 2, "fees_per_epoch": [5, 0]},
         {"slot_seconds": 2_630_017},
+        {"epochs": 1e20},  # too large to index a list; nothing is allocated
     ], ids=["validity-text", "validity-zero", "offline-unknown", "false-tx-unknown",
             "empty-window", "overlapping-windows", "faults-list", "crypto-text",
             "crypto-number", "nodes-fraction", "nodes-bool", "fee-fraction",
@@ -305,7 +306,7 @@ class TestRunSim:
             "governors-number", "delegatee-list", "proposal-type-unknown",
             "proposal-number", "proposal-no-proposer", "proposals-number",
             "offline-negative", "bioauth-negative", "false-tx-negative", "fees-fall-to-zero",
-            "slot-over-a-month"])
+            "slot-over-a-month", "epochs-huge"])
     def test_invalid_scenario_exits_one_without_traceback(self, extra, tmp_path, capsys):
         scenario = tmp_path / "s.json"
         doc = {"num_nodes": 3, "slots_per_epoch": 5, "epochs": 1, "fees_per_epoch": 0}

@@ -96,6 +96,12 @@ class TestRebalance:
         assert LedgerSnapshot(balances={"a": 0}, total_supply=0).total_supply == 0
         assert LedgerSnapshot(balances={"a": 5}).total_supply == 5
 
+    def test_negative_balance_is_refused(self):
+        # checked before the sum: these balances do sum to the stated supply
+        with pytest.raises(ValueError, match="negative balance"):
+            LedgerSnapshot(balances={"a": 6, "b": -1}, total_supply=5)
+        assert LedgerSnapshot(balances={}).total_supply == 0
+
     def test_ratio_below_minus_one(self):
         with pytest.raises(RatioBelowNegativeOne):
             rebalance(LedgerSnapshot(balances={"a": 1}), Fraction(-3, 2))

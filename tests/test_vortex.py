@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bionode.slashing import PerpetrationKind
 from bionode.vortex import (
     MONTH_SECONDS,
     POOL_MAX_SECONDS,
@@ -116,9 +115,6 @@ class TestSubmission:
         dao = make_dao(5)
         with pytest.raises(TierInsufficient):
             dao.submit_proposal("g0000", ProposalType.Monetary, now=0)
-        assert dao.pending_perpetrations == [
-            ("g0000", PerpetrationKind.MismatchedProposalTypeNoRight)
-        ]
 
     def test_senator_fee_distribution_allowed(self):
         dao = make_dao(5, tier=Tier.Senator)
@@ -320,6 +316,22 @@ class TestDelegation:
         assert result.eligible_power == 10
         assert result.votes_cast == 7 and result.yes == 7
         assert result.approved
+
+    @pytest.mark.parametrize("leave", ["delegate", "demote"])
+    def test_voter_who_stops_governing_before_the_tally_counts_zero(self, leave):
+        dao = make_dao(10)
+        p = dao.submit_proposal("g0000", ProposalType.Product, now=0)
+        drive_to_vote(dao, p.id)
+        dao.cast_vote("g0000", p.id, True, now=1)
+        dao.cast_vote("g0001", p.id, True, now=1)
+        dao.cast_vote("g0002", p.id, False, now=1)
+        if leave == "delegate":
+            dao.delegate("g0001", "g0003")  # g0003 did not vote: the unit is not cast
+        else:
+            dao.governors["g0001"].active_this_month = False
+            assert "g0001" in dao.monthly_activity_sweep(now=2)
+        result = dao.tally(p.id, now=WEEK_SECONDS)
+        assert result.yes == 1 and result.votes_cast == 2
 
     def test_delegators_cannot_vote_directly(self):
         dao = make_dao(6)
@@ -534,7 +546,7 @@ class TestGovernorCount:
         for i, (voter, up) in enumerate(zip(voters[:needed], ups)):
             assert p.state is ProposalState.InPool
             dao.pool_vote(voter, p.id, upvote=up, now=now)
-            assert len(p.pool_upvotes) + len(p.pool_downvotes) == i + 1
+            assert len(p.pool) == i + 1
         assert p.state is ProposalState.InVote
 
 
