@@ -1,9 +1,9 @@
 """Feature-vector matching, plain and encrypted, plus modality scoring.
 
-Real-valued templates are compared with cosine similarity. For the
-encrypted path templates are binarized, packed into ring polynomials and
-matched with a single homomorphic multiplication (see lwe). Quantization
-bridges real vectors into the integer domain the encryption works in.
+Real-valued templates are compared with cosine similarity on `math` alone;
+the package needs only the standard library. Encrypted templates are
+binarized, packed into ring polynomials and matched with one homomorphic
+multiplication (see lwe); quantization maps real vectors to integers.
 
 CNN shape arithmetic (convolution / pooling output sizes) lives here too
 because template dimensionality is derived from it, as does the weighted
@@ -14,11 +14,10 @@ node.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
-
-import numpy as np
 
 from . import lwe
 
@@ -48,37 +47,41 @@ class FeatureVector:
     normalized: bool = False
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
-        if not np.isfinite(arr).all():
-            raise ValueError("feature vector must be finite")
-        if self.normalized and abs(np.linalg.norm(arr) - 1.0) > 1e-9:
+        (values,) = _floats(self.values)
+        if self.normalized and abs(_norm(values) - 1.0) > 1e-9:
             raise ValueError("vector flagged normalized but has non-unit norm")
 
     @classmethod
     def unit(cls, values) -> "FeatureVector":
-        arr = np.asarray(values, dtype=float)
-        norm = np.linalg.norm(arr)
-        if norm == 0.0:
+        (values,) = _floats(values)
+        if (norm := _norm(values)) == 0.0:
             raise ZeroVector("cannot normalize a zero vector")
-        return cls(values=tuple(float(x) for x in arr / norm), normalized=True)
+        return cls(values=tuple(x / norm for x in values), normalized=True)
 
 
-def _as_array(v) -> np.ndarray:
-    return np.asarray(getattr(v, "values", v), dtype=float)
+def _floats(*vectors) -> list[tuple[float, ...]]:
+    """Inputs as float tuples: DimensionMismatch unless flat and of one length, then finite."""
+    try:
+        out = [tuple(map(float, getattr(v, "values", v))) for v in vectors]
+    except TypeError:  # a scalar, or an element that is itself a sequence
+        out = []
+    if not out or len({len(v) for v in out}) > 1:
+        raise DimensionMismatch("inputs must be flat sequences of numbers, of one length")
+    if not all(math.isfinite(x) for v in out for x in v):
+        raise ValueError("vectors must be finite")
+    return out
+
+
+def _norm(values: tuple[float, ...]) -> float:
+    return math.sqrt(math.fsum(x * x for x in values))
 
 
 def cosine_similarity(a, b) -> float:
     """Dot product over the product of Euclidean norms, in [-1, 1]."""
-    a = _as_array(a)
-    b = _as_array(b)
-    if a.shape != b.shape or a.ndim != 1:
-        raise DimensionMismatch(f"shapes {a.shape} and {b.shape}")
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValueError("vectors must be finite")
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
+    a, b = _floats(a, b)
+    if (norms := _norm(a) * _norm(b)) == 0.0:
         raise ZeroVector("cosine similarity of a zero vector is undefined")
-    return float(np.dot(a, b) / (na * nb))
+    return math.fsum(x * y for x, y in zip(a, b)) / norms
 
 
 def match_decision(score: float, threshold: float) -> MatchResult:
@@ -102,10 +105,7 @@ def quantize(v, scale: int) -> QuantizedVector:
     """
     if isinstance(v, FeatureVector) and not v.normalized:
         raise ValueError("quantization expects a normalized vector")
-    arr = _as_array(v)
-    return QuantizedVector(
-        values=tuple(int(x) for x in np.rint(arr * scale)), scale=scale
-    )
+    return QuantizedVector(values=tuple(round(x * scale) for x in _floats(v)[0]), scale=scale)
 
 
 def dot_q(q1: QuantizedVector, q2: QuantizedVector) -> int:

@@ -88,10 +88,18 @@ def distribute_fees(
 
 
 def _int(value) -> int:
-    """A JSON integer field: a bool or a non-integral number is rejected, not coerced."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """A JSON integer field: a bool, a string or a non-integral number is rejected, not coerced."""
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
         raise ConfigInvalid(f"expected an integer, got {value!r}")
     return int(value)
+
+
+def _node(value) -> str:
+    """A fault's node id: a JSON string, so a list or an object is rejected here."""
+    if not isinstance(value, str):
+        raise ConfigInvalid(f"a fault's node must be a string, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -159,15 +167,15 @@ class SimConfig:
                 fath_period_epochs=_int(doc.get("fath_period_epochs", 1)),
                 crypto_pipeline=crypto_pipeline,
                 offline=tuple(
-                    OfflineWindow(w["node"], _int(w["from_slot"]), _int(w["to_slot"]))
+                    OfflineWindow(_node(w["node"]), _int(w["from_slot"]), _int(w["to_slot"]))
                     for w in faults.get("offline", ())
                 ),
                 bioauth_fail=tuple(
-                    OfflineWindow(w["node"], _int(w["from_slot"]), _int(w["to_slot"]))
+                    OfflineWindow(_node(w["node"]), _int(w["from_slot"]), _int(w["to_slot"]))
                     for w in faults.get("bioauth_fail", ())
                 ),
                 false_transaction=tuple(
-                    (m["node"], _int(m["slot"])) for m in faults.get("false_transaction", ())
+                    (_node(m["node"]), _int(m["slot"])) for m in faults.get("false_transaction", ())
                 ),
                 governance=doc.get("governance"),
             )
@@ -318,11 +326,13 @@ class Simulation:
             for item in gov.get("proposals", ()):
                 if not isinstance(item, dict) or not isinstance(item["proposer"], str):
                     raise ConfigInvalid(f"a proposal must be an object naming its proposer: {item!r}")
-                self._proposals.setdefault(item.get("epoch"), []).append((
-                    item["proposer"], vortex.ProposalType[item["type"]],
-                    _int(item["pool_upvotes"]) if "pool_upvotes" in item else None,
-                    _int(item.get("yes", 0)), _int(item.get("no", 0)),
-                ))
+                upvotes = _int(item["pool_upvotes"]) if "pool_upvotes" in item else None
+                epoch, yes, no = _int(item["epoch"]), _int(item.get("yes", 0)), _int(item.get("no", 0))
+                if min(epoch, yes, no, upvotes or 0) < 0:  # the counts are slice bounds in _run_governance
+                    raise ConfigInvalid(f"a proposal's epoch and vote counts cannot be negative: {item!r}")
+                self._proposals.setdefault(epoch, []).append(
+                    (item["proposer"], vortex.ProposalType[item["type"]], upvotes, yes, no)
+                )
         # TypeError / ValueError: a non-list, unhashable id or a pair of the wrong size
         except (KeyError, TypeError, ValueError, vortex.VortexError) as exc:
             raise ConfigInvalid(f"bad governance section: {exc}") from exc

@@ -76,8 +76,16 @@ class TestCosine:
             assert -1.0 - 1e-12 <= s <= 1.0 + 1e-12
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            cosine_similarity([1, 2], [1, 2, 3])
+        for a, b in [
+            ([1, 2], [1, 2, 3]),
+            ([[1, 2], [3, 4]], [[1, 2], [3, 4]]),  # nested
+            (np.ones((2, 2)), np.ones((2, 2))),
+            (3.0, 3.0),  # scalar
+            (np.float64(3.0), [3.0]),
+            ([float("nan")], [1, 2]),  # length is checked before finiteness
+        ]:
+            with pytest.raises(DimensionMismatch):
+                cosine_similarity(a, b)
 
     def test_zero_vector(self):
         with pytest.raises(ZeroVector):
@@ -108,6 +116,29 @@ class TestQuantization:
     def test_basis_vector(self):
         q = quantize([1.0, 0.0, 0.0], 1000)
         assert q.values == (1000, 0, 0)
+        assert quantize(np.array([1.0, 0.0, 0.0]), 1000) == q
+
+    def test_matches_numpy_rint(self):
+        """round(x * scale) is np.rint on the same float64 product: half to even."""
+        rng = np.random.default_rng(23)
+        for scale in (1000, 2**20, 7):
+            v = rng.normal(size=64)
+            v /= np.linalg.norm(v)
+            assert quantize(v, scale).values == tuple(int(x) for x in np.rint(v * scale))
+        ties = np.arange(-20, 21) / 8  # times 4: every odd k gives an exact .5
+        assert quantize(ties, 4).values == tuple(int(x) for x in np.rint(ties * 4))
+        assert quantize([0.5, 1.5, 2.5, -0.5, -2.5], 1).values == (0, 2, 2, 0, -2)
+
+    @pytest.mark.parametrize("v, error", [
+        ([[1.0, 0.0]], DimensionMismatch),
+        (np.eye(2), DimensionMismatch),
+        (1.0, DimensionMismatch),
+        ([float("inf"), 0.0], ValueError),
+        ([float("nan")], ValueError),
+    ], ids=["nested", "array-2d", "scalar", "inf", "nan"])
+    def test_malformed_input_rejected(self, v, error):
+        with pytest.raises(error):
+            quantize(v, 1000)
 
     def test_orthogonal_quantized_dot(self):
         q1 = quantize([1.0, 0.0], 1000)
@@ -274,6 +305,8 @@ class TestFeatureVector:
         assert fv.normalized
         assert fv.values == pytest.approx((0.6, 0.8))
         assert cosine_similarity(fv, fv) == pytest.approx(1.0)
+        assert FeatureVector.unit(np.array([3.0, 4.0])) == fv
+        assert cosine_similarity(fv, np.array([3.0, 4.0])) == pytest.approx(1.0)
 
     def test_normalized_flag_checked(self):
         from bionode.biometrics import FeatureVector
@@ -286,6 +319,16 @@ class TestFeatureVector:
 
         with pytest.raises(ValueError):
             FeatureVector(values=(float("inf"), 1.0))
+        with pytest.raises(ValueError):
+            FeatureVector.unit([float("nan"), 1.0])
+
+    def test_nested_values_rejected(self):
+        from bionode.biometrics import FeatureVector
+
+        with pytest.raises(DimensionMismatch):
+            FeatureVector(values=((1.0, 0.0),))
+        with pytest.raises(DimensionMismatch):
+            FeatureVector.unit(np.eye(2))
 
     def test_quantize_requires_normalized(self):
         from bionode.biometrics import FeatureVector

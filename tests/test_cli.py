@@ -299,6 +299,16 @@ class TestRunSim:
         {"epochs": 2, "fees_per_epoch": [5, 0]},
         {"slot_seconds": 2_630_017},
         {"epochs": 1e20},  # too large to index a list; nothing is allocated
+        {"governance": {"proposals": [{"epoch": 0, "proposer": "node-01", "type": "Product", "yes": -1}]}},
+        {"governance": {"proposals": [{"epoch": 0, "proposer": "node-01", "type": "Product", "no": -2}]}},
+        {"governance": {"proposals": [{"epoch": 0, "proposer": "node-01", "type": "Product",
+                                       "pool_upvotes": -1}]}},
+        {"governance": {"proposals": [{"proposer": "node-01", "type": "Product"}]}},
+        {"governance": {"proposals": [{"epoch": "0", "proposer": "node-01", "type": "Product"}]}},
+        {"faults": {"offline": [{"node": ["node-01"], "from_slot": 1, "to_slot": 5}]}},
+        {"faults": {"bioauth_fail": [{"node": ["node-01"], "from_slot": 1, "to_slot": 5}]}},
+        {"faults": {"false_transaction": [{"node": {"a": 1}, "slot": 2}]}},
+        {"seed": "5"},
     ], ids=["validity-text", "validity-zero", "offline-unknown", "false-tx-unknown",
             "empty-window", "overlapping-windows", "faults-list", "crypto-text",
             "crypto-number", "nodes-fraction", "nodes-bool", "fee-fraction",
@@ -306,7 +316,10 @@ class TestRunSim:
             "governors-number", "delegatee-list", "proposal-type-unknown",
             "proposal-number", "proposal-no-proposer", "proposals-number",
             "offline-negative", "bioauth-negative", "false-tx-negative", "fees-fall-to-zero",
-            "slot-over-a-month", "epochs-huge"])
+            "slot-over-a-month", "epochs-huge", "proposal-yes-negative",
+            "proposal-no-negative", "proposal-upvotes-negative", "proposal-no-epoch",
+            "proposal-epoch-text", "offline-node-list", "bioauth-node-list",
+            "false-tx-node-object", "seed-text"])
     def test_invalid_scenario_exits_one_without_traceback(self, extra, tmp_path, capsys):
         scenario = tmp_path / "s.json"
         doc = {"num_nodes": 3, "slots_per_epoch": 5, "epochs": 1, "fees_per_epoch": 0}

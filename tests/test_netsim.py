@@ -876,8 +876,16 @@ class TestScriptedGovernance:
         [{"epoch": 9, "proposer": "node-01", "type": "Product", "pool_upvotes": None}],
         [1],
         5,
+        [{"epoch": 9, "proposer": "node-01", "type": "Product", "yes": -1}],
+        [{"epoch": 9, "proposer": "node-01", "type": "Product", "no": -2}],
+        [{"epoch": 9, "proposer": "node-01", "type": "Product", "pool_upvotes": -1}],
+        [{"proposer": "node-01", "type": "Product"}],
+        [{"epoch": "0", "proposer": "node-01", "type": "Product"}],
+        [{"epoch": -1, "proposer": "node-01", "type": "Product"}],
     ], ids=["unknown-type", "no-proposer", "proposer-list", "yes-fraction",
-            "upvotes-null", "entry-number", "proposals-number"])
+            "upvotes-null", "entry-number", "proposals-number", "yes-negative",
+            "no-negative", "upvotes-negative", "epoch-missing", "epoch-text",
+            "epoch-negative"])
     def test_bad_proposal_rejected_before_the_run(self, proposals):
         """Every scripted proposal is checked at setup, also one whose epoch
         the run never reaches."""
