@@ -61,6 +61,8 @@ class FeatureVector:
 
 def _floats(*vectors) -> list[tuple[float, ...]]:
     """Inputs as float tuples: DimensionMismatch unless flat and of one length, then finite."""
+    if any(isinstance(v, (str, bytes, bytearray)) for v in vectors):
+        vectors = ()  # text iterates as its characters, but it is not a vector
     try:
         out = [tuple(map(float, getattr(v, "values", v))) for v in vectors]
     except TypeError:  # a scalar, or an element that is itself a sequence

@@ -58,15 +58,18 @@ def load_quote(path: str | None = None) -> PriceQuote:
         with open(path) as fh:
             text = fh.read()
     doc = json.loads(text)
-    providers = doc["providers"]
-    if not providers:
-        raise ValueError("quote file lists no providers")
-    return PriceQuote(
-        compute_cost_per_tx_usd=max(Decimal(p["compute_usd"]) for p in providers),
-        storage_cost_gb_hour_usd=max(Decimal(p["storage_gb_hour_usd"]) for p in providers),
-        hmnd_per_usd=Decimal(doc["hmnd_per_usd"]),
-        timestamp=doc.get("timestamp", ""),
-    )
+    try:
+        providers = doc["providers"]
+        if not providers:
+            raise ValueError("quote file lists no providers")
+        return PriceQuote(
+            compute_cost_per_tx_usd=max(Decimal(p["compute_usd"]) for p in providers),
+            storage_cost_gb_hour_usd=max(Decimal(p["storage_gb_hour_usd"]) for p in providers),
+            hmnd_per_usd=Decimal(doc["hmnd_per_usd"]),
+            timestamp=doc.get("timestamp", ""),
+        )
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed quote: {exc!r}") from exc
 
 
 def _usd_to_units_ceil(usd: Decimal, hmnd_per_usd: Decimal) -> int:

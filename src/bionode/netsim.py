@@ -523,6 +523,8 @@ class Simulation:
             governors = sorted(
                 nid for nid, r in self.dao.governors.items() if r.role is vortex.Role.Governor
             )
+            if yes + no > len(governors):
+                raise ConfigInvalid(f"a proposal casts {yes + no} votes but there are {len(governors)} governors")
             try:
                 if upvotes is None:
                     upvotes = vortex.pool_threshold(self.dao.governor_count())

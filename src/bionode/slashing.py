@@ -3,8 +3,10 @@
 Each offense kind carries a severity, a base blacklisting period, whether
 repeat offenses escalate, and side effects on the node's standing.
 Escalating kinds start at their base period's rung on the shared ladder
-(0.5, 1, 2, 3, 6, 12, 24, 36, 120, 240 months, forever) and climb one
-rung per repeat of the same kind; an index past the end means forever.
+and climb one rung per repeat of the same kind; past the last rung is
+forever. The table and the ladder are read at import from
+bionode/data/slashing_table.json; a kind or effect the enums do not name
+stops the import.
 
 A month is 30.44 days of simulated time, so periods are exact integer
 second counts.
@@ -12,27 +14,16 @@ second counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import json
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from importlib import resources
 
 
 DAY_SECONDS = 86_400
 MONTH_SECONDS = 2_630_016  # 30.44 days
 FOREVER = "forever"
-
-SCALING_LADDER_MONTHS: tuple[Fraction, ...] = (
-    Fraction(1, 2),
-    Fraction(1),
-    Fraction(2),
-    Fraction(3),
-    Fraction(6),
-    Fraction(12),
-    Fraction(24),
-    Fraction(36),
-    Fraction(120),
-    Fraction(240),
-)
 
 
 class PerpetrationKind(Enum):
@@ -61,60 +52,15 @@ class Perpetration:
     effects: frozenset[Effect]
 
 
+_DOC = json.loads(resources.files("bionode.data").joinpath("slashing_table.json").read_text())
+# the file's ladder ends at "forever", which scaling_ladder returns past the last rung
+SCALING_LADDER_MONTHS: tuple[Fraction, ...] = tuple(map(Fraction, _DOC["ladder_months"][:-1]))
 PERPETRATION_TABLE: dict[PerpetrationKind, Perpetration] = {
     p.kind: p
     for p in (
-        Perpetration(
-            PerpetrationKind.MissedMonthlyVerification,
-            severity=0,
-            base_period_months=Fraction(1, 2),
-            scalable=False,
-            effects=frozenset({Effect.ExcludedFromValidators, Effect.FeesStopped}),
-        ),
-        Perpetration(
-            PerpetrationKind.MismatchedProposalType,
-            severity=1,
-            base_period_months=Fraction(1),
-            scalable=False,
-            effects=frozenset(),
-        ),
-        Perpetration(
-            PerpetrationKind.FailedFormationDelivery,
-            severity=2,
-            base_period_months=Fraction(1),
-            scalable=True,
-            effects=frozenset(),
-        ),
-        Perpetration(
-            PerpetrationKind.Offline48h,
-            severity=2,
-            base_period_months=Fraction(1, 2),
-            scalable=True,
-            effects=frozenset({Effect.Deactivated, Effect.FeesStopped}),
-        ),
-        Perpetration(
-            PerpetrationKind.MismatchedProposalTypeNoRight,
-            severity=3,
-            base_period_months=Fraction(1),
-            scalable=True,
-            effects=frozenset({Effect.Deactivated, Effect.FeesStopped}),
-        ),
-        Perpetration(
-            PerpetrationKind.UptimeBelow91,
-            severity=3,
-            base_period_months=Fraction(1),
-            scalable=True,
-            effects=frozenset(),
-        ),
-        Perpetration(
-            PerpetrationKind.FalseTransaction,
-            severity=5,
-            base_period_months=Fraction(120),
-            scalable=True,
-            effects=frozenset(
-                {Effect.Deactivated, Effect.FeesStopped, Effect.DevotionNullified}
-            ),
-        ),
+        Perpetration(PerpetrationKind(r["kind"]), r["severity"], Fraction(r["base_period_months"]),
+                     r["scalable"], frozenset(map(Effect, r["effects"])))
+        for r in _DOC["perpetrations"]
     )
 }
 
@@ -152,12 +98,7 @@ class BlacklistEntry:
     period_months: object  # Fraction or FOREVER
     effects: frozenset[Effect]
     issued_at: int  # seconds of simulated time
-    ends_at: int | None = field(init=False)  # first second not covered; None: forever
-
-    def __post_init__(self) -> None:
-        months = self.period_months
-        ends_at = None if months == FOREVER else self.issued_at + months_to_seconds(months)
-        object.__setattr__(self, "ends_at", ends_at)
+    ends_at: int | None  # first second not covered; None: forever
 
     def covers(self, now: int) -> bool:
         return self.issued_at <= now and (self.ends_at is None or now < self.ends_at)
@@ -189,15 +130,16 @@ class Blacklist:
         return sum(1 for e in self._by_node.get(node_id, ()) if e.kind == kind)
 
     def slash(self, node_id: str, kind: PerpetrationKind, now: int) -> BlacklistEntry:
-        spec = PERPETRATION_TABLE[kind]
         index = self.offense_count(node_id, kind)
+        months = period_for(kind, index)
         entry = BlacklistEntry(
             node_id=node_id,
             kind=kind,
             offense_index=index,
-            period_months=period_for(kind, index),
-            effects=spec.effects,
+            period_months=months,
+            effects=PERPETRATION_TABLE[kind].effects,
             issued_at=now,
+            ends_at=None if months == FOREVER else now + months_to_seconds(months),
         )
         self.entries.append(entry)
         self._by_node.setdefault(node_id, []).append(entry)

@@ -201,7 +201,6 @@ class GovernorRecord:
     delegations_received: set[str] = field(default_factory=set)
     delegated_to: str | None = None
     active_this_month: bool = False
-    runs_node: bool = True
 
 
 def voting_power(record: GovernorRecord) -> int:
@@ -212,11 +211,11 @@ def voting_power(record: GovernorRecord) -> int:
 def tier_promotion(record: GovernorRecord, now: int) -> Tier:
     """Highest tier whose requirements the record meets right now.
 
-    Every tier needs a running node and an approved proposal; Legate and
-    above additionally need Formation participation; years of governing
-    gate each step.
+    Every tier needs a running node, which registration as a human node
+    implies, and an approved proposal; Legate and above additionally need
+    Formation participation; years of governing gate each step.
     """
-    if not (record.runs_node and record.has_approved_proposal):
+    if not record.has_approved_proposal:
         return record.tier
     years = (now - record.governing_since) // YEAR_SECONDS
     best = record.tier

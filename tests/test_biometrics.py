@@ -83,6 +83,7 @@ class TestCosine:
             (3.0, 3.0),  # scalar
             (np.float64(3.0), [3.0]),
             ([float("nan")], [1, 2]),  # length is checked before finiteness
+            ("12", "34"),  # text, not a vector of its digits
         ]:
             with pytest.raises(DimensionMismatch):
                 cosine_similarity(a, b)
@@ -135,7 +136,8 @@ class TestQuantization:
         (1.0, DimensionMismatch),
         ([float("inf"), 0.0], ValueError),
         ([float("nan")], ValueError),
-    ], ids=["nested", "array-2d", "scalar", "inf", "nan"])
+        ("12", DimensionMismatch),
+    ], ids=["nested", "array-2d", "scalar", "inf", "nan", "text"])
     def test_malformed_input_rejected(self, v, error):
         with pytest.raises(error):
             quantize(v, 1000)

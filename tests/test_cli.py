@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -66,8 +67,16 @@ class TestFeeQuote:
 
     def test_bad_quote_file(self, tmp_path, capsys):
         bad = tmp_path / "quote.json"
-        bad.write_text("{not json")
-        assert run_cli("fee-quote", "--quote", str(bad)) == 1
+        for text in [
+            "{not json",
+            '{"hmnd_per_usd": "1"}',
+            '{"providers": 5, "hmnd_per_usd": "1"}',
+            '{"providers": [{"compute_usd": "1"}], "hmnd_per_usd": "1"}',
+            "[1]",
+        ]:
+            bad.write_text(text)
+            assert run_cli("fee-quote", "--quote", str(bad)) == 1, text
+            assert "Traceback" not in capsys.readouterr().err, text
 
 
 class TestScoreModalities:
@@ -309,6 +318,8 @@ class TestRunSim:
         {"faults": {"bioauth_fail": [{"node": ["node-01"], "from_slot": 1, "to_slot": 5}]}},
         {"faults": {"false_transaction": [{"node": {"a": 1}, "slot": 2}]}},
         {"seed": "5"},
+        {"governance": {"proposals": [{"epoch": 0, "proposer": "node-01", "type": "Product",
+                                       "yes": 3, "no": 1}]}},
     ], ids=["validity-text", "validity-zero", "offline-unknown", "false-tx-unknown",
             "empty-window", "overlapping-windows", "faults-list", "crypto-text",
             "crypto-number", "nodes-fraction", "nodes-bool", "fee-fraction",
@@ -319,7 +330,7 @@ class TestRunSim:
             "slot-over-a-month", "epochs-huge", "proposal-yes-negative",
             "proposal-no-negative", "proposal-upvotes-negative", "proposal-no-epoch",
             "proposal-epoch-text", "offline-node-list", "bioauth-node-list",
-            "false-tx-node-object", "seed-text"])
+            "false-tx-node-object", "seed-text", "proposal-votes-above-roll"])
     def test_invalid_scenario_exits_one_without_traceback(self, extra, tmp_path, capsys):
         scenario = tmp_path / "s.json"
         doc = {"num_nodes": 3, "slots_per_epoch": 5, "epochs": 1, "fees_per_epoch": 0}
@@ -354,15 +365,34 @@ class TestLweMatch:
                        "--threshold", "1") == 1
 
 
+# Written out here, not read from bionode/data/slashing_table.json, so that
+# a wrong row in that file fails the test: kind -> the periods of its first
+# three offenses, and the effects of the first.
+SLASH_LADDERS = {
+    "MissedMonthlyVerification": (["1/2", "1/2", "1/2"], ["ExcludedFromValidators", "FeesStopped"]),
+    "MismatchedProposalType": (["1", "1", "1"], []),
+    "FailedFormationDelivery": (["1", "2", "3"], []),
+    "Offline48h": (["1/2", "1", "2"], ["Deactivated", "FeesStopped"]),
+    "MismatchedProposalTypeNoRight": (["1", "2", "3"], ["Deactivated", "FeesStopped"]),
+    "UptimeBelow91": (["1", "2", "3"], []),
+    "FalseTransaction": (["120", "240", "forever"], ["Deactivated", "DevotionNullified", "FeesStopped"]),
+}
+
+
 class TestSlashDemo:
-    def test_ladder_progression(self, capsys, tmp_path):
+    @pytest.mark.parametrize("kind", SLASH_LADDERS)
+    def test_ladder_progression(self, kind, capsys, tmp_path):
+        periods, effects = SLASH_LADDERS[kind]
         out = tmp_path / "slash.json"
-        assert run_cli("slash-demo", "--kind", "offline48h", "--repeat", "3",
+        assert run_cli("slash-demo", "--kind", kind, "--repeat", "3",
                        "--output", str(out)) == 0
         text = capsys.readouterr().out
-        assert "0.5 months" in text and "1 months" in text and "2 months" in text
+        for i, months in enumerate(periods):
+            label = months if months == "forever" else f"{float(Fraction(months)):g} months"
+            assert f"offense {i + 1}: blacklisted {label}\n" in text
         doc = json.loads(out.read_text())
-        assert [r["period_months"] for r in doc["progression"]] == ["1/2", "1", "2"]
+        assert [r["period_months"] for r in doc["progression"]] == periods
+        assert doc["progression"][0]["effects"] == effects
 
     def test_unknown_kind(self):
         assert run_cli("slash-demo", "--kind", "jaywalking") == 1
