@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
+from numbers import Real
 
 from . import lwe
 
@@ -60,15 +61,17 @@ class FeatureVector:
 
 
 def _floats(*vectors) -> list[tuple[float, ...]]:
-    """Inputs as float tuples: DimensionMismatch unless flat and of one length, then finite."""
+    """Inputs as float tuples: DimensionMismatch unless flat, real, of one length; then finite."""
     if any(isinstance(v, (str, bytes, bytearray)) for v in vectors):
         vectors = ()  # text iterates as its characters, but it is not a vector
     try:
-        out = [tuple(map(float, getattr(v, "values", v))) for v in vectors]
-    except TypeError:  # a scalar, or an element that is itself a sequence
+        out = [tuple(getattr(v, "values", v)) for v in vectors]
+    except TypeError:  # a scalar
         out = []
-    if not out or len({len(v) for v in out}) > 1:
-        raise DimensionMismatch("inputs must be flat sequences of numbers, of one length")
+    real = all(isinstance(x, Real) for v in out for x in v)
+    if not out or len({len(v) for v in out}) > 1 or not real:
+        raise DimensionMismatch("inputs must be flat sequences of real numbers, of one length")
+    out = [tuple(map(float, v)) for v in out]
     if not all(math.isfinite(x) for v in out for x in v):
         raise ValueError("vectors must be finite")
     return out

@@ -4,19 +4,18 @@ The network's value metric per period is the total of fees paid (GNetP).
 When it rises by some fraction r between two periods, supply is minted by
 the same fraction and handed to every balance proportionally (inFath);
 when it falls, supply is burned proportionally (outFath). Balances are
-integers in smallest units and the ratio is an exact rational. The
-scale factor 1 + r is split once into numerator and denominator, so each
-account's scaled balance is an integer floor and remainder against that
-one denominator. Largest-remainder rounding then makes the new balances
-sum to the new supply exactly: the units the floors leave over go to the
-accounts above the remainder cut (the leftover-th largest remainder) and
-then to the accounts tied at it, smallest id first.
+integers in smallest units, and 1 + r is split once into numerator and
+denominator, so each scaled balance is an integer floor and remainder.
+Largest-remainder rounding makes the new balances sum to the new supply
+exactly: the leftover units go to the accounts above the cut (the
+leftover-th largest remainder, read off the sorted remainders), then to
+those tied at it, smallest id first. A rebase builds only the remainders
+and the new balances; the per-account deltas are derived when read.
 """
 
 from __future__ import annotations
 
-import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 
@@ -58,7 +57,13 @@ class RebalanceOutcome:
     kind: str  # "inFath" | "outFath" | "none"
     ratio: Fraction
     new_supply: int
-    per_account_deltas: dict[str, int]
+    old_balances: dict[str, int] = field(compare=False, repr=False)
+    new_balances: dict[str, int] = field(compare=False, repr=False)
+
+    @property
+    def per_account_deltas(self) -> dict[str, int]:
+        """Each account's change, in the old ledger's order; built on each read."""
+        return {a: self.new_balances[a] - b for a, b in self.old_balances.items()}
 
     def to_record(self, period: int) -> dict:
         return {
@@ -77,48 +82,40 @@ def compute_ratio(prev: PeriodStats, curr: PeriodStats) -> Fraction:
     return Fraction(curr.fees_paid - prev.fees_paid, prev.fees_paid)
 
 
-def _round_half_up(x: Fraction) -> int:
-    return (2 * x.numerator + x.denominator) // (2 * x.denominator)
-
-
 def rebalance(
     ledger: LedgerSnapshot, ratio: Fraction
 ) -> tuple[LedgerSnapshot, RebalanceOutcome]:
     """Scale every balance by (1 + ratio), conserving the new supply exactly.
 
-    Each account receives floor(balance * (1+ratio)). The units still
-    missing from the rounded new supply go one each to the accounts with
-    the largest fractional remainders, ties broken by account id: every
-    account above the cut (the leftover-th largest remainder) gets one,
-    and the rest go to the accounts whose remainder equals the cut,
-    smallest id first. So no dust is created or lost, and every account
-    stays within one smallest unit of its exact share.
+    Each account receives floor(balance * (1+ratio)); the units the floors
+    leave over go one each to the largest remainders: every account above
+    the cut (the leftover-th largest remainder, read off the sorted
+    remainders) and then those tied at it, smallest id first. No dust is
+    created or lost, and every account stays within one smallest unit of
+    its exact share. The outcome derives the deltas from the old and new
+    balance maps on each read.
     """
     ratio = Fraction(ratio)
     if ratio <= -1:
         raise RatioBelowNegativeOne(f"ratio {ratio} would wipe out the ledger")
-    factor = 1 + ratio
-    num, den = factor.numerator, factor.denominator
-    new_supply = _round_half_up(ledger.total_supply * factor)
+    num, den = (1 + ratio).as_integer_ratio()
+    new_supply = (2 * ledger.total_supply * num + den) // (2 * den)  # rounded half up
 
     old = ledger.balances
-    floors = [b * num // den for b in old.values()]
     rems = [b * num % den for b in old.values()]
-    leftover = new_supply - sum(floors)
+    # the floors sum to (total * num - sum(rems)) / den exactly
+    leftover = new_supply - (ledger.total_supply * num - sum(rems)) // den
     # 0 <= leftover <= the number of non-zero remainders, so the cut is
     # non-zero; with nothing left over it is den, above every remainder,
     # so no account is above or tied at it
     cut = sorted(rems)[-leftover] if leftover else den
-    balances = dict(zip(old, map(operator.add, floors, map(cut.__lt__, rems))))
+    balances = {acct: b * num // den + (r > cut) for (acct, b), r in zip(old.items(), rems)}
     tied = sorted(acct for acct, rem in zip(old, rems) if rem == cut)
     for acct in tied[: new_supply - sum(balances.values())]:
         balances[acct] += 1
 
-    deltas = dict(zip(old, map(operator.sub, balances.values(), old.values())))
     kind = "inFath" if ratio > 0 else "outFath" if ratio < 0 else "none"
-    outcome = RebalanceOutcome(
-        kind=kind, ratio=ratio, new_supply=new_supply, per_account_deltas=deltas
-    )
+    outcome = RebalanceOutcome(kind, ratio, new_supply, old, balances)
     return LedgerSnapshot(balances=balances, total_supply=new_supply), outcome
 
 
@@ -131,6 +128,6 @@ def run_period(
     except UndefinedBaseline:
         ratio = 0
     if ratio == 0:
-        deltas = dict.fromkeys(ledger.balances, 0)
-        return ledger, RebalanceOutcome("none", Fraction(0), ledger.total_supply, deltas)
+        old = ledger.balances
+        return ledger, RebalanceOutcome("none", Fraction(0), ledger.total_supply, old, old)
     return rebalance(ledger, ratio)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from decimal import ROUND_CEILING, Decimal
+from decimal import ROUND_CEILING, Context, Decimal
 from importlib import resources
 
 
@@ -58,14 +58,21 @@ def load_quote(path: str | None = None) -> PriceQuote:
         with open(path) as fh:
             text = fh.read()
     doc = json.loads(text)
+
+    def price(entry: dict, key: str) -> Decimal:
+        value = Decimal(entry[key], Context(traps=[]))  # malformed text reads as NaN
+        if not value.is_finite():
+            raise ValueError(f"{path or 'quote'}: {key} {entry[key]!r} is not a finite number")
+        return value
+
     try:
         providers = doc["providers"]
         if not providers:
             raise ValueError("quote file lists no providers")
         return PriceQuote(
-            compute_cost_per_tx_usd=max(Decimal(p["compute_usd"]) for p in providers),
-            storage_cost_gb_hour_usd=max(Decimal(p["storage_gb_hour_usd"]) for p in providers),
-            hmnd_per_usd=Decimal(doc["hmnd_per_usd"]),
+            compute_cost_per_tx_usd=max(price(p, "compute_usd") for p in providers),
+            storage_cost_gb_hour_usd=max(price(p, "storage_gb_hour_usd") for p in providers),
+            hmnd_per_usd=price(doc, "hmnd_per_usd"),
             timestamp=doc.get("timestamp", ""),
         )
     except (KeyError, TypeError) as exc:

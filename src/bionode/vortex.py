@@ -236,8 +236,8 @@ class Proposal:
     type: ProposalType
     state: ProposalState
     submitted_at: int
-    pool: dict[str, bool] = field(default_factory=dict)  # governor -> upvoted
-    votes: dict[str, bool] = field(default_factory=dict)  # governor -> voted yes
+    pool: dict[str, bool] = field(default_factory=dict)  # governor -> upvoted, until counted
+    votes: dict[str, bool] = field(default_factory=dict)  # governor -> voted yes, until counted
     vote_deadline: int | None = None
     resubmit_eligible_at: int | None = None
     approval_count: int = 0
@@ -436,6 +436,7 @@ class Vortex:
         for p in expired:
             p.state = ProposalState.Expired
             p.resubmit_eligible_at = now + RESUBMIT_COOLDOWN
+            p.pool.clear()
             del self._in_pool[p.id]
         return expired
 
@@ -489,6 +490,8 @@ class Vortex:
             if in_favour:
                 yes += power
         quorum_met, approved = decide(eligible, cast, yes)
+        proposal.pool.clear()
+        proposal.votes.clear()
         if approved:
             proposal.state = ProposalState.Approved
             proposal.approval_count += 1

@@ -84,6 +84,10 @@ class TestCosine:
             (np.float64(3.0), [3.0]),
             ([float("nan")], [1, 2]),  # length is checked before finiteness
             ("12", "34"),  # text, not a vector of its digits
+            (["1", "2"], ["3", "4"]),  # numeric text elements
+            ([b"1", b"2"], [3, 4]),
+            ([None, 1], [3, 4]),
+            ([np.array([1.0]), 2.0], [3, 4]),  # a one-element array is not a number
         ]:
             with pytest.raises(DimensionMismatch):
                 cosine_similarity(a, b)
@@ -137,7 +141,8 @@ class TestQuantization:
         ([float("inf"), 0.0], ValueError),
         ([float("nan")], ValueError),
         ("12", DimensionMismatch),
-    ], ids=["nested", "array-2d", "scalar", "inf", "nan", "text"])
+        ([" 1e0 ", "0"], DimensionMismatch),
+    ], ids=["nested", "array-2d", "scalar", "inf", "nan", "text", "text-elements"])
     def test_malformed_input_rejected(self, v, error):
         with pytest.raises(error):
             quantize(v, 1000)

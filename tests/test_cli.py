@@ -78,6 +78,22 @@ class TestFeeQuote:
             assert run_cli("fee-quote", "--quote", str(bad)) == 1, text
             assert "Traceback" not in capsys.readouterr().err, text
 
+    @pytest.mark.parametrize("field, value", [
+        ("compute_usd", "x"),
+        ("storage_gb_hour_usd", "Infinity"),
+        ("hmnd_per_usd", "NaN"),
+    ])
+    def test_non_numeric_price_names_field_and_file(self, tmp_path, capsys, field, value):
+        provider = {"compute_usd": "1", "storage_gb_hour_usd": "1"}
+        doc = {"providers": [provider], "hmnd_per_usd": "1"}
+        (provider if field in provider else doc)[field] = value
+        bad = tmp_path / "quote.json"
+        bad.write_text(json.dumps(doc))
+        assert run_cli("fee-quote", "--quote", str(bad)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert field in err and str(bad) in err and "decimal" not in err
+
 
 class TestScoreModalities:
     def test_table_and_output(self, capsys, tmp_path):

@@ -43,10 +43,10 @@ def fraction_rebalance(ledger, ratio):
     remainders.sort(key=lambda pair: (-pair[0], pair[1]))
     for _, acct in remainders[: new_supply - sum(floors.values())]:
         floors[acct] += 1
-    deltas = {acct: floors[acct] - ledger.balances[acct] for acct in ledger.balances}
     kind = "inFath" if ratio > 0 else "outFath" if ratio < 0 else "none"
     outcome = RebalanceOutcome(
-        kind=kind, ratio=ratio, new_supply=new_supply, per_account_deltas=deltas
+        kind=kind, ratio=ratio, new_supply=new_supply,
+        old_balances=ledger.balances, new_balances=floors,
     )
     return LedgerSnapshot(balances=floors, total_supply=new_supply), outcome
 
@@ -127,6 +127,7 @@ class TestRebalance:
         new, outcome = run_period(ledger, PeriodStats(0), PeriodStats(100))
         assert outcome.kind == "none"
         assert new.balances == ledger.balances
+        assert outcome.per_account_deltas == {"a": 0}
 
     def test_single_account_keeps_everything(self):
         ledger = LedgerSnapshot(balances={"only": 12_345})
@@ -171,6 +172,8 @@ class TestMatchesFractionOracle:
         assert list(outcome.per_account_deltas) == list(balances)
         assert new.total_supply == want.total_supply
         assert outcome == want_outcome
+        # == compares kind, ratio and supply; the deltas are derived on read
+        assert outcome.per_account_deltas == want_outcome.per_account_deltas
         return new, outcome
 
     @given(balances=ledgers, ratio=ratios)

@@ -672,3 +672,50 @@ class TestPoolBoards:
         assert boards["popular"][0] == b.pseudonym
         # only pool-state proposals appear
         assert set(boards["fresh"]) == {a.pseudonym, b.pseudonym, c.pseudonym}
+
+
+class TestClosedProposalsDropBallots:
+    """A counted or expired proposal keeps its outcome, not its ballots."""
+
+    @pytest.mark.parametrize("yes, no, state", [
+        (40, 10, ProposalState.Approved),
+        (10, 40, ProposalState.Declined),
+    ])
+    def test_tally(self, yes, no, state):
+        dao = make_dao(100)
+        p = dao.submit_proposal("g0000", ProposalType.Product, now=0)
+        drive_to_vote(dao, p.id)
+        ids = sorted(dao.governors)
+        for v in ids[:yes]:
+            dao.cast_vote(v, p.id, True, now=1)
+        for v in ids[yes : yes + no]:
+            dao.cast_vote(v, p.id, False, now=1)
+        assert len(p.pool) == pool_threshold(100) and len(p.votes) == yes + no
+        dao.tally(p.id, now=WEEK_SECONDS)
+        assert p.pool == {} and p.votes == {}
+        assert p.state is state
+        assert p.approval_count == (state is ProposalState.Approved)
+        if state is ProposalState.Declined:
+            assert p.resubmit_eligible_at == WEEK_SECONDS + 2 * WEEK_SECONDS
+            again = dao.submit_proposal(
+                "g0000", ProposalType.Product, now=p.resubmit_eligible_at, resubmit_of=p.id
+            )
+            assert again.state is ProposalState.InPool and again.approval_count == 0
+        else:
+            assert p.resubmit_eligible_at is None
+
+    def test_expire_stale(self):
+        dao = make_dao(100)
+        p = dao.submit_proposal("g0000", ProposalType.Product, now=0)
+        dao.pool_vote("g0001", p.id, True, now=1)
+        dao.pool_vote("g0002", p.id, False, now=1)
+        late = 2 * WEEK_SECONDS + 1
+        assert dao.expire_stale(now=late) == [p]
+        assert p.pool == {} and p.votes == {}
+        assert p.state is ProposalState.Expired
+        assert p.approval_count == 0
+        assert p.resubmit_eligible_at == late + 2 * WEEK_SECONDS
+        again = dao.submit_proposal(
+            "g0000", ProposalType.Product, now=p.resubmit_eligible_at, resubmit_of=p.id
+        )
+        assert again.state is ProposalState.InPool
