@@ -16,7 +16,6 @@ import dataclasses
 import json
 import random
 import sys
-from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -100,9 +99,9 @@ def cmd_fee_quote(args) -> int:
         quote = fees.load_quote(args.quote)
         breakdown = fees.quote_transaction(
             quote,
-            Decimal(args.size_gb),
+            fees.parse_finite(args.size_gb, "--size-gb"),
             args.validators,
-            Decimal(args.decline),
+            fees.parse_finite(args.decline, "--decline"),
         )
     except (OSError, json.JSONDecodeError, ValueError, ArithmeticError,
             fees.DeclineOutOfRange) as exc:

@@ -50,6 +50,14 @@ class FeeBreakdown:
     data_size_gb: Decimal
 
 
+def parse_finite(text, name: str) -> Decimal:
+    """Decimal(text), or a ValueError naming name when text is not a finite number."""
+    value = Decimal(text, Context(traps=[]))  # malformed text reads as NaN
+    if not value.is_finite():
+        raise ValueError(f"{name}: {text!r} is not a finite number")
+    return value
+
+
 def load_quote(path: str | None = None) -> PriceQuote:
     """Read a provider quote file; the highest quoted prices win."""
     if path is None:
@@ -60,10 +68,7 @@ def load_quote(path: str | None = None) -> PriceQuote:
     doc = json.loads(text)
 
     def price(entry: dict, key: str) -> Decimal:
-        value = Decimal(entry[key], Context(traps=[]))  # malformed text reads as NaN
-        if not value.is_finite():
-            raise ValueError(f"{path or 'quote'}: {key} {entry[key]!r} is not a finite number")
-        return value
+        return parse_finite(entry[key], f"{path or 'quote'}: {key}")
 
     try:
         providers = doc["providers"]

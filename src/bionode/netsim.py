@@ -460,20 +460,24 @@ class Simulation:
     # -- per-epoch mechanics ---------------------------------------------------
 
     def _check_uptime(self, slot: int) -> None:
+        """Slash each node whose uptime in the epoch ending at slot is under the floor.
+        Only nodes with an offline window are walked: any other node was up all epoch."""
         spe, offline = self.config.slots_per_epoch, Counter()
         for w in self.config.offline:  # each window's overlap with the epoch ending at slot
             offline[w.node] += max(0, min(w.to_slot, slot + 1) - max(w.from_slot, slot + 1 - spe))
-        for node_id in self.nodes:
+        for node_id in sorted(offline):  # ids sort in node order
             if (spe - offline[node_id]) / spe < UPTIME_FLOOR:
                 self._slash(node_id, PerpetrationKind.UptimeBelow91, slot)
 
     def _distribute_fees(self, epoch: int, slot: int) -> None:
+        """Split the epoch's fees among the nodes whose fees are not stopped, in node
+        order. The Blacklist is asked only about nodes with an entry; the rest are paid."""
         total = self.config.fees_per_epoch[epoch]
         self._current_period_fees += total
         if total == 0:
             return
-        now = self._now(slot)
-        eligible = sorted(nid for nid in self.nodes if not self.blacklist.fees_stopped(nid, now))
+        now, listed = self._now(slot), {e.node_id for e in self.blacklist.entries}
+        eligible = [nid for nid in self.nodes if nid not in listed or not self.blacklist.fees_stopped(nid, now)]
         balances, vault_delta, distributed = distribute_fees(
             total, eligible, self.ledger.balances
         )

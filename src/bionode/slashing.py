@@ -150,7 +150,7 @@ class Blacklist:
 
     def fees_stopped(self, node_id: str, now: int) -> bool:
         return any(
-            Effect.FeesStopped in e.effects and e.covers(now)
+            e.covers(now) and Effect.FeesStopped in e.effects  # covers first: hashing an Enum is slow
             for e in self._by_node.get(node_id, ())
         )
 

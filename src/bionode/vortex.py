@@ -161,9 +161,8 @@ TIERS_REQUIRING_FORMATION = {Tier.Legate, Tier.Consul}
 
 
 def ceil_share(share: Fraction, count: int) -> int:
-    """ceil(share * count) on exact rationals."""
-    x = share * count
-    return -((-x.numerator) // x.denominator)
+    """ceil(share * count) in integers, without building a Fraction per call."""
+    return -(-share.numerator * count // share.denominator)
 
 
 def pool_threshold(governor_count: int) -> int:

@@ -94,6 +94,12 @@ class TestFeeQuote:
         assert err.startswith("error: ") and "Traceback" not in err
         assert field in err and str(bad) in err and "decimal" not in err
 
+    @pytest.mark.parametrize("option", ["--size-gb", "--decline"])
+    @pytest.mark.parametrize("value", ["x", "nan", "inf"])
+    def test_non_finite_option_names_option_and_value(self, capsys, option, value):
+        assert run_cli("fee-quote", option, value) == 1
+        assert capsys.readouterr().err == f"error: {option}: {value!r} is not a finite number\n"
+
 
 class TestScoreModalities:
     def test_table_and_output(self, capsys, tmp_path):

@@ -8,12 +8,16 @@ of every offline window, the simulator's old fault loop kept as an oracle,
 every slot's renewals against the nodes whose ticket had expired and that
 were online, unsuspended and passing bioauth, and every slot's authorized
 roster against a full scan of all nodes, the simulator's old roster build,
-on the generated and the golden scenarios. No renewal may be offered to a
-node that is offline, nor to a suspended one at a slot where nothing on its
-own record wakes it. A 300-node run in the shape of the sim-churn benchmark
-has its event-log and report SHA-256s pinned.
+on the generated and the golden scenarios. Every fee split is checked
+against a scan that asks the Blacklist about every node, the simulator's
+old eligibility loop, and may ask the Blacklist itself only about nodes
+that have an entry. No renewal may be offered to a node that is offline,
+nor to a suspended one at a slot where nothing on its own record wakes
+it. A 300-node run in the shape of the sim-churn benchmark has its
+event-log and report SHA-256s pinned.
 """
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -724,6 +728,90 @@ class TestGeneratedScenarios:
             "Offline48h", "MissedMonthlyVerification"]
         # offline from 5, suspended from 6; back at 17 with no event of its own
         assert ["node-02" in r for r in rosters[4:18]] == [True] + [False] * 12 + [True]
+
+
+# Fee-stopping suspensions of half a month (10 slots) that end inside the run:
+# node-02 is offline over 48 hours at slot 6 (suspended until 17); at 20
+# node-01, inside a bioauth-fail window, and node-02, still suspended by its
+# UptimeBelow91 of slot 9, miss their monthly deadline (suspended until 31).
+# Each is left out of a fee split and paid again at the next.
+FEE_RESUME_CONFIG = small_config(
+    slot_seconds=MONTH_SECONDS // 20, slots_per_epoch=10, epochs=4, fees_per_epoch=(980,) * 4,
+    bioauth_fail=(OfflineWindow("node-01", 15, 30),), offline=(OfflineWindow("node-02", 5, 8),),
+)
+
+
+def check_fee_splits(sim: Simulation) -> list[list[str]]:
+    """Check each epoch's fee split against the simulator's old eligibility
+    scan, which asks the Blacklist about every node: the event's recipient
+    count and the new balances must be those of distribute_fees over that
+    roster. Returns the oracle roster of each split that pays out."""
+    split, rosters = sim._distribute_fees, []
+
+    def checked(epoch: int, slot: int) -> None:
+        now, before, total = slot * sim.config.slot_seconds, sim.ledger.balances, sim.config.fees_per_epoch[epoch]
+        roster = sorted(nid for nid in sim.nodes if not sim.blacklist.fees_stopped(nid, now))
+        split(epoch, slot)
+        if total:
+            rosters.append(roster)
+            assert sim.events[-1].data["recipients"] == len(roster), f"recipients at epoch {epoch}"
+            assert sim.ledger.balances == netsim.distribute_fees(total, roster, before)[0], f"payouts at epoch {epoch}"
+
+    sim._distribute_fees = checked
+    return rosters
+
+
+def fees_stopped_queries(cfg: SimConfig) -> list[int]:
+    """Run cfg and count the Blacklist.fees_stopped queries of each fee split,
+    checking that each asks about a node at most once and only about nodes
+    that have an entry."""
+    sim = Simulation(cfg)
+    ask, split, counts = sim.blacklist.fees_stopped, sim._distribute_fees, []
+
+    def counted_split(epoch: int, slot: int) -> None:
+        listed, asked = {e.node_id for e in sim.blacklist.entries}, []
+        sim.blacklist.fees_stopped = lambda node_id, now: asked.append(node_id) or ask(node_id, now)
+        split(epoch, slot)
+        sim.blacklist.fees_stopped = ask
+        assert len(asked) == len(set(asked)), f"a node asked twice at epoch {epoch}"
+        assert set(asked) <= listed, f"a node without an entry asked at epoch {epoch}"
+        counts.append(len(asked))
+
+    sim._distribute_fees = counted_split
+    sim.run()
+    return counts
+
+
+class TestEpochClose:
+    @settings(max_examples=100, deadline=None)
+    @given(cfg=scenarios())
+    @example(cfg=FEE_RESUME_CONFIG)
+    @example(cfg=churn_config())
+    def test_fee_recipients_and_uptime_slashes_match_oracles(self, cfg):
+        sim = Simulation(cfg)
+        rosters = check_fee_splits(sim)
+        sim.run()
+        assert len(rosters) == sum(1 for e in sim.events if e.kind == "FeesDistributed")
+        uptime = [(e.slot, e.data["node"], e.data["kind"]) for e in sim.events
+                  if e.kind == "Slashed" and e.data["kind"] == "UptimeBelow91"]
+        assert uptime == [s for s in oracle_fault_scan(cfg)[0] if s[2] == "UptimeBelow91"]
+
+    def test_suspended_node_is_paid_again_after_its_suspension(self):
+        sim = Simulation(FEE_RESUME_CONFIG)
+        rosters = check_fee_splits(sim)
+        sim.run()
+        everyone = FEE_RESUME_CONFIG.node_ids
+        assert rosters == [["node-00", "node-01"], everyone, ["node-00"], everyone]
+
+    def test_fee_split_asks_only_about_listed_nodes(self):
+        """At most one fees_stopped query per node with an entry, per epoch
+        close: the churn run has 300 nodes but asks about far fewer."""
+        counts = fees_stopped_queries(churn_config())
+        assert len(counts) == 34 and 0 < max(counts) < 300
+
+    def test_fault_free_run_never_asks_the_blacklist_about_fees(self):
+        cfg = dataclasses.replace(netsim.load_scenario(str(SCENARIOS / "honest.json")), crypto_pipeline=False)
+        assert fees_stopped_queries(cfg) == [0] * cfg.epochs
 
 
 class TestGoldenScenarios:

@@ -5,13 +5,19 @@ decision procedure for every eligible-power value in a dense range and
 spot-checked beyond.
 """
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bionode.vortex import (
+    APPROVAL_SHARE,
     MONTH_SECONDS,
     POOL_MAX_SECONDS,
+    POOL_SHARE,
+    QUORUM_SHARE,
+    VETO_SHARE,
     AlreadyRegistered,
     WEEK_SECONDS,
     YEAR_SECONDS,
@@ -77,6 +83,12 @@ class TestThresholds:
 
     def test_pool_threshold_100(self):
         assert pool_threshold(100) == 22
+
+    @pytest.mark.parametrize("share", [POOL_SHARE, QUORUM_SHARE, APPROVAL_SHARE, VETO_SHARE])
+    def test_ceil_share_is_the_fraction_ceiling(self, share):
+        """The integer ceiling equals math.ceil on the exact rational, negative counts included."""
+        counts = range(-50, 5001)
+        assert [ceil_share(share, n) for n in counts] == [math.ceil(share * n) for n in counts]
 
     def test_decide_cases_from_formula(self):
         assert decide(100, 33, 22) == (True, True)
