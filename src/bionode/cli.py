@@ -241,6 +241,9 @@ def cmd_slash_demo(args) -> int:
         print(f"error: unknown perpetration kind {args.kind!r}; one of "
               f"{sorted(_KIND_ALIASES)}", file=sys.stderr)
         return EXIT_USAGE
+    if args.repeat < 1:
+        print("error: --repeat must be at least 1", file=sys.stderr)
+        return EXIT_USAGE
     blacklist = slashing.Blacklist()
     spec = slashing.PERPETRATION_TABLE[kind]
     print(f"{kind.value}: severity {spec.severity}, scalable {spec.scalable}")

@@ -7,14 +7,17 @@ when it falls, supply is burned proportionally (outFath). Balances are
 integers in smallest units, and 1 + r is split once into numerator and
 denominator, so each scaled balance is an integer floor and remainder.
 Largest-remainder rounding makes the new balances sum to the new supply
-exactly: the leftover units go to the accounts above the cut (the
-leftover-th largest remainder, read off the sorted remainders), then to
-those tied at it, smallest id first. A rebase builds only the remainders
-and the new balances; the per-account deltas are derived when read.
+exactly. With the cut the leftover-th largest sorted remainder, one floor
+per account, (b*num + den-1-cut) // den, carries exactly when the
+remainder is above the cut; a bisect of the sorted remainders counts the
+units left for those tied at it, smallest id first. A rebase builds only
+the remainders and the new balances; after that dict, the sort is its
+largest part. The per-account deltas are derived when read.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -87,13 +90,12 @@ def rebalance(
 ) -> tuple[LedgerSnapshot, RebalanceOutcome]:
     """Scale every balance by (1 + ratio), conserving the new supply exactly.
 
-    Each account receives floor(balance * (1+ratio)); the units the floors
-    leave over go one each to the largest remainders: every account above
-    the cut (the leftover-th largest remainder, read off the sorted
-    remainders) and then those tied at it, smallest id first. No dust is
-    created or lost, and every account stays within one smallest unit of
-    its exact share. The outcome derives the deltas from the old and new
-    balance maps on each read.
+    Each account receives floor(balance * (1+ratio)), plus one unit if its
+    remainder is above the cut or, smallest id first, is tied at it while
+    leftover units remain (see the module docstring). No dust is created or
+    lost, and every account stays within one smallest unit of its exact
+    share. The outcome derives the deltas from the old and new balance maps
+    on each read.
     """
     ratio = Fraction(ratio)
     if ratio <= -1:
@@ -106,12 +108,15 @@ def rebalance(
     # the floors sum to (total * num - sum(rems)) / den exactly
     leftover = new_supply - (ledger.total_supply * num - sum(rems)) // den
     # 0 <= leftover <= the number of non-zero remainders, so the cut is
-    # non-zero; with nothing left over it is den, above every remainder,
-    # so no account is above or tied at it
-    cut = sorted(rems)[-leftover] if leftover else den
-    balances = {acct: b * num // den + (r > cut) for (acct, b), r in zip(old.items(), rems)}
+    # non-zero; with nothing left over it is den, above every remainder
+    ranked = sorted(rems)
+    cut = ranked[-leftover] if leftover else den
+    owed = leftover - len(ranked) + bisect_right(ranked, cut)  # to those tied at the cut
+    del ranked  # not held while the new balances are built (peak memory)
+    offset = den - 1 - cut if leftover else 0  # carries exactly when rem > cut
+    balances = {acct: (b * num + offset) // den for acct, b in old.items()}
     tied = sorted(acct for acct, rem in zip(old, rems) if rem == cut)
-    for acct in tied[: new_supply - sum(balances.values())]:
+    for acct in tied[:owed]:
         balances[acct] += 1
 
     kind = "inFath" if ratio > 0 else "outFath" if ratio < 0 else "none"

@@ -419,6 +419,13 @@ class TestSlashDemo:
     def test_unknown_kind(self):
         assert run_cli("slash-demo", "--kind", "jaywalking") == 1
 
+    @pytest.mark.parametrize("repeat", ["-1", "0"])
+    def test_repeat_below_one_exits_one(self, repeat, capsys):
+        assert run_cli("slash-demo", "--kind", "Offline48h", "--repeat", repeat) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: --repeat must be at least 1\n"
+        assert captured.out == ""
+
 
 class TestExitCodes:
     def test_invariant_violation_maps_to_two(self, monkeypatch, tmp_path):

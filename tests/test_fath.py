@@ -102,6 +102,19 @@ class TestRebalance:
             LedgerSnapshot(balances={"a": 6, "b": -1}, total_supply=5)
         assert LedgerSnapshot(balances={}).total_supply == 0
 
+    @pytest.mark.parametrize("change", [
+        lambda bal: bal.update(b=bal["b"] + 1),  # one balance raised
+        lambda bal: bal.update(b=-1),  # one made negative
+        lambda bal: bal.update(d=50),  # one account added
+    ], ids=["raised", "negative", "added"])
+    def test_ledger_changed_after_it_was_built_is_refused(self, change):
+        # balances is a mutable dict: the result's own check is what
+        # catches a ledger edited after its snapshot was validated
+        ledger = LedgerSnapshot(balances={"a": 100, "b": 200, "c": 300, "e": 7})
+        change(ledger.balances)
+        with pytest.raises(ValueError):
+            rebalance(ledger, Fraction(7, 100))
+
     def test_ratio_below_minus_one(self):
         with pytest.raises(RatioBelowNegativeOne):
             rebalance(LedgerSnapshot(balances={"a": 1}), Fraction(-3, 2))
@@ -250,6 +263,8 @@ class TestMatchesFractionOracle:
         [
             ({"b": 1, "a": 1, "c": 1}, Fraction(1, 10)),  # 3.3 rounds to 3
             ({"x": 5, "y": 15}, Fraction(1, 5)),  # every remainder is 0
+            ({"y": 30, "x": 12, "z": 0}, Fraction(-5, 6)),  # den 6 divides every balance
+            ({"b": 4, "a": 7, "c": 0}, Fraction(2)),  # an integer ratio: den == 1
             ({"a": 0, "b": 0}, Fraction(3, 7)),
         ],
     )
@@ -285,6 +300,20 @@ class TestMatchesFractionOracle:
     def test_zero_balances(self, balances, ratio):
         new, _ = self.assert_same(balances, ratio)
         assert all(new.balances[a] == 0 for a, b in balances.items() if b == 0)
+
+    @given(
+        b=st.integers(min_value=0, max_value=10**15),
+        num=st.integers(min_value=1, max_value=10**13),
+        den_cut=st.integers(min_value=1, max_value=10**13).flatmap(
+            lambda den: st.tuples(st.just(den), st.integers(min_value=0, max_value=den - 1))
+        ),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_offset_floor_carries_exactly_above_the_cut(self, b, num, den_cut):
+        # the one floor per account that rebalance takes in place of the
+        # floor, the remainder and the compare with the cut
+        den, cut = den_cut
+        assert (b * num + den - 1 - cut) // den == b * num // den + (b * num % den > cut)
 
     def test_empty_ledger(self):
         new, outcome = self.assert_same({}, Fraction(7, 100))
