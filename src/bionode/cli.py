@@ -142,14 +142,19 @@ def cmd_score_modalities(args) -> int:
 # -- prove-linear / verify-linear ------------------------------------------
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip() != ""]
+def _parse_ints(text: str, name: str):
+    """The comma-separated integers of text, skipping blank entries; a bad one names name."""
+    for x in filter(str.strip, text.split(",")):
+        try:
+            yield int(x)
+        except ValueError:
+            raise ValueError(f"{name}: {x!r} is not an integer") from None
 
 
 def cmd_prove_linear(args) -> int:
     try:
-        inputs = _parse_int_list(args.inputs)
-        coeffs = _parse_int_list(args.coeffs)
+        inputs = list(_parse_ints(args.inputs, "--inputs"))
+        coeffs = list(_parse_ints(args.coeffs, "--coeffs"))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -17,13 +17,13 @@ and pays a short power and a Jacobi symbol instead of a full-size power.
 
 Powers of a fixed base (the generator, a public key) go through a Lim-Lee comb
 (fixed_base_pow; C. H. Lim and P. J. Lee, "More Flexible Exponentiation with
-Precomputation", CRYPTO 1994). The exponent is cut into 8 rows; row i, bit k
-holds exponent bit i*a + k. The comb table holds, for each of two column
-blocks and each byte u, the product of the bases' row powers that u selects,
-so one squaring and two table multiplications consume a whole column of 8
-bits: a 1024-bit power takes 64 squarings and up to 128 multiplications
-instead of about 1200. A table holds 512 elements (~90 KB at 1024 bits), is
-built on first use for its (base, p), and comb_table keeps the last four.
+Precomputation", CRYPTO 1994) of 8 rows and 4 column blocks of b bits; row i,
+bit k holds exponent bit 4b*i + k. Table j holds, for each byte u, the product
+of the row powers of block j that u selects, so a 1024-bit power takes 32
+squarings and up to 128 multiplications instead of about 1200. The tables of
+a (base, p) hold 1,024 elements (~171 KB at 1024 bits) and cost about 990
+squarings and 1,020 multiplications, paid on first use; comb_table keeps the
+tables of the last four bases.
 
 params_doc / read_params_doc are the codec of the params document {"p", "q",
 "g", "pk"}; a key file adds "sk". Reading builds the group, so checks it, and
@@ -131,13 +131,14 @@ def jacobi(a: int, n: int) -> int:
     return sign if n == 1 else 0
 
 
-# Lim-Lee comb shape: _COMB_ROWS rows of the exponent, each cut into two
-# blocks of _comb_block(p) bits; a column of the comb is one index byte.
+# Lim-Lee comb shape: _COMB_ROWS rows of the exponent, each cut into _COMB_BLOCKS
+# blocks of _comb_block(p) bits; a column of a block is one index byte.
 _COMB_ROWS = 8
+_COMB_BLOCKS = 4
 
 
 def _comb_block(p: int) -> int:
-    return -(-p.bit_length() // (2 * _COMB_ROWS))
+    return -(-p.bit_length() // (_COMB_BLOCKS * _COMB_ROWS))
 
 
 # Turns the '0'/'1' digits of row i into the bytes 0 / 2^i.
@@ -145,33 +146,33 @@ _ROW_BITS = [bytes.maketrans(b"01", bytes([0, 1 << i])) for i in range(_COMB_ROW
 
 
 @functools.lru_cache(maxsize=4)
-def comb_table(base: int, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The two comb tables of `base` mod p.
+def comb_table(base: int, p: int) -> tuple[tuple[int, ...], ...]:
+    """The 4 comb tables of `base` mod p, 256 entries each (8 rows x 4 blocks).
 
-    With block width b = _comb_block(p) and row width a = 2b, entry u of
+    With block width b = _comb_block(p) and row width a = 4b, entry u of
     table j is the product of base^(2^(i*a + j*b)) over the bits i set in u.
     """
     b = _comb_block(p)
-    # base^(2^(k*b)) for k < 16; row i of block j is k = 2i + j
+    # base^(2^(k*b)) for k < 32; row i of block j is k = 4i + j
     powers = [base % p]
-    for _ in range(2 * _COMB_ROWS - 1):
+    for _ in range(_COMB_BLOCKS * _COMB_ROWS - 1):
         powers.append(pow(powers[-1], 1 << b, p))
     tables = []
-    for j in range(2):
+    for j in range(_COMB_BLOCKS):
         table = [1]
-        for g_i in powers[j::2]:
+        for g_i in powers[j::_COMB_BLOCKS]:
             table += [t * g_i % p for t in table]
         tables.append(tuple(table))
-    return tables[0], tables[1]
+    return tuple(tables)
 
 
 def fixed_base_pow(base: int, e: int, p: int) -> int:
-    """pow(base, e, p), by the comb of `base` when 0 <= e < 2^(16b)."""
+    """pow(base, e, p), by the comb of `base` when 0 <= e < 2^(32b)."""
     b = _comb_block(p)
-    a = 2 * b
+    a = _COMB_BLOCKS * b
     if e < 0 or e >> (_COMB_ROWS * a):
         return pow(base, e, p)
-    low, high = comb_table(base, p)
+    tables = comb_table(base, p)
     # byte a-1-k of `columns` has bit i set iff exponent bit i*a + k is set
     mask = (1 << a) - 1
     columns = 0
@@ -179,14 +180,13 @@ def fixed_base_pow(base: int, e: int, p: int) -> int:
         digits = format(e >> (i * a) & mask, f"0{a}b").encode()
         columns |= int.from_bytes(digits.translate(_ROW_BITS[i]), "big")
     columns = columns.to_bytes(a, "big")
-    # column k of the low block pairs with column b + k of the high block
+    # block j is bytes a-(j+1)b .. a-jb-1 of `columns`; walk the blocks together
     r = 1
-    for u_low, u_high in zip(columns[b:], columns[:b]):
+    for column in zip(*(columns[k:k + b] for k in range(a - b, -1, -b))):
         r = r * r % p
-        if u_low:
-            r = r * low[u_low] % p
-        if u_high:
-            r = r * high[u_high] % p
+        for u, table in zip(column, tables):
+            if u:
+                r = r * table[u] % p
     return r
 
 

@@ -168,6 +168,18 @@ class TestProveVerify:
     def test_mismatched_lengths(self, tmp_path):
         assert run_cli("prove-linear", "--inputs", "1,2", "--coeffs", "3") == 1
 
+    @pytest.mark.parametrize("option, other", [("--inputs", "--coeffs"), ("--coeffs", "--inputs")])
+    @pytest.mark.parametrize("value, entry", [("1,x", "x"), ("1, 2.5", " 2.5")])
+    def test_non_integer_entry_names_option_and_entry(self, capsys, option, other, value, entry):
+        assert run_cli("prove-linear", option, value, other, "1,1") == 1
+        assert capsys.readouterr().err == f"error: {option}: {entry!r} is not an integer\n"
+
+    def test_blank_entries_are_skipped(self, tmp_path):
+        stmt = tmp_path / "s.json"
+        assert run_cli("prove-linear", "--inputs", "1,,2, ", "--coeffs", " ,3,4",
+                       "--output", str(stmt)) == 0
+        assert len(json.loads(stmt.read_text())["inputs"]) == 2
+
     def test_matches_golden_document(self, tmp_path):
         """16 inputs, mixed-sign inputs and coefficients, 64-bit group: the
         statement bytes for a fixed seed are pinned under tests/golden/."""

@@ -366,20 +366,45 @@ PK_1024 = keygen(GROUP_1024, rng_seed=1).pk
 
 
 def comb_width(params: GroupParams) -> int:
-    """Exponent bits the comb of a base mod p covers: 8 rows of 2 blocks."""
-    return 16 * -(-params.p.bit_length() // 16)
+    """Exponent bits the comb of a base mod p covers: 8 rows of 4 blocks, so
+    p's bit length rounded up to a multiple of 32."""
+    return 32 * -(-params.p.bit_length() // 32)
+
+
+# Groups whose bit length is not a multiple of the comb width: 33 and 100 bits
+# round up to 64 and 128, where a rounding to 16 bits would give 48 and 112.
+ODD_GROUPS = [generate_params(bits, seed=bits) for bits in (17, 33, 100)]
+ODD_KEYED = [(params, keygen(params, rng_seed=1).pk) for params in ODD_GROUPS]
+COMB_GROUPS = [(GROUP_64, PK_64), (GROUP_1024, PK_1024)] + ODD_KEYED
+COMB_IDS = ["64", "1024", "17", "33", "100"]
+
+
+def block_boundary_bits(params: GroupParams) -> list[int]:
+    """Bits i*a + j*b and i*a + j*b - 1 for every row i < 8 and block j < 4."""
+    b = comb_width(params) // 32
+    starts = [i * 4 * b + j * b for i in range(8) for j in range(4)]
+    return sorted({k for s in starts for k in (s, s - 1) if k >= 0})
 
 
 class TestFixedBasePow:
-    @pytest.mark.parametrize("params, pk", [(GROUP_64, PK_64), (GROUP_1024, PK_1024)],
-                             ids=["64", "1024"])
+    @pytest.mark.parametrize("params, pk", COMB_GROUPS, ids=COMB_IDS)
     def test_edge_exponents(self, params, pk):
         width = comb_width(params)
         exponents = [0, 1, 2, 255, 256, params.q - 1, params.q, params.p - 1,
                      (1 << width) - 1, 1 << width, (1 << width) + 12345, 3 << (2 * width)]
+        bits = block_boundary_bits(params)
+        exponents += [1 << k for k in bits] + [sum(1 << k for k in bits)]
         for base in (params.g, pk):
             for e in exponents:
                 assert fixed_base_pow(base, e, params.p) == pow(base, e, params.p), e
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_pow_on_odd_widths(self, data):
+        params, pk = data.draw(st.sampled_from(ODD_KEYED))
+        e = data.draw(st.integers(min_value=0, max_value=(1 << comb_width(params)) - 1))
+        for base in (params.g, pk):
+            assert fixed_base_pow(base, e, params.p) == pow(base, e, params.p)
 
     @given(e=st.integers(min_value=0, max_value=GROUP_64.q - 1))
     @settings(max_examples=300, deadline=None)
@@ -398,6 +423,21 @@ class TestFixedBasePow:
     @settings(max_examples=100, deadline=None)
     def test_exponents_outside_the_table_fall_back_to_pow(self, e):
         assert fixed_base_pow(GROUP_64.g, e, GROUP_64.p) == pow(GROUP_64.g, e, GROUP_64.p)
+
+    @pytest.mark.parametrize("params, pk", COMB_GROUPS, ids=COMB_IDS)
+    def test_comb_table_matches_row_powers(self, params, pk):
+        """Entry u of table j is base^(sum of 2^(i*a + j*b) over the bits i of u)."""
+        b = comb_width(params) // 32
+        a = 4 * b
+        samples = [0, 1, 2, 3, 128, 255] + random.Random(params.p).sample(range(256), 6)
+        for base in (params.g, pk):
+            tables = groups.comb_table(base, params.p)
+            assert len(tables) == groups._COMB_BLOCKS == 4
+            assert all(len(table) == 2 ** groups._COMB_ROWS == 256 for table in tables)
+            for j, table in enumerate(tables):
+                for u in samples:
+                    e = sum(1 << (i * a + j * b) for i in range(8) if u >> i & 1)
+                    assert table[u] == pow(base, e, params.p), (j, u)
 
     def test_setup_builds_no_table(self):
         """Parameters and keys come from pow; the first encryption, proof or
