@@ -148,7 +148,7 @@ def _parse_ints(text: str, name: str):
         try:
             yield int(x)
         except ValueError:
-            raise ValueError(f"{name}: {x!r} is not an integer") from None
+            raise ValueError(f"{name}: {x!r:.40} is not an integer") from None
 
 
 def cmd_prove_linear(args) -> int:

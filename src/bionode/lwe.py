@@ -212,22 +212,15 @@ def encode_forward(params: LweParams, bits: list[int]) -> Poly:
     if any(b not in (0, 1) for b in bits):
         raise PlaintextOutOfRange("encoding expects a 0/1 vector")
     coeffs = [0] * params.d
-    for i, b in enumerate(bits):
-        coeffs[i] = b
+    coeffs[:n] = bits
     return tuple(coeffs)
 
 
 def encode_reverse(params: LweParams, bits: list[int]) -> Poly:
-    """Pack bit j into the coefficient of x^(n-j), mirroring encode_forward."""
-    n = len(bits)
-    if n > params.d // 2:
-        raise VectorTooLong(f"{n} bits exceed d/2 = {params.d // 2}")
-    if any(b not in (0, 1) for b in bits):
-        raise PlaintextOutOfRange("encoding expects a 0/1 vector")
-    coeffs = [0] * params.d
-    for j, b in enumerate(bits):
-        coeffs[n - j] = b
-    return tuple(coeffs)
+    """Pack bit j into the coefficient of x^(n-j), mirroring encode_forward:
+    the forward packing of the reversed bits times x. The coefficient of x^(d-1)
+    it shifts out is zero, since n <= d/2."""
+    return (0, *encode_forward(params, bits[::-1])[:-1])
 
 
 def extract_inner_product(params: LweParams, sk: Poly, ct_product: LweCiphertext, n: int) -> int:

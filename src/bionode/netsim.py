@@ -306,6 +306,7 @@ class Simulation:
     def _setup_governance(self) -> None:
         gov = self.config.governance
         self._proposals: dict[int, list[tuple]] = {}  # epoch -> scripted proposals
+        self._roll: list[str] = []  # the Governors in id order; set once, as the run changes no role
         if not gov:
             return
         if not isinstance(gov, dict) or not isinstance(gov.get("tiers", {}), dict):
@@ -322,6 +323,9 @@ class Simulation:
                 self.dao.governors[nid].tier = vortex.Tier[tier_name]
             for delegator, delegatee in gov.get("delegations", ()):
                 self.dao.delegate(delegator, delegatee)
+            self._roll = sorted(
+                nid for nid, r in self.dao.governors.items() if r.role is vortex.Role.Governor
+            )
             # parsed before the run, so a bad entry stops it before any event
             for item in gov.get("proposals", ()):
                 if not isinstance(item, dict) or not isinstance(item["proposer"], str):
@@ -330,6 +334,10 @@ class Simulation:
                 epoch, yes, no = _int(item["epoch"]), _int(item.get("yes", 0)), _int(item.get("no", 0))
                 if min(epoch, yes, no, upvotes or 0) < 0:  # the counts are slice bounds in _run_governance
                     raise ConfigInvalid(f"a proposal's epoch and vote counts cannot be negative: {item!r}")
+                if yes + no > len(self._roll):
+                    raise ConfigInvalid(f"a proposal casts {yes + no} votes but there are {len(self._roll)} governors")
+                if upvotes is None:
+                    upvotes = vortex.pool_threshold(len(self._roll))
                 self._proposals.setdefault(epoch, []).append(
                     (item["proposer"], vortex.ProposalType[item["type"]], upvotes, yes, no)
                 )
@@ -515,7 +523,7 @@ class Simulation:
         are); tally records land in the event log. A scripted proposal the
         proposer had no right to make becomes a slashing perpetration.
         """
-        now = self._now(slot)
+        now, governors = self._now(slot), self._roll
         for proposer, ptype, upvotes, yes, no in self._proposals.get(epoch, ()):
             try:
                 proposal = self.dao.submit_proposal(proposer, ptype, now)
@@ -524,14 +532,7 @@ class Simulation:
                 continue
             except vortex.VortexError as exc:
                 raise ConfigInvalid(f"scripted proposal failed: {exc}") from exc
-            governors = sorted(
-                nid for nid, r in self.dao.governors.items() if r.role is vortex.Role.Governor
-            )
-            if yes + no > len(governors):
-                raise ConfigInvalid(f"a proposal casts {yes + no} votes but there are {len(governors)} governors")
             try:
-                if upvotes is None:
-                    upvotes = vortex.pool_threshold(self.dao.governor_count())
                 for voter in governors[:upvotes]:
                     self.dao.pool_vote(voter, proposal.id, upvote=True, now=now)
                 for voter in governors[:yes]:

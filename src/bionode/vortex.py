@@ -250,6 +250,9 @@ class Proposal:
     def open(self) -> bool:
         return self.state in (ProposalState.InPool, ProposalState.InVote)
 
+    def stale(self, now: int) -> bool:
+        return self.state is ProposalState.InPool and now > self.submitted_at + POOL_MAX_SECONDS[self.type]
+
 
 @dataclass(frozen=True)
 class TallyResult:
@@ -291,9 +294,6 @@ class Vortex:
     def __init__(self):
         self.governors: dict[str, GovernorRecord] = {}
         self.proposals: dict[str, Proposal] = {}
-        # the InPool proposals in submission order; kept where a proposal
-        # enters or leaves the pool, so expire_stale walks only the pool
-        self._in_pool: dict[str, Proposal] = {}
         self._governor_count = 0  # records whose role is Governor; kept by _set_role
 
     # -- membership -------------------------------------------------------
@@ -384,6 +384,7 @@ class Vortex:
         if tier.value < MIN_TIER_FOR_TYPE[ptype].value:
             # a slashable perpetration; the caller that owns the blacklist slashes it
             raise TierInsufficient(f"{tier.name} may not submit {ptype.value}")
+        self.expire_stale(now)  # a stale proposal does not count against the limit
         if self._open_count(proposer) >= MAX_OPEN_PROPOSALS:
             raise TooManyOpenProposals(f"{proposer} already has {MAX_OPEN_PROPOSALS} open")
 
@@ -405,7 +406,6 @@ class Vortex:
             approval_count=approval_count,
         )
         self.proposals[proposal.id] = proposal
-        self._in_pool[proposal.id] = proposal
         if record is not None:
             record.active_this_month = True
         return proposal
@@ -417,7 +417,7 @@ class Vortex:
         does not timestamp individual reactions, so "recent" is the whole
         pool window); popular: most upvotes first. Entries are pseudonyms.
         """
-        in_pool = self._in_pool.values()
+        in_pool = [p for p in self.proposals.values() if p.state is ProposalState.InPool]
         fresh = sorted(in_pool, key=lambda p: (-p.submitted_at, p.id))
         trending = sorted(in_pool, key=lambda p: (-len(p.pool), p.id))
         popular = sorted(in_pool, key=lambda p: (-sum(p.pool.values()), p.id))
@@ -428,15 +428,14 @@ class Vortex:
         }
 
     def expire_stale(self, now: int) -> list[Proposal]:
-        """Drop pool proposals that outlived their type's max pool time."""
-        expired = [
-            p for p in self._in_pool.values() if now > p.submitted_at + POOL_MAX_SECONDS[p.type]
-        ]
+        """Drop pool proposals that outlived their type's max pool time, in
+        submission order. The one writer of Expired: submit_proposal calls it
+        before counting open proposals, and pool_vote when its target is stale."""
+        expired = [p for p in self.proposals.values() if p.stale(now)]
         for p in expired:
             p.state = ProposalState.Expired
             p.resubmit_eligible_at = now + RESUBMIT_COOLDOWN
             p.pool.clear()
-            del self._in_pool[p.id]
         return expired
 
     def pool_vote(self, governor_id: str, proposal_id: str, upvote: bool, now: int) -> Proposal:
@@ -444,7 +443,8 @@ class Vortex:
         if record is None or record.role != Role.Governor:
             raise NotGovernor(f"{governor_id} cannot vote in the pool")
         proposal = self.proposals[proposal_id]
-        self.expire_stale(now)
+        if proposal.stale(now):
+            self.expire_stale(now)
         if proposal.state is not ProposalState.InPool:
             raise ProposalNotActive(f"{proposal_id} is {proposal.state.value}")
         if governor_id in proposal.pool:
@@ -454,7 +454,6 @@ class Vortex:
         if len(proposal.pool) >= pool_threshold(self.governor_count()):
             proposal.state = ProposalState.InVote
             proposal.vote_deadline = now + WEEK_SECONDS
-            del self._in_pool[proposal.id]
         return proposal
 
     def cast_vote(self, governor_id: str, proposal_id: str, yes: bool, now: int) -> Proposal:

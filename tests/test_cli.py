@@ -174,6 +174,11 @@ class TestProveVerify:
         assert run_cli("prove-linear", option, value, other, "1,1") == 1
         assert capsys.readouterr().err == f"error: {option}: {entry!r} is not an integer\n"
 
+    def test_overlong_entry_is_cut_to_40_characters(self, capsys):
+        """An entry past int()'s digit limit is named by its first characters only."""
+        assert run_cli("prove-linear", "--inputs", "7" * 5000, "--coeffs", "1") == 1
+        assert capsys.readouterr().err == f"error: --inputs: '{'7' * 39} is not an integer\n"
+
     def test_blank_entries_are_skipped(self, tmp_path):
         stmt = tmp_path / "s.json"
         assert run_cli("prove-linear", "--inputs", "1,,2, ", "--coeffs", " ,3,4",

@@ -322,18 +322,24 @@ class TestPacking:
     def test_reverse_positions(self):
         poly = encode_reverse(EXH, [1, 1, 1])
         assert poly == (0, 1, 1, 1, 0, 0, 0, 0)  # x^3, x^2, x^1
+        assert encode_reverse(EXH, [1, 0, 0, 1]) == (0, 1, 0, 0, 1, 0, 0, 0)  # x^4, x^1
+        assert encode_reverse(EXH, [0, 1]) == (0, 1, 0, 0, 0, 0, 0, 0)  # x^1
 
     def test_zero_vectors(self):
         assert encode_forward(EXH, [0, 0, 0]) == (0,) * 8
         assert encode_reverse(EXH, [0, 0]) == (0,) * 8
 
     def test_too_long_rejected(self):
-        with pytest.raises(VectorTooLong):
-            encode_forward(EXH, [1] * 5)
+        for encode in (encode_forward, encode_reverse):
+            with pytest.raises(VectorTooLong, match=r"^5 bits exceed d/2 = 4$"):
+                encode(EXH, [1] * 5)
+            with pytest.raises(VectorTooLong):  # the length is checked before the bits
+                encode(EXH, [2] * 5)
 
     def test_non_bits_rejected(self):
-        with pytest.raises(PlaintextOutOfRange):
-            encode_forward(EXH, [0, 2])
+        for encode in (encode_forward, encode_reverse):
+            with pytest.raises(PlaintextOutOfRange, match=r"^encoding expects a 0/1 vector$"):
+                encode(EXH, [0, 2])
 
 
 class TestInnerProduct:

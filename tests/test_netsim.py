@@ -37,6 +37,7 @@ from bionode.netsim import (
     Simulation,
 )
 from bionode.slashing import MONTH_SECONDS
+from bionode.vortex import Role
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 GOLDEN = Path(__file__).parent / "golden"
@@ -951,6 +952,23 @@ class TestScriptedGovernance:
         expected = (GOLDEN / "governed_events.sha256").read_text().strip()
         assert hashlib.sha256(sim.event_log().encode()).hexdigest() == expected
 
+    @pytest.mark.parametrize("cfg", [
+        netsim.load_scenario(str(SCENARIOS / "governed.json")),
+        churn_config(num_nodes=100, epochs=10),
+    ], ids=["governed", "churn"])
+    def test_governor_roll_is_fixed_at_setup(self, cfg):
+        """The voters of every scripted proposal are read from the roll built
+        at setup, so a run must change no role."""
+        sim = netsim.Simulation(cfg)
+
+        def governors():
+            return sorted(nid for nid, r in sim.dao.governors.items() if r.role is Role.Governor)
+
+        roll = governors()
+        assert roll and sim._roll == roll
+        sim.run()
+        assert governors() == roll and sim._roll == roll
+
     def test_bad_governance_section_rejected(self):
         cfg = small_config(governance={"governors": ["node-99"]})
         with pytest.raises(ConfigInvalid):
@@ -970,10 +988,11 @@ class TestScriptedGovernance:
         [{"proposer": "node-01", "type": "Product"}],
         [{"epoch": "0", "proposer": "node-01", "type": "Product"}],
         [{"epoch": -1, "proposer": "node-01", "type": "Product"}],
+        [{"epoch": 9, "proposer": "node-01", "type": "Product", "yes": 3, "no": 1}],
     ], ids=["unknown-type", "no-proposer", "proposer-list", "yes-fraction",
             "upvotes-null", "entry-number", "proposals-number", "yes-negative",
             "no-negative", "upvotes-negative", "epoch-missing", "epoch-text",
-            "epoch-negative"])
+            "epoch-negative", "votes-above-roll"])
     def test_bad_proposal_rejected_before_the_run(self, proposals):
         """Every scripted proposal is checked at setup, also one whose epoch
         the run never reaches."""

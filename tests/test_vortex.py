@@ -29,6 +29,7 @@ from bionode.vortex import (
     NotApproved,
     NotGovernor,
     NotNominated,
+    ProposalNotActive,
     ProposalState,
     ProposalType,
     ResubmitTooSoon,
@@ -576,8 +577,9 @@ class TestPoolIndex:
     @given(steps=pool_steps)
     @settings(max_examples=200, deadline=None)
     def test_expiry_matches_a_scan_of_every_proposal(self, steps):
-        """expire_stale walks only the pool index; it must expire exactly the
-        proposals, in the order, that a scan over all proposals selects."""
+        """After any run of submissions, pool votes and waits, expire_stale
+        expires exactly the pool proposals past their max pool time, in
+        submission order."""
         dao = make_dao(5, tier=Tier.Consul)  # two pool votes move a proposal to InVote
         now = 0
         for kind, *args in steps:
@@ -606,6 +608,41 @@ class TestPoolIndex:
             and p.resubmit_eligible_at == now + YEAR_SECONDS + 2 * WEEK_SECONDS
         ]
         assert not any(p.state is ProposalState.InPool for p in dao.proposals.values())
+
+
+class TestPoolExpiry:
+    """Expiry is read where a decision needs it: on a vote at a stale
+    proposal and before the open-proposal count of a submission."""
+
+    def test_votes_on_a_fresh_proposal_sweep_nothing(self, monkeypatch):
+        dao = make_dao(100)
+        old = dao.submit_proposal("g0000", ProposalType.Product, now=0)
+        late = 2 * WEEK_SECONDS + 1
+        fresh = dao.submit_proposal("g0001", ProposalType.Product, now=late - 1)
+        sweeps = []
+        sweep = dao.expire_stale
+        monkeypatch.setattr(dao, "expire_stale", lambda now: sweeps.append(now) or sweep(now))
+        drive_to_vote(dao, fresh.id, now=late)
+        assert fresh.state is ProposalState.InVote
+        assert sweeps == []
+        # the stale proposal waits for a decision that reads it
+        assert old.state is ProposalState.InPool
+        with pytest.raises(ProposalNotActive, match="is Expired"):
+            dao.pool_vote("g0002", old.id, True, now=late)
+        assert sweeps == [late]
+        assert old.resubmit_eligible_at == late + 2 * WEEK_SECONDS
+
+    def test_stale_proposals_do_not_count_against_the_limit(self):
+        dao = make_dao(100)
+        stale = [dao.submit_proposal("g0000", ProposalType.Product, now=0) for _ in range(5)]
+        with pytest.raises(TooManyOpenProposals):
+            dao.submit_proposal("g0000", ProposalType.Product, now=2 * WEEK_SECONDS)
+        late = 2 * WEEK_SECONDS + 1
+        sixth = dao.submit_proposal("g0000", ProposalType.Product, now=late)
+        assert sixth.state is ProposalState.InPool
+        for p in stale:
+            assert p.state is ProposalState.Expired
+            assert p.resubmit_eligible_at == late + 2 * WEEK_SECONDS
 
 
 class TestFormation:
