@@ -6,7 +6,7 @@ Subsystems:
   linear computation (Feldman commitments + Chaum-Pedersen equality proof)
 * lwe           -- ring-LWE homomorphic encryption with inner-product
   packing for encrypted template matching
-* biometrics    -- cosine matching, quantization, CNN shape arithmetic,
+* biometrics    -- cosine matching, quantization, encrypted matching,
   modality scoring
 * fath          -- proportional supply rebase driven by period fee totals
 * fees          -- cost-based computational and perpetual-storage pricing

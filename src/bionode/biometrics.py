@@ -5,10 +5,8 @@ the package needs only the standard library. Encrypted templates are
 binarized, packed into ring polynomials and matched with one homomorphic
 multiplication (see lwe); quantization maps real vectors to integers.
 
-CNN shape arithmetic (convolution / pooling output sizes) lives here too
-because template dimensionality is derived from it, as does the weighted
-scoring of biometric modalities used to pick which modality may gate a
-node.
+The weighted scoring of biometric modalities, used to pick which modality
+may gate a node, lives here too.
 """
 
 from __future__ import annotations
@@ -31,41 +29,17 @@ class ZeroVector(Exception):
     pass
 
 
-class NonIntegralOutput(Exception):
-    pass
-
-
 class MatchResult(Enum):
     MATCH = "match"
     NO_MATCH = "no_match"
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """A template vector; `normalized` asserts unit Euclidean length."""
-
-    values: tuple[float, ...]
-    normalized: bool = False
-
-    def __post_init__(self):
-        (values,) = _floats(self.values)
-        if self.normalized and abs(_norm(values) - 1.0) > 1e-9:
-            raise ValueError("vector flagged normalized but has non-unit norm")
-
-    @classmethod
-    def unit(cls, values) -> "FeatureVector":
-        (values,) = _floats(values)
-        if (norm := _norm(values)) == 0.0:
-            raise ZeroVector("cannot normalize a zero vector")
-        return cls(values=tuple(x / norm for x in values), normalized=True)
-
-
 def _floats(*vectors) -> list[tuple[float, ...]]:
     """Inputs as float tuples: DimensionMismatch unless flat, real, of one length; then finite."""
-    if any(isinstance(v, (str, bytes, bytearray)) for v in vectors):
-        vectors = ()  # text iterates as its characters, but it is not a vector
+    if any(isinstance(v, (str, bytes, bytearray, dict)) for v in vectors):
+        vectors = ()  # text iterates as its characters and a mapping as its keys; neither is a vector
     try:
-        out = [tuple(getattr(v, "values", v)) for v in vectors]
+        out = [tuple(v) for v in vectors]
     except TypeError:  # a scalar
         out = []
     real = all(isinstance(x, Real) for v in out for x in v)
@@ -105,11 +79,8 @@ class QuantizedVector:
 def quantize(v, scale: int) -> QuantizedVector:
     """Fixed-point quantization: values[i] = round(v[i] * scale).
 
-    Meant for unit vectors; a FeatureVector explicitly flagged
-    non-normalized is rejected, raw arrays are taken at face value.
+    Meant for unit vectors; the input is taken at face value.
     """
-    if isinstance(v, FeatureVector) and not v.normalized:
-        raise ValueError("quantization expects a normalized vector")
     return QuantizedVector(values=tuple(round(x * scale) for x in _floats(v)[0]), scale=scale)
 
 
@@ -141,31 +112,6 @@ def encrypted_match(
     product = lwe.lwe_mul(ct_t, ct_p)
     score = lwe.extract_inner_product(params, keys.sk, product, n)
     return MatchResult.MATCH if score >= threshold_count else MatchResult.NO_MATCH
-
-
-@dataclass(frozen=True)
-class CnnShape:
-    W: int  # input spatial size
-    F: int  # kernel size
-    P: int  # padding
-    S: int  # stride
-    D: int = 1  # depth
-
-
-def conv_out_size(shape: CnnShape) -> int:
-    """(W - F + 2P) / S + 1, rejecting non-integral strides."""
-    num = shape.W - shape.F + 2 * shape.P
-    if num < 0 or num % shape.S != 0:
-        raise NonIntegralOutput(f"(W-F+2P)={num} not divisible by stride {shape.S}")
-    return num // shape.S + 1
-
-
-def pool_out_size(W: int, F: int, S: int) -> int:
-    """(W - F) / S + 1 for a pooling window without padding."""
-    num = W - F
-    if num < 0 or num % S != 0:
-        raise NonIntegralOutput(f"(W-F)={num} not divisible by stride {S}")
-    return num // S + 1
 
 
 FACTOR_WEIGHTS = (6, 6, 5, 5, 10, 8, 10, 3, 10, 8)

@@ -54,10 +54,6 @@ class ParamsMismatch(GroupError):
     pass
 
 
-class EmptyParticipantSet(GroupError):
-    pass
-
-
 class DocumentInvalid(ValueError):
     """A params, key or statement document is malformed or names an invalid group."""
 
@@ -226,12 +222,6 @@ class Ciphertext:
     params: GroupParams
 
 
-@dataclass(frozen=True)
-class CollectiveKey:
-    pk_agg: int
-    participant_count: int
-
-
 def generate_params(bits: int, seed: int = 0) -> GroupParams:
     """Build a safe-prime group with a `bits`-bit modulus.
 
@@ -293,7 +283,7 @@ def decrypt(params: GroupParams, sk: int, ct: Ciphertext) -> int:
     """Recover m = d / c^sk."""
     if not (params.contains(ct.c) and params.contains(ct.d)):
         raise InvalidCiphertext("ciphertext component outside the subgroup")
-    return combine_partial_decryptions(params, ct, [partial_decrypt(params, sk, ct)])
+    return ct.d * pow(ct.c, -(sk % params.q), params.p) % params.p
 
 
 def hom_mul(ct1: Ciphertext, ct2: Ciphertext) -> Ciphertext:
@@ -320,40 +310,6 @@ def hom_scalar(ct: Ciphertext, k: int) -> Ciphertext:
         for x in (ct.c, ct.d)
     )
     return Ciphertext(c=c, d=d, params=ct.params)
-
-
-def aggregate_keys(params: GroupParams, partials: list[int]) -> CollectiveKey:
-    """Multiply partial public keys into one collective key.
-
-    A ciphertext under the collective key can only be opened when every
-    participant contributes a partial decryption; see partial_decrypt /
-    combine_partial_decryptions.
-    """
-    if not partials:
-        raise EmptyParticipantSet("need at least one partial key")
-    agg = 1
-    for pk in partials:
-        if not params.contains(pk):
-            raise MessageNotInSubgroup(f"partial key {pk} outside subgroup")
-        agg = agg * pk % params.p
-    return CollectiveKey(pk_agg=agg, participant_count=len(partials))
-
-
-def partial_decrypt(params: GroupParams, sk_share: int, ct: Ciphertext) -> int:
-    """One participant's decryption share c^sk_i."""
-    return pow(ct.c, sk_share % params.q, params.p)
-
-
-def combine_partial_decryptions(
-    params: GroupParams, ct: Ciphertext, shares: list[int]
-) -> int:
-    """Divide d by the product of all decryption shares."""
-    if not shares:
-        raise EmptyParticipantSet("no decryption shares supplied")
-    blind = 1
-    for s in shares:
-        blind = blind * s % params.p
-    return ct.d * pow(blind, -1, params.p) % params.p
 
 
 def doc_int(value) -> int:

@@ -4,7 +4,6 @@ Construction:
     keygen    s, e <- chi;  p1 <- uniform R_q;  pk = (p0, p1), p0 = -(p1*s + t*e)
     encrypt   u, f, g <- chi;  (c0, c1) = (p0*u + t*g + m,  p1*u + t*f)
     decrypt   m_hat = sum(c_i * s^i) in R_q, centered into (-q/2, q/2], then mod t
-    add       componentwise (shorter ciphertext padded)
     mul       convolution of the ciphertext part vectors; degree grows by one
               per multiplication and no relinearization is performed, which
               is all a single-depth matching circuit needs.
@@ -176,18 +175,6 @@ def decrypt_raw(params: LweParams, sk: Poly, ct: LweCiphertext) -> tuple[int, ..
 
 def lwe_decrypt(params: LweParams, sk: Poly, ct: LweCiphertext) -> Poly:
     return tuple(c % params.t for c in decrypt_raw(params, sk, ct))
-
-
-def lwe_add(ct1: LweCiphertext, ct2: LweCiphertext) -> LweCiphertext:
-    if ct1.params != ct2.params:
-        raise ParamsMismatch("ciphertexts use different ring parameters")
-    q, d = ct1.params.q, ct1.params.d
-    a, b = ct1.parts, ct2.parts
-    if len(a) < len(b):
-        a = a + (_zero(d),) * (len(b) - len(a))
-    elif len(b) < len(a):
-        b = b + (_zero(d),) * (len(a) - len(b))
-    return LweCiphertext(parts=tuple(poly_add(x, y, q) for x, y in zip(a, b)), params=ct1.params)
 
 
 def lwe_mul(ct1: LweCiphertext, ct2: LweCiphertext) -> LweCiphertext:

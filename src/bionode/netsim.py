@@ -196,6 +196,8 @@ class SimConfig:
             raise ConfigInvalid("fath_period_epochs must be positive")
         if any(f < 0 for f in self.fees_per_epoch):
             raise ConfigInvalid("fees cannot be negative")
+        if self.initial_balance < 0:
+            raise ConfigInvalid("initial_balance cannot be negative")
         if self.ticket_validity_slots is not None and self.ticket_validity_slots < 1:
             raise ConfigInvalid("ticket_validity_slots must be positive")
         k = self.fath_period_epochs  # only whole periods are compared
@@ -307,6 +309,7 @@ class Simulation:
         gov = self.config.governance
         self._proposals: dict[int, list[tuple]] = {}  # epoch -> scripted proposals
         self._roll: list[str] = []  # the Governors in id order; set once, as the run changes no role
+        self._upvoters: list[str] = []  # the first pool_threshold of the roll: just enough to reach the vote
         if not gov:
             return
         if not isinstance(gov, dict) or not isinstance(gov.get("tiers", {}), dict):
@@ -326,20 +329,20 @@ class Simulation:
             self._roll = sorted(
                 nid for nid, r in self.dao.governors.items() if r.role is vortex.Role.Governor
             )
+            self._upvoters = self._roll[: vortex.pool_threshold(len(self._roll))]
             # parsed before the run, so a bad entry stops it before any event
             for item in gov.get("proposals", ()):
                 if not isinstance(item, dict) or not isinstance(item["proposer"], str):
                     raise ConfigInvalid(f"a proposal must be an object naming its proposer: {item!r}")
-                upvotes = _int(item["pool_upvotes"]) if "pool_upvotes" in item else None
+                if "pool_upvotes" in item:
+                    raise ConfigInvalid(f"a proposal cannot set pool_upvotes; the pool threshold upvotes it: {item!r}")
                 epoch, yes, no = _int(item["epoch"]), _int(item.get("yes", 0)), _int(item.get("no", 0))
-                if min(epoch, yes, no, upvotes or 0) < 0:  # the counts are slice bounds in _run_governance
+                if min(epoch, yes, no) < 0:  # the counts are slice bounds in _run_governance
                     raise ConfigInvalid(f"a proposal's epoch and vote counts cannot be negative: {item!r}")
                 if yes + no > len(self._roll):
                     raise ConfigInvalid(f"a proposal casts {yes + no} votes but there are {len(self._roll)} governors")
-                if upvotes is None:
-                    upvotes = vortex.pool_threshold(len(self._roll))
                 self._proposals.setdefault(epoch, []).append(
-                    (item["proposer"], vortex.ProposalType[item["type"]], upvotes, yes, no)
+                    (item["proposer"], vortex.ProposalType[item["type"]], yes, no)
                 )
         # TypeError / ValueError: a non-list, unhashable id or a pair of the wrong size
         except (KeyError, TypeError, ValueError, vortex.VortexError) as exc:
@@ -524,7 +527,7 @@ class Simulation:
         proposer had no right to make becomes a slashing perpetration.
         """
         now, governors = self._now(slot), self._roll
-        for proposer, ptype, upvotes, yes, no in self._proposals.get(epoch, ()):
+        for proposer, ptype, yes, no in self._proposals.get(epoch, ()):
             try:
                 proposal = self.dao.submit_proposal(proposer, ptype, now)
             except TierInsufficient:
@@ -533,7 +536,7 @@ class Simulation:
             except vortex.VortexError as exc:
                 raise ConfigInvalid(f"scripted proposal failed: {exc}") from exc
             try:
-                for voter in governors[:upvotes]:
+                for voter in self._upvoters:
                     self.dao.pool_vote(voter, proposal.id, upvote=True, now=now)
                 for voter in governors[:yes]:
                     self.dao.cast_vote(voter, proposal.id, yes=True, now=now + 1)

@@ -199,7 +199,6 @@ class GovernorRecord:
     has_approved_proposal: bool = False
     delegations_received: set[str] = field(default_factory=set)
     delegated_to: str | None = None
-    active_this_month: bool = False
 
 
 def voting_power(record: GovernorRecord) -> int:
@@ -406,26 +405,7 @@ class Vortex:
             approval_count=approval_count,
         )
         self.proposals[proposal.id] = proposal
-        if record is not None:
-            record.active_this_month = True
         return proposal
-
-    def pool_boards(self, now: int) -> dict[str, list[str]]:
-        """Presentation-only orderings over the one underlying pool.
-
-        fresh: newest first; trending: most pool reactions first (the pool
-        does not timestamp individual reactions, so "recent" is the whole
-        pool window); popular: most upvotes first. Entries are pseudonyms.
-        """
-        in_pool = [p for p in self.proposals.values() if p.state is ProposalState.InPool]
-        fresh = sorted(in_pool, key=lambda p: (-p.submitted_at, p.id))
-        trending = sorted(in_pool, key=lambda p: (-len(p.pool), p.id))
-        popular = sorted(in_pool, key=lambda p: (-sum(p.pool.values()), p.id))
-        return {
-            "fresh": [p.pseudonym for p in fresh],
-            "trending": [p.pseudonym for p in trending],
-            "popular": [p.pseudonym for p in popular],
-        }
 
     def expire_stale(self, now: int) -> list[Proposal]:
         """Drop pool proposals that outlived their type's max pool time, in
@@ -450,7 +430,6 @@ class Vortex:
         if governor_id in proposal.pool:
             raise DuplicatePoolVote(f"{governor_id} already pool-voted on {proposal_id}")
         proposal.pool[governor_id] = upvote
-        record.active_this_month = True
         if len(proposal.pool) >= pool_threshold(self.governor_count()):
             proposal.state = ProposalState.InVote
             proposal.vote_deadline = now + WEEK_SECONDS
@@ -468,7 +447,6 @@ class Vortex:
         if governor_id in proposal.votes:
             raise DuplicateVote(f"{governor_id} already voted on {proposal_id}")
         proposal.votes[governor_id] = yes
-        record.active_this_month = True
         return proposal
 
     def tally(self, proposal_id: str, now: int) -> TallyResult:
@@ -482,7 +460,7 @@ class Vortex:
         cast = yes = 0
         for voter, in_favour in proposal.votes.items():
             record = self.governors[voter]
-            # a voter who has since delegated or been demoted counts zero
+            # a voter who has since delegated counts zero
             power = voting_power(record) if record.role is Role.Governor else 0
             cast += power
             if in_favour:
@@ -544,28 +522,3 @@ class Vortex:
         return FormationGrant(
             proposal_id=proposal_id, vault_balance=vault_balance, consul_gated=gated
         )
-
-    # -- maintenance ------------------------------------------------------
-
-    def monthly_activity_sweep(self, now: int) -> list[str]:
-        """Demote Governors who neither proposed nor voted this month.
-
-        Delegators are exempt (their voice is exercised by the delegatee).
-        A demoted Governor's received delegations dissolve so no voting
-        power dangles from a non-governing record.
-        """
-        to_demote = [
-            r
-            for r in self.governors.values()
-            if r.role is Role.Governor and not r.active_this_month
-        ]
-        demoted = []
-        for record in to_demote:
-            for delegator_id in sorted(record.delegations_received):
-                self.undelegate(delegator_id)
-            self._set_role(record, Role.HumanNode)
-            demoted.append(record.node_id)
-        for record in self.governors.values():
-            if record.role is Role.Governor:
-                record.active_this_month = False
-        return demoted

@@ -1,4 +1,4 @@
-"""Matching, quantization, shape arithmetic, and modality scoring.
+"""Matching, quantization and modality scoring.
 
 The cosine oracle is 50-digit mpmath arithmetic; the encrypted pipeline is
 checked against the plaintext thresholded dot product over every 4-bit
@@ -14,21 +14,18 @@ import pytest
 
 from bionode import lwe
 from bionode.biometrics import (
-    CnnShape,
     DimensionMismatch,
     FACTOR_WEIGHTS,
     MatchResult,
     ModalityProfile,
-    NonIntegralOutput,
+    QuantizedVector,
     ZeroVector,
-    conv_out_size,
     cosine_similarity,
     dot_q,
     encrypted_match,
     load_modality_fixture,
     match_decision,
     modality_score,
-    pool_out_size,
     quantize,
     score_table,
 )
@@ -88,6 +85,8 @@ class TestCosine:
             ([b"1", b"2"], [3, 4]),
             ([None, 1], [3, 4]),
             ([np.array([1.0]), 2.0], [3, 4]),  # a one-element array is not a number
+            ({0: 1.0, 1: 2.0}, {0: 3.0, 1: 4.0}),  # a mapping, not a vector of its keys
+            (QuantizedVector(values=(1, 2), scale=10), [1, 2]),  # integers are dot_q's
         ]:
             with pytest.raises(DimensionMismatch):
                 cosine_similarity(a, b)
@@ -224,26 +223,6 @@ class TestEncryptedMatch:
             encrypted_match(params, keys, [1, 0], [1], 1)
 
 
-class TestShapes:
-    def test_identity_kernel(self):
-        assert conv_out_size(CnnShape(W=32, F=1, P=0, S=1)) == 32
-
-    def test_five_kernel(self):
-        assert conv_out_size(CnnShape(W=32, F=5, P=0, S=1)) == 28
-
-    def test_pooling(self):
-        assert pool_out_size(28, 2, 2) == 14
-
-    def test_padding_and_stride(self):
-        assert conv_out_size(CnnShape(W=224, F=7, P=3, S=1)) == 224
-
-    def test_non_integral_rejected(self):
-        with pytest.raises(NonIntegralOutput):
-            conv_out_size(CnnShape(W=32, F=5, P=0, S=2))
-        with pytest.raises(NonIntegralOutput):
-            pool_out_size(27, 2, 2)
-
-
 class TestModalityScore:
     def test_3d_facial(self):
         profile = ModalityProfile("3D Facial Recognition", (3, 3, 2, 3, 2, 3, 3, 3, 3, 3))
@@ -302,51 +281,3 @@ class TestModalityScore:
 
     def test_empty_report(self):
         assert score_table([]) == []
-
-
-class TestFeatureVector:
-    def test_unit_constructor_normalizes(self):
-        from bionode.biometrics import FeatureVector
-
-        fv = FeatureVector.unit([3.0, 4.0])
-        assert fv.normalized
-        assert fv.values == pytest.approx((0.6, 0.8))
-        assert cosine_similarity(fv, fv) == pytest.approx(1.0)
-        assert FeatureVector.unit(np.array([3.0, 4.0])) == fv
-        assert cosine_similarity(fv, np.array([3.0, 4.0])) == pytest.approx(1.0)
-
-    def test_normalized_flag_checked(self):
-        from bionode.biometrics import FeatureVector
-
-        with pytest.raises(ValueError):
-            FeatureVector(values=(3.0, 4.0), normalized=True)
-
-    def test_non_finite_rejected(self):
-        from bionode.biometrics import FeatureVector
-
-        with pytest.raises(ValueError):
-            FeatureVector(values=(float("inf"), 1.0))
-        with pytest.raises(ValueError):
-            FeatureVector.unit([float("nan"), 1.0])
-
-    def test_nested_values_rejected(self):
-        from bionode.biometrics import FeatureVector
-
-        with pytest.raises(DimensionMismatch):
-            FeatureVector(values=((1.0, 0.0),))
-        with pytest.raises(DimensionMismatch):
-            FeatureVector.unit(np.eye(2))
-
-    def test_quantize_requires_normalized(self):
-        from bionode.biometrics import FeatureVector
-
-        with pytest.raises(ValueError):
-            quantize(FeatureVector(values=(3.0, 4.0)), 100)
-        q = quantize(FeatureVector.unit([3.0, 4.0]), 100)
-        assert q.values == (60, 80)
-
-    def test_zero_vector_cannot_normalize(self):
-        from bionode.biometrics import FeatureVector
-
-        with pytest.raises(ZeroVector):
-            FeatureVector.unit([0.0, 0.0])

@@ -359,6 +359,7 @@ class TestRunSim:
         {"seed": "5"},
         {"governance": {"proposals": [{"epoch": 0, "proposer": "node-01", "type": "Product",
                                        "yes": 3, "no": 1}]}},
+        {"initial_balance": -1},
     ], ids=["validity-text", "validity-zero", "offline-unknown", "false-tx-unknown",
             "empty-window", "overlapping-windows", "faults-list", "crypto-text",
             "crypto-number", "nodes-fraction", "nodes-bool", "fee-fraction",
@@ -369,7 +370,8 @@ class TestRunSim:
             "slot-over-a-month", "epochs-huge", "proposal-yes-negative",
             "proposal-no-negative", "proposal-upvotes-negative", "proposal-no-epoch",
             "proposal-epoch-text", "offline-node-list", "bioauth-node-list",
-            "false-tx-node-object", "seed-text", "proposal-votes-above-roll"])
+            "false-tx-node-object", "seed-text", "proposal-votes-above-roll",
+            "initial-balance-negative"])
     def test_invalid_scenario_exits_one_without_traceback(self, extra, tmp_path, capsys):
         scenario = tmp_path / "s.json"
         doc = {"num_nodes": 3, "slots_per_epoch": 5, "epochs": 1, "fees_per_epoch": 0}

@@ -1,4 +1,4 @@
-"""Group arithmetic and ElGamal: worked examples, laws, collective keys.
+"""Group arithmetic and ElGamal: worked examples and laws.
 
 Expected values for the small examples are derived by direct modular
 arithmetic (independent of the library code); primality is cross-checked
@@ -17,13 +17,10 @@ from bionode import groups, zkp
 from bionode.groups import (
     Ciphertext,
     DocumentInvalid,
-    EmptyParticipantSet,
     GroupParams,
     InvalidCiphertext,
     MessageNotInSubgroup,
     ParamsMismatch,
-    aggregate_keys,
-    combine_partial_decryptions,
     decrypt,
     encrypt,
     encrypt_with_nonce,
@@ -34,7 +31,6 @@ from bionode.groups import (
     key_doc,
     keygen,
     params_doc,
-    partial_decrypt,
     read_key_doc,
     read_params_doc,
 )
@@ -148,6 +144,13 @@ class TestEncryptDecrypt:
             m = pow(params.g, rng.randrange(params.q), params.p)
             assert decrypt(params, pair.sk, encrypt(params, pair.pk, m, i)) == m
 
+    def test_all_outputs_in_subgroup(self):
+        params = generate_params(32, seed=3)
+        pair = keygen(params, 4)
+        ct = encrypt(params, pair.pk, params.g, 5)
+        for x in (pair.pk, ct.c, ct.d, decrypt(params, pair.sk, ct)):
+            assert pow(x, params.q, params.p) == 1
+
 
 class TestHomomorphism:
     def test_product_example(self):
@@ -197,45 +200,6 @@ class TestHomomorphism:
                 ),
             )
             assert got == m1 * m2 % params.p
-
-
-class TestCollectiveKeys:
-    def test_two_party_product(self):
-        a, b = 3, 5
-        partials = [pow(SMALL.g, a, SMALL.p), pow(SMALL.g, b, SMALL.p)]
-        ck = aggregate_keys(SMALL, partials)
-        assert ck.pk_agg == pow(SMALL.g, a + b, SMALL.p)
-        assert ck.participant_count == 2
-
-    def test_singleton(self):
-        ck = aggregate_keys(SMALL, [18])
-        assert ck.pk_agg == 18
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyParticipantSet):
-            aggregate_keys(SMALL, [])
-
-    def test_three_party_joint_decryption(self):
-        params = generate_params(48, seed=77)
-        rng = random.Random(1)
-        secrets = [rng.randrange(1, params.q) for _ in range(3)]
-        partials = [pow(params.g, s, params.p) for s in secrets]
-        ck = aggregate_keys(params, partials)
-        m = pow(params.g, 42, params.p)
-        ct = encrypt(params, ck.pk_agg, m, rng_seed=13)
-        shares = [partial_decrypt(params, s, ct) for s in secrets]
-        assert combine_partial_decryptions(params, ct, shares) == m
-        # any strict subset fails to recover the message
-        for drop in range(3):
-            subset = shares[:drop] + shares[drop + 1 :]
-            assert combine_partial_decryptions(params, ct, subset) != m
-
-    def test_all_outputs_in_subgroup(self):
-        params = generate_params(32, seed=3)
-        pair = keygen(params, 4)
-        ct = encrypt(params, pair.pk, params.g, 5)
-        for x in (pair.pk, ct.c, ct.d, decrypt(params, pair.sk, ct)):
-            assert pow(x, params.q, params.p) == 1
 
 
 class TestSerialization:

@@ -1,8 +1,10 @@
 """The package runs on the standard library alone: numpy and the other
-test dependencies stay out of `src/bionode` and out of a CLI process."""
+test dependencies stay out of `src/bionode` and out of a CLI process. And
+every name it defines is reached from outside its own tests."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -44,3 +46,32 @@ def test_numpy_is_never_loaded(argv):
               for line in done.stderr.splitlines() if line.startswith("import time:")}
     assert "bionode" in loaded
     assert "numpy" not in loaded
+
+
+SCANNED = [ROOT / "src", ROOT / "demos", ROOT / "bench"]
+
+
+def definitions(path: Path) -> list[tuple[str, int]]:
+    """(name, line) of each top-level def or class and each method of a top-level class, dunders excluded."""
+    found = []
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        members = node.body if isinstance(node, ast.ClassDef) else []
+        for d in [node, *members]:
+            if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (d.name.startswith("__") and d.name.endswith("__")):
+                    found.append((d.name, d.lineno))
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.stem for p in SOURCES])
+def test_every_definition_is_reached(path):
+    """Reach it or remove it: each name the module defines appears as a word in
+    src/, demos/ or bench/ on some line other than its own definition line.
+    A string counts, since bench/tracing.py patches entry points by name."""
+    lines = [(f, i, line) for top in SCANNED for f in sorted(top.rglob("*.py"))
+             for i, line in enumerate(f.read_text().splitlines(), 1)]
+    unreached = [
+        name for name, lineno in definitions(path)
+        if not any(re.search(rf"\b{name}\b", line) and (f, i) != (path, lineno) for f, i, line in lines)
+    ]
+    assert not unreached, f"{path.name} defines names nothing else mentions: {unreached}"

@@ -37,7 +37,6 @@ from bionode.lwe import (
     decrypt_raw,
     encode_forward,
     encode_reverse,
-    lwe_add,
     lwe_decrypt,
     lwe_encrypt,
     lwe_keygen,
@@ -240,39 +239,6 @@ class TestEncryptDecrypt:
 
 
 class TestHomomorphism:
-    def test_additive_identity(self):
-        keys = lwe_keygen(SMALL, rng_seed=1)
-        m = (3,) + (0,) * (SMALL.d - 1)
-        ct = lwe_add(
-            lwe_encrypt(SMALL, keys.pk, m, 1),
-            lwe_encrypt(SMALL, keys.pk, (0,) * SMALL.d, 2),
-        )
-        assert lwe_decrypt(SMALL, keys.sk, ct) == m
-
-    def test_addition_matches_plaintext_sum(self):
-        keys = lwe_keygen(SMALL, rng_seed=2)
-        rng = random.Random(3)
-        for i in range(300):
-            m1, m2 = rand_plain(rng, SMALL), rand_plain(rng, SMALL)
-            got = lwe_decrypt(
-                SMALL,
-                keys.sk,
-                lwe_add(
-                    lwe_encrypt(SMALL, keys.pk, m1, 2 * i),
-                    lwe_encrypt(SMALL, keys.pk, m2, 2 * i + 1),
-                ),
-            )
-            assert got == tuple((a + b) % SMALL.t for a, b in zip(m1, m2))
-
-    def test_mismatched_degree_addition_pads(self):
-        keys = lwe_keygen(EXH, rng_seed=4)
-        m1, m2, m3 = ((1,) + (0,) * 7, (2,) + (0,) * 7, (3,) + (0,) * 7)
-        prod = lwe_mul(
-            lwe_encrypt(EXH, keys.pk, m1, 1), lwe_encrypt(EXH, keys.pk, m2, 2)
-        )
-        mixed = lwe_add(prod, lwe_encrypt(EXH, keys.pk, m3, 3))
-        assert lwe_decrypt(EXH, keys.sk, mixed)[0] == (1 * 2 + 3) % EXH.t
-
     def test_multiplicative_identity(self):
         keys = lwe_keygen(EXH, rng_seed=5)
         m = (4, 1, 0, 2, 0, 0, 3, 1)
@@ -308,7 +274,7 @@ class TestHomomorphism:
     def test_params_mismatch_rejected(self):
         k1, k2 = lwe_keygen(SMALL, 1), lwe_keygen(EXH, 1)
         with pytest.raises(ParamsMismatch):
-            lwe_add(
+            lwe_mul(
                 lwe_encrypt(SMALL, k1.pk, (0,) * SMALL.d, 1),
                 lwe_encrypt(EXH, k2.pk, (0,) * EXH.d, 1),
             )

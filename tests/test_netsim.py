@@ -1000,6 +1000,15 @@ class TestScriptedGovernance:
         with pytest.raises(ConfigInvalid):
             netsim.Simulation(cfg)
 
+    def test_pool_upvotes_is_refused_before_the_run(self):
+        """The roll's pool threshold upvotes every scripted proposal, so a
+        proposal that sets pool_upvotes is refused at setup, naming the field,
+        even at a value that could never reach the vote."""
+        proposal = {"epoch": 1, "proposer": "node-01", "type": "Product", "pool_upvotes": 0, "yes": 2}
+        cfg = small_config(governance={"proposals": [proposal]})
+        with pytest.raises(ConfigInvalid, match="pool_upvotes"):
+            netsim.Simulation(cfg)
+
     def test_month_has_one_definition(self):
         from bionode import slashing, vortex
 

@@ -330,19 +330,14 @@ class TestDelegation:
         assert result.votes_cast == 7 and result.yes == 7
         assert result.approved
 
-    @pytest.mark.parametrize("leave", ["delegate", "demote"])
-    def test_voter_who_stops_governing_before_the_tally_counts_zero(self, leave):
+    def test_voter_who_stops_governing_before_the_tally_counts_zero(self):
         dao = make_dao(10)
         p = dao.submit_proposal("g0000", ProposalType.Product, now=0)
         drive_to_vote(dao, p.id)
         dao.cast_vote("g0000", p.id, True, now=1)
         dao.cast_vote("g0001", p.id, True, now=1)
         dao.cast_vote("g0002", p.id, False, now=1)
-        if leave == "delegate":
-            dao.delegate("g0001", "g0003")  # g0003 did not vote: the unit is not cast
-        else:
-            dao.governors["g0001"].active_this_month = False
-            assert "g0001" in dao.monthly_activity_sweep(now=2)
+        dao.delegate("g0001", "g0003")  # g0003 did not vote: the unit is not cast
         result = dao.tally(p.id, now=WEEK_SECONDS)
         assert result.yes == 1 and result.votes_cast == 2
 
@@ -436,37 +431,6 @@ class TestTiers:
         assert dao.eligible_power() == 3
 
 
-class TestActivitySweep:
-    def test_inactive_governor_demoted(self):
-        dao = make_dao(4)
-        dao.governors["g0000"].active_this_month = True
-        demoted = dao.monthly_activity_sweep(now=MONTH_SECONDS)
-        assert set(demoted) == {"g0001", "g0002", "g0003"}
-        assert dao.governors["g0001"].role is Role.HumanNode
-
-    def test_single_vote_keeps_governor(self):
-        dao = make_dao(10)
-        p = dao.submit_proposal("g0000", ProposalType.Product, now=0)
-        drive_to_vote(dao, p.id)
-        assert dao.governors["g0001"].active_this_month
-        demoted = dao.monthly_activity_sweep(now=MONTH_SECONDS)
-        assert "g0001" not in demoted
-
-    def test_quorum_denominator_shrinks(self):
-        dao = make_dao(10)
-        before = dao.eligible_power()
-        dao.monthly_activity_sweep(now=MONTH_SECONDS)
-        assert dao.eligible_power() < before
-
-    def test_demotion_dissolves_received_delegations(self):
-        dao = make_dao(5)
-        dao.delegate("g0001", "g0000")
-        dao.monthly_activity_sweep(now=MONTH_SECONDS)
-        assert dao.governors["g0000"].role is Role.HumanNode
-        assert dao.governors["g0001"].role is Role.Governor
-        assert dao.governors["g0001"].delegated_to is None
-
-
 class TestMembership:
     def test_reregistering_is_rejected(self):
         dao = make_dao(2)
@@ -488,8 +452,6 @@ membership_steps = st.lists(
         st.tuples(st.just("promote"), node),
         st.tuples(st.just("delegate"), node, node),
         st.tuples(st.just("undelegate"), node),
-        st.tuples(st.just("active"), node),
-        st.tuples(st.just("sweep")),
     ),
     max_size=40,
 )
@@ -516,12 +478,8 @@ def apply_step(dao: Vortex, step: tuple, now: int) -> None:
             dao.promote_to_governor(ids[0], now=now)
         elif kind == "delegate":
             dao.delegate(ids[0], ids[1])
-        elif kind == "undelegate":
-            dao.undelegate(ids[0])
-        elif kind == "active":
-            dao.governors[ids[0]].active_this_month = True
         else:
-            dao.monthly_activity_sweep(now=now)
+            dao.undelegate(ids[0])
     except (KeyError, VortexError):
         pass  # unknown ids and refused moves leave the state as it was
 
@@ -704,23 +662,6 @@ class TestStateMachine:
         dao.expire_stale(now=3 * WEEK_SECONDS)
         with pytest.raises(ProposalNotActive):
             dao.pool_vote("g0001", p.id, True, now=3 * WEEK_SECONDS)
-
-
-class TestPoolBoards:
-    def test_orderings(self):
-        dao = make_dao(50)
-        a = dao.submit_proposal("g0000", ProposalType.Product, now=0)
-        b = dao.submit_proposal("g0001", ProposalType.Product, now=100)
-        c = dao.submit_proposal("g0002", ProposalType.Product, now=200)
-        dao.pool_vote("g0003", b.id, True, now=300)
-        dao.pool_vote("g0004", b.id, True, now=300)
-        dao.pool_vote("g0003", c.id, False, now=300)
-        boards = dao.pool_boards(now=400)
-        assert boards["fresh"] == [c.pseudonym, b.pseudonym, a.pseudonym]
-        assert boards["trending"][0] == b.pseudonym
-        assert boards["popular"][0] == b.pseudonym
-        # only pool-state proposals appear
-        assert set(boards["fresh"]) == {a.pseudonym, b.pseudonym, c.pseudonym}
 
 
 class TestClosedProposalsDropBallots:
