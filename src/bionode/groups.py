@@ -17,13 +17,17 @@ and pays a short power and a Jacobi symbol instead of a full-size power.
 
 Powers of a fixed base (the generator, a public key) go through a Lim-Lee comb
 (fixed_base_pow; C. H. Lim and P. J. Lee, "More Flexible Exponentiation with
-Precomputation", CRYPTO 1994) of 8 rows and 4 column blocks of b bits; row i,
-bit k holds exponent bit 4b*i + k. Table j holds, for each byte u, the product
-of the row powers of block j that u selects, so a 1024-bit power takes 32
-squarings and up to 128 multiplications instead of about 1200. The tables of
-a (base, p) hold 1,024 elements (~171 KB at 1024 bits) and cost about 990
-squarings and 1,020 multiplications, paid on first use; comb_table keeps the
-tables of the last four bases.
+Precomputation", CRYPTO 1994) of 10 rows and 4 column blocks of b = ceil(bits/40)
+bits; row i, bit k holds exponent bit 4b*i + k. Table j holds, for each 10-bit
+column u, the product of the row powers of block j that u selects, so a 1024-bit
+power takes 26 squarings and up to 104 multiplications instead of about 1200.
+Tables are filled on first read: a base's first use computes its 40 row
+powers (1,014 squarings at 1024 bits, about one pow) and the 63 entries of each
+table whose bits lie in one half of the rows (248 multiplications); any other
+entry is one product of two of those, taken when a power first reads it, so a
+one-shot power pays for the entries it touches. A base whose entries are all
+filled holds about 687 KiB at 1024 bits; comb_table keeps the tables of the
+last four bases.
 
 params_doc / read_params_doc are the codec of the params document {"p", "q",
 "g", "pk"}; a key file adds "sk". Reading builds the group, so checks it, and
@@ -121,68 +125,89 @@ def jacobi(a: int, n: int) -> int:
         a >>= twos
         if twos & 1 and n & 7 in (3, 5):  # (2|n) = -1 iff n = 3, 5 mod 8
             sign = -sign
-        if a & n & 3 == 3:  # reciprocity: (a|n) = -(n|a) iff a = n = 3 mod 4
+        if a & 3 == 3 and n & 3 == 3:  # reciprocity: (a|n) = -(n|a) iff a = n = 3 mod 4
             sign = -sign
         a, n = n % a, a
     return sign if n == 1 else 0
 
 
 # Lim-Lee comb shape: _COMB_ROWS rows of the exponent, each cut into _COMB_BLOCKS
-# blocks of _comb_block(p) bits; a column of a block is one index byte.
-_COMB_ROWS = 8
+# blocks of _comb_block(p) bits. A column of a block indexes its table of
+# 2^_COMB_ROWS entries by two bytes: rows 0-7 set bits of the low byte, rows 8-9
+# of the high byte.
+_COMB_ROWS = 10
 _COMB_BLOCKS = 4
+# The column bits of rows 0-4 and of rows 5-9; an entry is the product of the
+# entries of its two halves (see comb_table).
+_LOW_ROWS = (1 << _COMB_ROWS // 2) - 1
+_HIGH_ROWS = (1 << _COMB_ROWS) - 1 - _LOW_ROWS
 
 
 def _comb_block(p: int) -> int:
     return -(-p.bit_length() // (_COMB_BLOCKS * _COMB_ROWS))
 
 
-# Turns the '0'/'1' digits of row i into the bytes 0 / 2^i.
-_ROW_BITS = [bytes.maketrans(b"01", bytes([0, 1 << i])) for i in range(_COMB_ROWS)]
+# Turns the '0'/'1' digits of row i into the bytes 0 / 2^(i mod 8) of byte plane i // 8.
+_ROW_BITS = [bytes.maketrans(b"01", bytes([0, 1 << i % 8])) for i in range(_COMB_ROWS)]
 
 
 @functools.lru_cache(maxsize=4)
-def comb_table(base: int, p: int) -> tuple[tuple[int, ...], ...]:
-    """The 4 comb tables of `base` mod p, 256 entries each (8 rows x 4 blocks).
+def comb_table(base: int, p: int) -> tuple[list[int | None], ...]:
+    """The 4 comb tables of `base` mod p, 1,024 entries each (10 rows x 4 blocks).
 
     With block width b = _comb_block(p) and row width a = 4b, entry u of
     table j is the product of base^(2^(i*a + j*b)) over the bits i set in u.
+    A table is built holding the 63 entries whose bits all lie in rows 0-4
+    or all in rows 5-9, and None elsewhere; fixed_base_pow fills any other
+    entry when it first reads it, and the filled entries stay with the
+    cached tables.
     """
     b = _comb_block(p)
-    # base^(2^(k*b)) for k < 32; row i of block j is k = 4i + j
+    # base^(2^(k*b)) for k < 40; row i of block j is k = 4i + j
     powers = [base % p]
     for _ in range(_COMB_BLOCKS * _COMB_ROWS - 1):
         powers.append(pow(powers[-1], 1 << b, p))
+    half = _COMB_ROWS // 2
     tables = []
     for j in range(_COMB_BLOCKS):
-        table = [1]
-        for g_i in powers[j::_COMB_BLOCKS]:
-            table += [t * g_i % p for t in table]
-        tables.append(tuple(table))
+        rows = powers[j::_COMB_BLOCKS]
+        low, high = [1], [1]
+        for row in rows[:half]:
+            low += [t * row % p for t in low]
+        for row in rows[half:]:
+            high += [t * row % p for t in high]
+        table = [None] * (1 << _COMB_ROWS)
+        table[:len(low)] = low  # u = 0 .. 31
+        table[::len(low)] = high  # u = 0, 32, .., 992
+        tables.append(table)
     return tuple(tables)
 
 
 def fixed_base_pow(base: int, e: int, p: int) -> int:
-    """pow(base, e, p), by the comb of `base` when 0 <= e < 2^(32b)."""
+    """pow(base, e, p), by the comb of `base` when 0 <= e < 2^(40b)."""
     b = _comb_block(p)
     a = _COMB_BLOCKS * b
     if e < 0 or e >> (_COMB_ROWS * a):
         return pow(base, e, p)
     tables = comb_table(base, p)
-    # byte a-1-k of `columns` has bit i set iff exponent bit i*a + k is set
+    # byte a-1-k of plane i // 8 has bit i mod 8 set iff exponent bit i*a + k is set
     mask = (1 << a) - 1
-    columns = 0
+    planes = [0, 0]
     for i in range(_COMB_ROWS):
         digits = format(e >> (i * a) & mask, f"0{a}b").encode()
-        columns |= int.from_bytes(digits.translate(_ROW_BITS[i]), "big")
-    columns = columns.to_bytes(a, "big")
-    # block j is bytes a-(j+1)b .. a-jb-1 of `columns`; walk the blocks together
+        planes[i >> 3] |= int.from_bytes(digits.translate(_ROW_BITS[i]), "big")
+    low, high = (plane.to_bytes(a, "big") for plane in planes)
+    columns = [lo | hi << 8 for lo, hi in zip(low, high)]
+    # block j is columns a-(j+1)b .. a-jb-1; walk the blocks together
     r = 1
     for column in zip(*(columns[k:k + b] for k in range(a - b, -1, -b))):
         r = r * r % p
         for u, table in zip(column, tables):
             if u:
-                r = r * table[u] % p
+                entry = table[u]
+                if entry is None:
+                    entry = table[u] = table[u & _LOW_ROWS] * table[u & _HIGH_ROWS] % p
+                r = r * entry % p
     return r
 
 

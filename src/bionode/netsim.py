@@ -334,6 +334,8 @@ class Simulation:
             for item in gov.get("proposals", ()):
                 if not isinstance(item, dict) or not isinstance(item["proposer"], str):
                     raise ConfigInvalid(f"a proposal must be an object naming its proposer: {item!r}")
+                if item["proposer"] not in self.nodes:  # the script names no nominator
+                    raise ConfigInvalid(f"a proposal's proposer {item['proposer']!r} is not a node")
                 if "pool_upvotes" in item:
                     raise ConfigInvalid(f"a proposal cannot set pool_upvotes; the pool threshold upvotes it: {item!r}")
                 epoch, yes, no = _int(item["epoch"]), _int(item.get("yes", 0)), _int(item.get("no", 0))

@@ -176,6 +176,13 @@ def logeq_verify(
     return lhs1 == rhs1 and lhs2 == rhs2
 
 
+def _quotient(p: int, agg: Ciphertext, out: Ciphertext) -> tuple[int, int]:
+    """(agg.c / out.c, agg.d / out.d) mod p by one inversion, of out.c * out.d;
+    both components of `out` lie in 1..p-1, so their product is invertible."""
+    inv = pow(out.c * out.d, -1, p)
+    return agg.c * out.d % p * inv % p, agg.d * out.c % p * inv % p
+
+
 def prove_linear(
     params: GroupParams,
     pk: int,
@@ -210,9 +217,7 @@ def prove_linear(
     )
 
     r_prime = sum(a * r for a, r in zip(coefficients, randomness)) % q
-    agg = aggregate(params, statement)
-    u1 = agg.c * pow(output_ct.c, -1, p) % p
-    u2 = agg.d * pow(output_ct.d, -1, p) % p
+    u1, u2 = _quotient(p, aggregate(params, statement), output_ct)
     witness = (r_prime - r_out) % q
     proof = logeq_prove(params, g, u1, pk, u2, witness, rng.randrange(2**63))
     return statement, proof
@@ -232,8 +237,7 @@ def verify_linear(
         agg = aggregate(params, statement)
     except (ValueError, ParamsMismatch):  # lengths differ, or a foreign input
         return False
-    u1 = agg.c * pow(out.c, -1, p) % p
-    u2 = agg.d * pow(out.d, -1, p) % p
+    u1, u2 = _quotient(p, agg, out)
     return logeq_verify(params, params.g, u1, pk, u2, proof)
 
 

@@ -360,6 +360,7 @@ class TestRunSim:
         {"governance": {"proposals": [{"epoch": 0, "proposer": "node-01", "type": "Product",
                                        "yes": 3, "no": 1}]}},
         {"initial_balance": -1},
+        {"governance": {"proposals": [{"epoch": 1, "proposer": "ghost", "type": "Product", "yes": 2}]}},
     ], ids=["validity-text", "validity-zero", "offline-unknown", "false-tx-unknown",
             "empty-window", "overlapping-windows", "faults-list", "crypto-text",
             "crypto-number", "nodes-fraction", "nodes-bool", "fee-fraction",
@@ -371,7 +372,7 @@ class TestRunSim:
             "proposal-no-negative", "proposal-upvotes-negative", "proposal-no-epoch",
             "proposal-epoch-text", "offline-node-list", "bioauth-node-list",
             "false-tx-node-object", "seed-text", "proposal-votes-above-roll",
-            "initial-balance-negative"])
+            "initial-balance-negative", "proposal-proposer-not-a-node"])
     def test_invalid_scenario_exits_one_without_traceback(self, extra, tmp_path, capsys):
         scenario = tmp_path / "s.json"
         doc = {"num_nodes": 3, "slots_per_epoch": 5, "epochs": 1, "fees_per_epoch": 0}

@@ -330,13 +330,14 @@ PK_1024 = keygen(GROUP_1024, rng_seed=1).pk
 
 
 def comb_width(params: GroupParams) -> int:
-    """Exponent bits the comb of a base mod p covers: 8 rows of 4 blocks, so
-    p's bit length rounded up to a multiple of 32."""
-    return 32 * -(-params.p.bit_length() // 32)
+    """Exponent bits the comb of a base mod p covers: 10 rows of 4 blocks, so
+    p's bit length rounded up to a multiple of 40."""
+    return 40 * -(-params.p.bit_length() // 40)
 
 
-# Groups whose bit length is not a multiple of the comb width: 33 and 100 bits
-# round up to 64 and 128, where a rounding to 16 bits would give 48 and 112.
+# Groups whose bit length is not a multiple of the comb width: 17, 33 and 100
+# bits round up to 40, 40 and 120, where a rounding to 32 bits would give 32,
+# 64 and 128.
 ODD_GROUPS = [generate_params(bits, seed=bits) for bits in (17, 33, 100)]
 ODD_KEYED = [(params, keygen(params, rng_seed=1).pk) for params in ODD_GROUPS]
 COMB_GROUPS = [(GROUP_64, PK_64), (GROUP_1024, PK_1024)] + ODD_KEYED
@@ -344,10 +345,16 @@ COMB_IDS = ["64", "1024", "17", "33", "100"]
 
 
 def block_boundary_bits(params: GroupParams) -> list[int]:
-    """Bits i*a + j*b and i*a + j*b - 1 for every row i < 8 and block j < 4."""
-    b = comb_width(params) // 32
-    starts = [i * 4 * b + j * b for i in range(8) for j in range(4)]
+    """Bits i*a + j*b and i*a + j*b - 1 for every row i < 10 and block j < 4."""
+    b = comb_width(params) // 40
+    starts = [i * 4 * b + j * b for i in range(10) for j in range(4)]
     return sorted({k for s in starts for k in (s, s - 1) if k >= 0})
+
+
+def entry_exponent(params: GroupParams, j: int, u: int) -> int:
+    """The exponent of entry u of table j: the sum of 2^(i*a + j*b) over the bits i of u."""
+    b = comb_width(params) // 40
+    return sum(1 << (i * 4 * b + j * b) for i in range(10) if u >> i & 1)
 
 
 class TestFixedBasePow:
@@ -390,18 +397,61 @@ class TestFixedBasePow:
 
     @pytest.mark.parametrize("params, pk", COMB_GROUPS, ids=COMB_IDS)
     def test_comb_table_matches_row_powers(self, params, pk):
-        """Entry u of table j is base^(sum of 2^(i*a + j*b) over the bits i of u)."""
-        b = comb_width(params) // 32
-        a = 4 * b
-        samples = [0, 1, 2, 3, 128, 255] + random.Random(params.p).sample(range(256), 6)
+        """Entry u of table j is base^(sum of 2^(i*a + j*b) over the bits i of u).
+        A new table holds the entries whose bits lie in one half of the rows;
+        a power fills any other entry it reads."""
+        b = comb_width(params) // 40
+        one_half = [u for u in range(1024) if u < 32 or u % 32 == 0]
+        samples = [1, 2, 3, 31, 32, 33, 128, 255, 256, 512, 768, 992, 1023]
+        samples += random.Random(params.p).sample(range(1, 1024), 6)
+        groups.comb_table.cache_clear()
         for base in (params.g, pk):
             tables = groups.comb_table(base, params.p)
             assert len(tables) == groups._COMB_BLOCKS == 4
-            assert all(len(table) == 2 ** groups._COMB_ROWS == 256 for table in tables)
             for j, table in enumerate(tables):
-                for u in samples:
-                    e = sum(1 << (i * a + j * b) for i in range(8) if u >> i & 1)
-                    assert table[u] == pow(base, e, params.p), (j, u)
+                assert len(table) == 2 ** groups._COMB_ROWS == 1024
+                assert [u for u, entry in enumerate(table) if entry is not None] == one_half
+                for u in one_half:
+                    assert table[u] == pow(base, entry_exponent(params, j, u), params.p), (j, u)
+            for u in samples:
+                # column u in every column of every block: one read of entry u per table
+                e = ((1 << b) - 1) * sum(entry_exponent(params, j, u) for j in range(4))
+                assert fixed_base_pow(base, e, params.p) == pow(base, e, params.p), u
+                for j, table in enumerate(tables):
+                    assert table[u] == pow(base, entry_exponent(params, j, u), params.p), (j, u)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_interleaved_bases_fill_tables_that_match_pow(self, data):
+        """Powers of two bases, taken in any order from cleared tables, equal
+        pow, and so does every entry they filled."""
+        params, pk = data.draw(st.sampled_from([(GROUP_64, PK_64)] + ODD_KEYED))
+        width = comb_width(params)
+        calls = data.draw(st.lists(
+            st.tuples(st.sampled_from([params.g, pk]), st.integers(0, (1 << width) - 1)),
+            min_size=1, max_size=12,
+        ))
+        groups.comb_table.cache_clear()
+        for base, e in calls:
+            assert fixed_base_pow(base, e, params.p) == pow(base, e, params.p), (base, e)
+        for base in {base for base, _ in calls}:
+            for j, table in enumerate(groups.comb_table(base, params.p)):
+                for u, entry in enumerate(table):
+                    if entry is not None:
+                        assert entry == pow(base, entry_exponent(params, j, u), params.p), (j, u)
+
+    def test_cold_verify_fills_less_than_half_of_each_table(self):
+        """A one-shot verification takes one power of g and one of pk, so it
+        fills only the entries those two powers read."""
+        params, pk = GROUP_1024, PK_1024
+        statement, proof = zkp.prove_linear(params, pk, [3, 1, 4], [11, 22, 33], [2, -1, 5], 7)
+        groups.comb_table.cache_clear()
+        assert zkp.verify_linear(params, pk, statement, proof)
+        assert groups.comb_table.cache_info().currsize == 2
+        for base in (params.g, pk):
+            for table in groups.comb_table(base, params.p):
+                filled = sum(entry is not None for entry in table)
+                assert 63 < filled < len(table) // 2, filled
 
     def test_setup_builds_no_table(self):
         """Parameters and keys come from pow; the first encryption, proof or

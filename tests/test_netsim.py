@@ -1009,6 +1009,15 @@ class TestScriptedGovernance:
         with pytest.raises(ConfigInvalid, match="pool_upvotes"):
             netsim.Simulation(cfg)
 
+    @pytest.mark.parametrize("epoch", [1, 9], ids=["reached", "never-reached"])
+    def test_proposer_not_a_node_is_refused_before_the_run(self, epoch):
+        """The simulator names no nominator, so a proposer that is not a node
+        could only fail its submission; it is refused at setup, by name."""
+        proposal = {"epoch": epoch, "proposer": "ghost", "type": "Product", "yes": 2}
+        cfg = small_config(governance={"proposals": [proposal]})
+        with pytest.raises(ConfigInvalid, match="'ghost' is not a node"):
+            netsim.Simulation(cfg)
+
     def test_month_has_one_definition(self):
         from bionode import slashing, vortex
 
