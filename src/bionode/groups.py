@@ -12,8 +12,8 @@ and g != 1 is a quadratic residue. The subgroup is then exactly the quadratic
 residues: x^q = (x|p) for 0 < x < p by Euler's criterion, so membership is a
 Jacobi symbol (jacobi), not a full-size power. The same identity gives
 x^(q-k) = (x|p) * (x^-1)^k for 0 < x < p, in the subgroup or not: hom_scalar
-uses it when the exponent k mod q lies nearer q than 0 (a small negative k),
-and pays a short power and a Jacobi symbol instead of a full-size power.
+uses it when k mod q lies nearer q than 0 (a small negative k), and pays one
+inversion per ciphertext and a short power and a Jacobi symbol per component.
 
 Powers of a fixed base (the generator, a public key) go through a Lim-Lee comb
 (fixed_base_pow; C. H. Lim and P. J. Lee, "More Flexible Exponentiation with
@@ -323,17 +323,19 @@ def hom_scalar(ct: Ciphertext, k: int) -> Ciphertext:
     """Componentwise k-th power: decrypts to m^k (scalar action in the exponent).
 
     Each component x is raised to e = k mod q. When q - e < e, as for a small
-    negative k, and 0 < x < p, the power is taken as (x|p) * (x^-1)^(q-e),
-    which Euler's criterion x^q = (x|p) makes equal to x^e for every such x,
-    in the subgroup or not. Any other x (0, or outside 1..p-1) is raised to
-    e as it is, so every result is pow(x, e, p) to the bit.
+    negative k, and both components lie in 1..p-1, one inversion of c*d gives
+    c^-1 = d/(cd) and d^-1 = c/(cd), and each power is taken as
+    (x|p) * (x^-1)^(q-e), which Euler's criterion x^q = (x|p) makes equal to
+    x^e for every such x, in the subgroup or not. Otherwise each component is
+    raised to e as it is, so every result is pow(x, e, p) to the bit.
     """
     p, q = ct.params.p, ct.params.q
-    e = k % q
-    c, d = (
-        jacobi(x, p) * pow(x, e - q, p) % p if q - e < e and 0 < x < p else pow(x, e, p)
-        for x in (ct.c, ct.d)
-    )
+    e, c, d = k % q, ct.c, ct.d
+    if q - e < e and 0 < c < p and 0 < d < p:
+        inv = pow(c * d, -1, p)
+        c, d = (jacobi(x, p) * pow(y * inv % p, q - e, p) % p for x, y in ((c, d), (d, c)))
+    else:
+        c, d = pow(c, e, p), pow(d, e, p)
     return Ciphertext(c=c, d=d, params=ct.params)
 
 

@@ -21,8 +21,9 @@ Every power of the generator and of the public key (encryption nonces, the
 log-eq commitments, the witness check and the verifier's g^t, pk^t) goes
 through the fixed-base comb of groups.fixed_base_pow. Every GroupParams is a
 valid group, so nothing here re-checks g; membership (GroupParams.contains)
-is a Jacobi symbol, cheap enough that each plaintext and every element of
-the statement and proof is tested.
+is a Jacobi symbol. Each plaintext is tested; logeq_verify tests the ranges
+and both bases, then the two equations, and then the other four elements of
+the statement and proof, so a rejected proof stops at its first failed check.
 
 statement_doc / read_statement_doc are the codec of the statement document: a
 params document (groups), coefficients, ciphertexts {"c", "d"}, proof {"A", "B", "t"}.
@@ -162,18 +163,20 @@ def logeq_prove(
 def logeq_verify(
     params: GroupParams, g1: int, h1: int, g2: int, h2: int, proof: LogEqProof
 ) -> bool:
-    """Check g1^t == A * h1^z and g2^t == B * h2^z with recomputed z."""
-    for v in (g1, h1, g2, h2, proof.A, proof.B):
-        if not params.contains(v):
-            return False
-    if not 0 <= proof.t < params.q:
+    """Check g1^t == A * h1^z and g2^t == B * h2^z with recomputed z, all six
+    elements in the subgroup, stopping at the first check that fails: ranges
+    (_challenge cannot encode a negative value), then g1 and g2 (no comb table
+    is built for a non-member), equation 1 (a statement whose h1 or h2 differs
+    moves z and fails it), equation 2, and last the Jacobi tests of the rest."""
+    p, rest = params.p, (h1, h2, proof.A, proof.B)
+    if not (0 <= proof.t < params.q and all(0 < v < p for v in rest)
+            and params.contains(g1) and params.contains(g2)):
         return False
     z = _challenge(params, g1, h1, g2, h2, proof.A, proof.B)
-    lhs1 = fixed_base_pow(g1, proof.t, params.p)
-    rhs1 = proof.A * pow(h1, z, params.p) % params.p
-    lhs2 = fixed_base_pow(g2, proof.t, params.p)
-    rhs2 = proof.B * pow(h2, z, params.p) % params.p
-    return lhs1 == rhs1 and lhs2 == rhs2
+    if fixed_base_pow(g1, proof.t, p) != proof.A * pow(h1, z, p) % p:
+        return False
+    return (fixed_base_pow(g2, proof.t, p) == proof.B * pow(h2, z, p) % p
+            and all(map(params.contains, rest)))
 
 
 def _quotient(p: int, agg: Ciphertext, out: Ciphertext) -> tuple[int, int]:

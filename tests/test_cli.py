@@ -1,11 +1,15 @@
 """CLI surface: exit codes, output documents, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bionode import cli
 
@@ -461,3 +465,77 @@ class TestExitCodes:
 
         monkeypatch.setattr(netsim_mod, "run", explode)
         assert run_cli("run-sim", str(scenario)) == 2
+
+
+# Every committed document, with the command that reads it; the document's
+# path goes last, and prove-linear writes its statement to --output.
+STATEMENT_64 = GOLDEN / "prove_linear_64.json"
+FUZZED_DOCUMENTS = {
+    **{path: ["run-sim"] for path in sorted(SCENARIOS.glob("*.json"))},
+    STATEMENT_64: ["verify-linear"],
+    GOLDEN / "keys_64.json": ["prove-linear", "--inputs", "1,2", "--coeffs", "3,-4", "--keys"],
+    Path(cli.__file__).parent / "data" / "price_quote.json": ["fee-quote", "--quote"],
+}
+OTHER_TYPE_VALUES = [None, True, 2.5, -3, 0, "x", [], [1], {}, {"k": "1"}]
+INTEGER_STRINGS = ["-1", "-5", str(-(2**70)), str(2**1100), "9" * 400]
+DELETE = "<delete>"
+
+
+def document_paths(doc, prefix=()):
+    """(key or index path, value) of every value below the top of a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield (*prefix, key), value
+        yield from document_paths(value, (*prefix, key))
+
+
+def json_type(value) -> str:
+    return "null" if value is None else type(value).__name__
+
+
+def mutate(path: Path, keys: tuple, new) -> tuple[Path, object]:
+    """The document at path with the value at keys set to new, or deleted."""
+    doc = json.loads(path.read_text())
+    parent = doc
+    for key in keys[:-1]:
+        parent = parent[key]
+    if new == DELETE:
+        del parent[keys[-1]]
+    else:
+        parent[keys[-1]] = new
+    return path, doc
+
+
+@st.composite
+def mutated_documents(draw):
+    """A committed document with one path set to a value of another JSON type
+    or to a negative or huge integer string, or deleted."""
+    path = draw(st.sampled_from(list(FUZZED_DOCUMENTS)))
+    keys, old = draw(st.sampled_from(list(document_paths(json.loads(path.read_text())))))
+    others = [v for v in OTHER_TYPE_VALUES if json_type(v) != json_type(old)]
+    return mutate(path, keys, draw(st.sampled_from([*others, *INTEGER_STRINGS, DELETE])))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+class TestDocumentFuzz:
+    # A negative A or B must be refused before the challenge hashes it.
+    @example(case=mutate(STATEMENT_64, ("proof", "A"), "-5"))
+    @example(case=mutate(STATEMENT_64, ("proof", "B"), "-1"))
+    @settings(max_examples=300, deadline=None)
+    @given(case=mutated_documents())
+    def test_mutated_document_exits_cleanly(self, case, fuzz_dir):
+        path, doc = case
+        mutated = fuzz_dir / "mutated.json"
+        mutated.write_text(json.dumps(doc))
+        argv = [*FUZZED_DOCUMENTS[path], str(mutated)]
+        if argv[0] == "prove-linear":
+            argv += ["--output", str(fuzz_dir / "statement.json")]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run_cli(*argv)
+        assert code in (0, 1, 3)
+        assert "Traceback" not in err.getvalue()

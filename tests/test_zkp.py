@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bionode import groups, zkp
 from bionode.groups import (
     Ciphertext,
     DocumentInvalid,
@@ -29,6 +30,7 @@ from bionode.zkp import (
     LinearStatement,
     LogEqProof,
     WitnessInconsistent,
+    _challenge,
     aggregate,
     conv_as_linear,
     logeq_prove,
@@ -201,6 +203,12 @@ class TestSignedExponent:
         k = data.draw(coefficients(params))
         got = hom_scalar(ct, k)
         assert (got.c, got.d) == oracle_aggregate(params, [k], [ct])
+        # a negative k with one component 0 or p: the shared inversion must not be taken
+        k = data.draw(st.one_of(st.integers(-50, -1), st.integers(-3 * params.q, -1)))
+        edge = data.draw(st.sampled_from([0, params.p]))
+        for one_edge in (Ciphertext(c=edge, d=ct.d, params=params), Ciphertext(c=ct.c, d=edge, params=params)):
+            got = hom_scalar(one_edge, k)
+            assert (got.c, got.d) == oracle_aggregate(params, [k], [one_edge]), (one_edge, k)
 
     @pytest.mark.parametrize("params", [GROUP_64, GROUP_1024], ids=["64", "1024"])
     @settings(max_examples=30, deadline=None)
@@ -269,6 +277,96 @@ class TestLogEq:
         p1 = logeq_prove(params, params.g, h1, params.g, h1, w, rng_seed=42)
         p2 = logeq_prove(params, params.g, h1, params.g, h1, w, rng_seed=42)
         assert p1 == p2
+
+
+def _equations_hold_outside_subgroup(params: GroupParams, negate_a: bool, parity: int):
+    """(g1, h1, g2, h2) and a proof both of whose equations hold, with h1 = p - g^w
+    outside the subgroup (and A = p - g^r too when negate_a): (-1)^z cancels for
+    the z parity given, so r is searched until the challenge has it."""
+    p, q, g = params.p, params.q, params.g
+    w, g2 = 7, pow(g, 5, p)
+    h1, h2 = p - pow(g, w, p), pow(g2, w, p)
+    for r in range(1, 200):
+        A, B = pow(g, r, p), pow(g2, r, p)
+        if negate_a:
+            A = p - A
+        z = _challenge(params, g, h1, g2, h2, A, B)
+        if z % 2 == parity:
+            return (g, h1, g2, h2), LogEqProof(A=A, B=B, t=(r + w * z) % q)
+    raise AssertionError(f"no r below 200 gives a challenge of parity {parity}")
+
+
+@pytest.fixture(scope="module")
+def proof_1024():
+    pk = keygen(GROUP_1024, rng_seed=3).pk
+    statement, proof = prove_linear(GROUP_1024, pk, [3, 1, 4, 1], [5, 9, 2, 6], [2, -7, 1, 8], rng_seed=6)
+    return pk, statement, proof
+
+
+def _counting(monkeypatch, calls: dict, owner, name: str) -> None:
+    real = getattr(owner, name)
+
+    def counted(*args):
+        calls[name] += 1
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+class TestVerifyOrder:
+    """logeq_verify stops at its first failing check: ranges and bases, the two
+    equations, then the membership of h1, h2, A and B. The membership tests
+    still refuse what the equations let through."""
+
+    @pytest.mark.parametrize("negate_a, parity", [(False, 0), (True, 1)],
+                             ids=["h1-negated-z-even", "A-and-h1-negated-z-odd"])
+    def test_equations_hold_but_an_element_is_outside_the_subgroup(self, negate_a, parity):
+        params, p = GROUP_64, GROUP_64.p
+        (g1, h1, g2, h2), proof = _equations_hold_outside_subgroup(params, negate_a, parity)
+        z = _challenge(params, g1, h1, g2, h2, proof.A, proof.B)
+        assert pow(g1, proof.t, p) == proof.A * pow(h1, z, p) % p
+        assert pow(g2, proof.t, p) == proof.B * pow(h2, z, p) % p
+        assert not params.contains(h1)
+        assert not logeq_verify(params, g1, h1, g2, h2, proof)
+
+    @pytest.mark.parametrize("value", [-1, 0, "p"])
+    @pytest.mark.parametrize("name", ["h1", "h2", "A", "B"])
+    def test_element_out_of_range_is_rejected_without_raising(self, group, name, value):
+        params, _ = group
+        p, g, w = params.p, params.g, 6
+        g2 = pow(g, 3, p)
+        h1, h2 = pow(g, w, p), pow(g2, w, p)
+        proof = logeq_prove(params, g, h1, g2, h2, w, rng_seed=9)
+        args = {"h1": h1, "h2": h2, "A": proof.A, "B": proof.B, name: p if value == "p" else value}
+        bad = LogEqProof(A=args["A"], B=args["B"], t=proof.t)
+        assert logeq_verify(params, g, args["h1"], g2, args["h2"], bad) is False
+
+    @pytest.mark.parametrize("forgery, fixed_base_pows, contains", [
+        ("none", 2, 6), ("output", 1, 2), ("coefficient", 1, 2),
+    ])
+    def test_a_tampered_statement_costs_one_equation(self, proof_1024, monkeypatch,
+                                                      forgery, fixed_base_pows, contains):
+        pk, statement, proof = proof_1024
+        if forgery == "output":
+            statement = LinearStatement(statement.coefficients, statement.input_cts,
+                                        _tamper_ct(statement.output_ct, GROUP_1024, "d"))
+        elif forgery == "coefficient":
+            statement = LinearStatement((statement.coefficients[0] + 1, *statement.coefficients[1:]),
+                                        statement.input_cts, statement.output_ct)
+        calls = {"fixed_base_pow": 0, "contains": 0}
+        _counting(monkeypatch, calls, zkp, "fixed_base_pow")
+        _counting(monkeypatch, calls, GroupParams, "contains")
+        assert verify_linear(GROUP_1024, pk, statement, proof) is (forgery == "none")
+        assert calls == {"fixed_base_pow": fixed_base_pows, "contains": contains}
+
+    def test_key_outside_the_subgroup_builds_no_comb_table(self, proof_1024, monkeypatch):
+        pk, statement, proof = proof_1024
+        bad_key = GROUP_1024.p - pk
+        bases = []
+        real = groups.comb_table
+        monkeypatch.setattr(groups, "comb_table", lambda base, p: bases.append(base) or real(base, p))
+        assert not verify_linear(GROUP_1024, bad_key, statement, proof)
+        assert bad_key not in bases
 
 
 def _tamper_ct(ct: Ciphertext, params: GroupParams, component: str) -> Ciphertext:
