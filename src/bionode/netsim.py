@@ -29,6 +29,7 @@ import json
 from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import biometrics, lwe, vortex
 from .fath import LedgerSnapshot, PeriodStats, run_period
@@ -102,6 +103,13 @@ def _node(value) -> str:
     return value
 
 
+def _list(value, name: str) -> list:
+    """A JSON array field: a string or an object is rejected, not read as empty."""
+    if not isinstance(value, list):
+        raise ConfigInvalid(f"{name} must be a list, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class OfflineWindow:
     node: str
@@ -145,8 +153,8 @@ class SimConfig:
             fees = doc.get("fees_per_epoch", 0)
             epochs = _int(doc["epochs"])
             if isinstance(fees, int):
-                fees = [fees] * epochs
-            if len(fees) != epochs:
+                fees = [_int(fees)] * epochs  # _int refuses a bool
+            if len(_list(fees, "fees_per_epoch")) != epochs:
                 raise ConfigInvalid("fees_per_epoch length must equal epochs")
             faults = doc.get("faults", {})
             if not isinstance(faults, dict):
@@ -168,14 +176,15 @@ class SimConfig:
                 crypto_pipeline=crypto_pipeline,
                 offline=tuple(
                     OfflineWindow(_node(w["node"]), _int(w["from_slot"]), _int(w["to_slot"]))
-                    for w in faults.get("offline", ())
+                    for w in _list(faults.get("offline", []), "faults.offline")
                 ),
                 bioauth_fail=tuple(
                     OfflineWindow(_node(w["node"]), _int(w["from_slot"]), _int(w["to_slot"]))
-                    for w in faults.get("bioauth_fail", ())
+                    for w in _list(faults.get("bioauth_fail", []), "faults.bioauth_fail")
                 ),
                 false_transaction=tuple(
-                    (_node(m["node"]), _int(m["slot"])) for m in faults.get("false_transaction", ())
+                    (_node(m["node"]), _int(m["slot"]))
+                    for m in _list(faults.get("false_transaction", []), "faults.false_transaction")
                 ),
                 governance=doc.get("governance"),
             )
@@ -200,8 +209,7 @@ class SimConfig:
             raise ConfigInvalid("initial_balance cannot be negative")
         if self.ticket_validity_slots is not None and self.ticket_validity_slots < 1:
             raise ConfigInvalid("ticket_validity_slots must be positive")
-        k = self.fath_period_epochs  # only whole periods are compared
-        periods = [sum(self.fees_per_epoch[i : i + k]) for i in range(0, len(self.fees_per_epoch) - k + 1, k)]
+        periods = self.period_fees
         if any(prev and not curr for prev, curr in zip(periods, periods[1:])):
             raise ConfigInvalid("fees fall to zero over a Fath period: the rebase would wipe out the supply")
         known = set(self.node_ids)
@@ -220,6 +228,12 @@ class SimConfig:
         for prev, nxt in zip(offline, offline[1:]):
             if prev.node == nxt.node and nxt.from_slot <= prev.to_slot:
                 raise ConfigInvalid(f"offline windows for {nxt.node} overlap or touch")
+
+    @cached_property
+    def period_fees(self) -> tuple[int, ...]:
+        """Each whole Fath period's fee total, in order, summed once per config; a part-period has none."""
+        k = self.fath_period_epochs
+        return tuple(sum(self.fees_per_epoch[i : i + k]) for i in range(0, len(self.fees_per_epoch) - k + 1, k))
 
 
 @dataclass
@@ -271,8 +285,6 @@ class Simulation:
             balances={nid: config.initial_balance for nid in self.nodes}
         )
         self.vault = 0
-        self.period_fees: list[int] = []
-        self._current_period_fees = 0
         # the calendar: slot -> nodes to look at then, popped when the slot is processed
         self._wake: dict[int, set[str]] = defaultdict(set)
         self._wake[0], self._wake[config.month_slots] = set(self.nodes), set(self.nodes)
@@ -310,13 +322,13 @@ class Simulation:
         self._proposals: dict[int, list[tuple]] = {}  # epoch -> scripted proposals
         self._roll: list[str] = []  # the Governors in id order; set once, as the run changes no role
         self._upvoters: list[str] = []  # the first pool_threshold of the roll: just enough to reach the vote
-        if not gov:
+        if gov is None or gov == {}:  # no governance
             return
         if not isinstance(gov, dict) or not isinstance(gov.get("tiers", {}), dict):
             raise ConfigInvalid("governance and its tiers must be objects")
         try:
             chosen = gov.get("governors", "all")
-            members = sorted(self.nodes) if chosen == "all" else list(chosen)
+            members = sorted(self.nodes) if chosen == "all" else _list(chosen, "governance.governors")
             for nid in members:
                 if nid not in self.nodes:
                     raise ConfigInvalid(f"governance names unknown node {nid}")
@@ -324,14 +336,17 @@ class Simulation:
                 self.dao.governors[nid].has_approved_proposal = True
             for nid, tier_name in gov.get("tiers", {}).items():
                 self.dao.governors[nid].tier = vortex.Tier[tier_name]
-            for delegator, delegatee in gov.get("delegations", ()):
+            for delegator, delegatee in _list(gov.get("delegations", []), "governance.delegations"):
                 self.dao.delegate(delegator, delegatee)
             self._roll = sorted(
                 nid for nid, r in self.dao.governors.items() if r.role is vortex.Role.Governor
             )
             self._upvoters = self._roll[: vortex.pool_threshold(len(self._roll))]
             # parsed before the run, so a bad entry stops it before any event
-            for item in gov.get("proposals", ()):
+            proposals = _list(gov.get("proposals", []), "governance.proposals")
+            if proposals and not self._roll:  # no Governor could pull a proposal out of the pool
+                raise ConfigInvalid("governance scripts a proposal but names no governor")
+            for item in proposals:
                 if not isinstance(item, dict) or not isinstance(item["proposer"], str):
                     raise ConfigInvalid(f"a proposal must be an object naming its proposer: {item!r}")
                 if item["proposer"] not in self.nodes:  # the script names no nominator
@@ -486,7 +501,6 @@ class Simulation:
         """Split the epoch's fees among the nodes whose fees are not stopped, in node
         order. The Blacklist is asked only about nodes with an entry; the rest are paid."""
         total = self.config.fees_per_epoch[epoch]
-        self._current_period_fees += total
         if total == 0:
             return
         now, listed = self._now(slot), {e.node_id for e in self.blacklist.entries}
@@ -508,15 +522,12 @@ class Simulation:
         })
 
     def _maybe_rebalance(self, epoch: int, slot: int) -> None:
-        if (epoch + 1) % self.config.fath_period_epochs != 0:
+        k = self.config.fath_period_epochs
+        period = (epoch + 1) // k - 1  # the Fath period this epoch closes, if it closes one
+        if (epoch + 1) % k or period == 0:  # period 0 has nothing to compare with
             return
-        self.period_fees.append(self._current_period_fees)
-        self._current_period_fees = 0
-        period = len(self.period_fees) - 1
-        if period == 0:
-            return
-        prev = PeriodStats(fees_paid=self.period_fees[period - 1], period_index=period - 1)
-        curr = PeriodStats(fees_paid=self.period_fees[period], period_index=period)
+        prev = PeriodStats(fees_paid=self.config.period_fees[period - 1], period_index=period - 1)
+        curr = PeriodStats(fees_paid=self.config.period_fees[period], period_index=period)
         self.ledger, outcome = run_period(self.ledger, prev, curr)
         self._emit(slot, "FathRebalance", outcome.to_record(period))
 
@@ -525,8 +536,9 @@ class Simulation:
 
         Voting weeks run on the DAO's own clock (the tally happens at the
         proposal's deadline regardless of how short the simulated epochs
-        are); tally records land in the event log. A scripted proposal the
-        proposer had no right to make becomes a slashing perpetration.
+        are); tally records land in the event log. Setup refused every bad
+        proposal, so nothing is refused here; one above the proposer's tier
+        becomes a MismatchedProposalTypeNoRight slash.
         """
         now, governors = self._now(slot), self._roll
         for proposer, ptype, yes, no in self._proposals.get(epoch, ()):
@@ -535,18 +547,13 @@ class Simulation:
             except TierInsufficient:
                 self._slash(proposer, PerpetrationKind.MismatchedProposalTypeNoRight, slot)
                 continue
-            except vortex.VortexError as exc:
-                raise ConfigInvalid(f"scripted proposal failed: {exc}") from exc
-            try:
-                for voter in self._upvoters:
-                    self.dao.pool_vote(voter, proposal.id, upvote=True, now=now)
-                for voter in governors[:yes]:
-                    self.dao.cast_vote(voter, proposal.id, yes=True, now=now + 1)
-                for voter in governors[yes : yes + no]:
-                    self.dao.cast_vote(voter, proposal.id, yes=False, now=now + 1)
-                result = self.dao.tally(proposal.id, now=proposal.vote_deadline)
-            except vortex.VortexError as exc:
-                raise ConfigInvalid(f"scripted vote failed: {exc}") from exc
+            for voter in self._upvoters:  # the last one moves the proposal to the vote
+                self.dao.pool_vote(voter, proposal.id, upvote=True, now=now)
+            for voter in governors[:yes]:
+                self.dao.cast_vote(voter, proposal.id, yes=True, now=now + 1)
+            for voter in governors[yes : yes + no]:
+                self.dao.cast_vote(voter, proposal.id, yes=False, now=now + 1)
+            result = self.dao.tally(proposal.id, now=proposal.vote_deadline)
             self._emit(slot, "GovernanceTally", result.to_record(proposal))
 
     # -- driving -----------------------------------------------------------

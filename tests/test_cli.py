@@ -365,6 +365,7 @@ class TestRunSim:
                                        "yes": 3, "no": 1}]}},
         {"initial_balance": -1},
         {"governance": {"proposals": [{"epoch": 1, "proposer": "ghost", "type": "Product", "yes": 2}]}},
+        {"epochs": 0, "fees_per_epoch": True},
     ], ids=["validity-text", "validity-zero", "offline-unknown", "false-tx-unknown",
             "empty-window", "overlapping-windows", "faults-list", "crypto-text",
             "crypto-number", "nodes-fraction", "nodes-bool", "fee-fraction",
@@ -376,7 +377,7 @@ class TestRunSim:
             "proposal-no-negative", "proposal-upvotes-negative", "proposal-no-epoch",
             "proposal-epoch-text", "offline-node-list", "bioauth-node-list",
             "false-tx-node-object", "seed-text", "proposal-votes-above-roll",
-            "initial-balance-negative", "proposal-proposer-not-a-node"])
+            "initial-balance-negative", "proposal-proposer-not-a-node", "fees-bool-no-epochs"])
     def test_invalid_scenario_exits_one_without_traceback(self, extra, tmp_path, capsys):
         scenario = tmp_path / "s.json"
         doc = {"num_nodes": 3, "slots_per_epoch": 5, "epochs": 1, "fees_per_epoch": 0}
@@ -386,6 +387,52 @@ class TestRunSim:
         assert captured.out == ""
         assert captured.err.startswith("error:")
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("extra, field", [
+        ({"faults": {"offline": ""}}, "faults.offline"),
+        ({"faults": {"offline": {}}}, "faults.offline"),
+        ({"faults": {"bioauth_fail": ""}}, "faults.bioauth_fail"),
+        ({"faults": {"bioauth_fail": {}}}, "faults.bioauth_fail"),
+        ({"faults": {"false_transaction": ""}}, "faults.false_transaction"),
+        ({"faults": {"false_transaction": {}}}, "faults.false_transaction"),
+        ({"governance": {"proposals": ""}}, "governance.proposals"),
+        ({"governance": {"proposals": {}}}, "governance.proposals"),
+        ({"governance": {"delegations": ""}}, "governance.delegations"),
+        ({"governance": {"delegations": {}}}, "governance.delegations"),
+        ({"governance": {"governors": ""}}, "governance.governors"),
+        ({"governance": {"governors": {}}}, "governance.governors"),
+        ({"epochs": 0, "fees_per_epoch": ""}, "fees_per_epoch"),
+        ({"epochs": 0, "fees_per_epoch": {}}, "fees_per_epoch"),
+        ({"governance": []}, "governance"),
+        ({"governance": 0}, "governance"),
+        ({"governance": False}, "governance"),
+        ({"governance": ""}, "governance"),
+    ], ids=["offline-text", "offline-object", "bioauth-text", "bioauth-object", "false-tx-text",
+            "false-tx-object", "proposals-text", "proposals-object", "delegations-text",
+            "delegations-object", "governors-text", "governors-object", "fees-text-no-epochs",
+            "fees-object-no-epochs", "governance-list", "governance-zero", "governance-false",
+            "governance-text"])
+    def test_wrong_typed_array_exits_one_naming_the_field(self, extra, field, tmp_path, capsys):
+        """An array field given as a string, an object or a scalar is refused,
+        not read as empty; only null and {} mean no governance."""
+        scenario = tmp_path / "s.json"
+        doc = {"num_nodes": 3, "slots_per_epoch": 5, "epochs": 1, "fees_per_epoch": 0}
+        scenario.write_text(json.dumps({**doc, **extra}))
+        assert run_cli("run-sim", str(scenario)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.startswith("error:") and field in captured.err
+
+    @pytest.mark.parametrize("epoch", [0, 9], ids=["reached", "never-reached"])
+    def test_proposal_with_no_governor_exits_one_without_output(self, epoch, tmp_path, capsys):
+        scenario, out = tmp_path / "s.json", tmp_path / "run"
+        proposal = {"epoch": epoch, "proposer": "node-01", "type": "Product"}
+        scenario.write_text(json.dumps({"num_nodes": 3, "slots_per_epoch": 5, "epochs": 1, "fees_per_epoch": 0,
+                                        "governance": {"governors": [], "proposals": [proposal]}}))
+        assert run_cli("run-sim", str(scenario), "--output", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "names no governor" in captured.err and "Traceback" not in captured.err
+        assert not out.exists()
 
     def test_malicious_scenario_emits_slash(self, capsys):
         assert run_cli("run-sim", str(SCENARIOS / "malicious.json")) == 0

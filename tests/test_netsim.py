@@ -13,8 +13,10 @@ against a scan that asks the Blacklist about every node, the simulator's
 old eligibility loop, and may ask the Blacklist itself only about nodes
 that have an entry. No renewal may be offered to a node that is offline,
 nor to a suspended one at a slot where nothing on its own record wakes
-it. A 300-node run in the shape of the sim-churn benchmark has its
-event-log and report SHA-256s pinned.
+it. Each reached scripted proposal's tally or tier slash is recounted from
+the governance section, and a section that setup accepts, valid or not,
+runs to the end. A 300-node run in the shape of the sim-churn benchmark
+has its event-log and report SHA-256s pinned.
 """
 
 import dataclasses
@@ -37,7 +39,7 @@ from bionode.netsim import (
     Simulation,
 )
 from bionode.slashing import MONTH_SECONDS
-from bionode.vortex import Role
+from bionode.vortex import MIN_TIER_FOR_TYPE, ProposalType, Role, Tier
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 GOLDEN = Path(__file__).parent / "golden"
@@ -219,7 +221,11 @@ class TestFees:
             # no rebalances (fath needs equal-length periods; ratio applies
             # after period 0) -- supply change is injections only when fees
             # are flat; otherwise rebases mint/burn. Disable rebasing here:
-            assert sim.period_fees  # periods recorded
+            assert cfg.period_fees == fees  # one period per epoch
+            rebases = [e.data for e in sim.events if e.kind == "FathRebalance"]
+            assert [Fraction(r["ratio_num"], r["ratio_den"]) for r in rebases] == [
+                Fraction(curr - prev, prev) if prev else 0 for prev, curr in zip(fees, fees[1:])
+            ]
             if len(set(fees)) == 1 or all(f == 0 for f in fees):
                 assert final == initial + injected
 
@@ -541,12 +547,129 @@ CALENDAR_CONFIG = small_config(
 
 
 @st.composite
+def governance_sections(draw, ids: list[str], epochs: int) -> dict:
+    """A valid governance section: every node or some of them as governors,
+    tiers on any node, each of some members delegating to a member that never
+    delegates (a delegator may move its vote again later), and proposals by
+    any node, of any type but most often a Citizen's, some at an epoch the run
+    never reaches, whose vote counts fit the roll."""
+    everyone = draw(st.booleans())
+    members = ids if everyone else draw(st.lists(st.sampled_from(ids), min_size=1, unique=True))
+    shuffled = draw(st.permutations(members))
+    k = draw(st.integers(0, len(members) // 2))
+    delegators, delegatees = shuffled[:k], shuffled[k:]
+    delegations = [[d, draw(st.sampled_from(delegatees))] for d in delegators]
+    for _ in range(draw(st.integers(0, 2)) if delegators else 0):
+        delegations.append([draw(st.sampled_from(delegators)), draw(st.sampled_from(delegatees))])
+    roll = len(members) - k
+    proposals = []
+    for _ in range(draw(st.integers(0, 4))):
+        yes = draw(st.integers(0, roll))
+        proposals.append({
+            "epoch": draw(st.integers(0, epochs)),
+            "proposer": draw(st.sampled_from(ids)),
+            "type": draw(st.one_of(st.just("Product"), st.sampled_from([t.value for t in ProposalType]))),
+            "yes": yes,
+            "no": draw(st.integers(0, roll - yes)),
+        })
+    return {
+        "governors": "all" if everyone else members,
+        "tiers": draw(st.dictionaries(st.sampled_from(ids), st.sampled_from([t.name for t in Tier]), max_size=3)),
+        "delegations": delegations,
+        "proposals": proposals,
+    }
+
+
+def recount_governance(cfg: SimConfig) -> list[tuple[str, object]]:
+    """What each reached proposal must yield, in script order, from the section
+    alone: a slash of its proposer when the proposer's tier (Citizen unless it
+    is on the roll) is below the type's, else the tally of the scripted votes,
+    each weighted by the voter's power at setup (1 plus the delegations it
+    holds), with quorum at 33% of the eligible power and approval at 66% of
+    the power cast."""
+    gov = cfg.governance or {}
+    chosen = gov.get("governors", "all")
+    members = cfg.node_ids if chosen == "all" else chosen
+    delegated = dict(gov.get("delegations", []))  # a delegator's last delegation holds
+    roll = sorted(m for m in members if m not in delegated)
+    power = {g: 1 + list(delegated.values()).count(g) for g in roll}
+    eligible = sum(power.values())
+    tiers, expected, submitted = gov.get("tiers", {}), [], 0
+    for p in sorted(gov.get("proposals", []), key=lambda p: p["epoch"]):
+        if p["epoch"] >= cfg.epochs:
+            continue
+        tier = Tier[tiers.get(p["proposer"], "Citizen")] if p["proposer"] in power else Tier.Citizen
+        if tier.value < MIN_TIER_FOR_TYPE[ProposalType(p["type"])].value:
+            expected.append(("MismatchedProposalTypeNoRight", p["proposer"]))
+            continue
+        submitted += 1
+        voters = roll[: p.get("yes", 0) + p.get("no", 0)]
+        cast, yes = sum(power[v] for v in voters), sum(power[v] for v in voters[: p.get("yes", 0)])
+        quorum = 100 * cast >= 33 * eligible
+        expected.append(("GovernanceTally", {
+            "proposal": hashlib.sha256(f"pool:hup-{submitted}".encode()).hexdigest()[:8],
+            "type": p["type"],
+            "eligible_power": eligible,
+            "votes_cast": cast,
+            "yes": yes,
+            "quorum_met": quorum,
+            "approved": quorum and 100 * yes >= 66 * cast,
+        }))
+    return expected
+
+
+@st.composite
+def loose_governance(draw) -> SimConfig:
+    """A small scenario whose governance section may be invalid: no governor,
+    an unknown node anywhere, an unknown tier or type, a self, chained or
+    foreign delegation, a negative epoch or a vote count above the roll."""
+    num_nodes, epochs = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    names = st.sampled_from(SimConfig(num_nodes=num_nodes).node_ids + ["ghost"])
+    section = {}
+    if draw(st.booleans()):
+        section["governors"] = draw(st.one_of(st.just("all"), st.lists(names, max_size=4)))
+    if draw(st.booleans()):
+        section["tiers"] = draw(st.dictionaries(names, st.sampled_from([t.name for t in Tier] + ["Nope"]), max_size=2))
+    if draw(st.booleans()):
+        section["delegations"] = draw(st.lists(st.lists(names, min_size=2, max_size=2), max_size=3))
+    section["proposals"] = draw(st.lists(st.fixed_dictionaries({
+        "epoch": st.integers(-1, epochs),
+        "proposer": names,
+        "type": st.sampled_from([t.value for t in ProposalType] + ["Nope"]),
+        "yes": st.integers(0, num_nodes + 1),
+        "no": st.integers(0, num_nodes + 1),
+    }), max_size=3))
+    return small_config(
+        num_nodes=num_nodes, slots_per_epoch=draw(st.integers(1, 4)), epochs=epochs,
+        fees_per_epoch=(100,) * epochs, governance=section,
+    )
+
+
+# Six governors, node-05 delegating to node-00 (power 2 of 6). At epoch 0 a
+# vote at exactly 60% yes (3 of 5 cast) is declined, and a Citizen's
+# FeeDistribution is slashed; at epoch 1 node-00 alone (2 of 6) meets quorum,
+# and nobody voting does not; the epoch-2 proposal is never reached.
+GOVERNED_CONFIG = small_config(num_nodes=6, governance={
+    "governors": "all", "tiers": {"node-01": "Senator"}, "delegations": [["node-05", "node-00"]],
+    "proposals": [
+        {"epoch": 1, "proposer": "node-01", "type": "FeeDistribution", "yes": 1},
+        {"epoch": 0, "proposer": "node-01", "type": "Product", "yes": 2, "no": 2},
+        {"epoch": 0, "proposer": "node-02", "type": "FeeDistribution", "yes": 1},
+        {"epoch": 1, "proposer": "node-03", "type": "Product"},
+        {"epoch": 2, "proposer": "node-03", "type": "Product", "yes": 5},
+    ],
+})
+NO_GOVERNOR = {"governors": [], "proposals": [{"epoch": 0, "proposer": "node-01", "type": "Product"}]}
+
+
+@st.composite
 def scenarios(draw) -> SimConfig:
     """A small valid scenario: a node's offline windows never touch, bioauth
     windows may overlap, and faults may fall after the last slot. Window
     lengths lean towards the 48-hour limit. Some slots are long enough for
     monthly deadlines and suspension ends to fall inside the run. Fee scripts
-    that validate() refuses (falling to zero over a Fath period) are dropped."""
+    that validate() refuses (falling to zero over a Fath period) are dropped.
+    Some scenarios have a governance section."""
     num_nodes = draw(st.integers(1, 6))
     slots_per_epoch, epochs = draw(st.integers(1, 40)), draw(st.integers(1, 4))
     slot_seconds = draw(st.one_of(st.sampled_from((3600, 3599, 2700)), st.integers(1, 3600), LONG_SLOT))
@@ -570,9 +693,9 @@ def scenarios(draw) -> SimConfig:
         offline=tuple(draw(st.permutations(offline))),
         bioauth_fail=tuple(bioauth),
         false_transaction=tuple(draw(st.lists(st.tuples(st.sampled_from(ids), slot), max_size=3))),
+        governance=draw(st.one_of(st.none(), governance_sections(ids, epochs))),
     )
-    periods = [sum(cfg.fees_per_epoch[i : i + cfg.fath_period_epochs])
-               for i in range(0, epochs - cfg.fath_period_epochs + 1, cfg.fath_period_epochs)]
+    periods = cfg.period_fees
     assume(all(curr or not prev for prev, curr in zip(periods, periods[1:])))
     return cfg
 
@@ -625,6 +748,7 @@ class TestGeneratedScenarios:
     @given(cfg=scenarios())
     @example(cfg=CALENDAR_CONFIG)
     @example(cfg=churn_config())
+    @example(cfg=GOVERNED_CONFIG)
     def test_invariants(self, cfg):
         sim, _ = run_checking_roster(cfg)
         expected_slashes, offline_at = oracle_fault_scan(cfg)
@@ -647,9 +771,25 @@ class TestGeneratedScenarios:
         assert list(report["blocks_per_node"]) == cfg.node_ids
         total_slots = cfg.epochs * cfg.slots_per_epoch
         assert sum(report["blocks_per_node"].values()) + report["skipped_slots"] == total_slots
+        governance = [(e.kind, e.data) if e.kind == "GovernanceTally" else (e.data["kind"], e.data["node"])
+                      for e in sim.events if e.kind == "GovernanceTally"
+                      or e.kind == "Slashed" and e.data["kind"] == "MismatchedProposalTypeNoRight"]
+        assert governance == recount_governance(cfg)
         again = netsim.run(cfg)
         assert again.event_log() == sim.event_log()
         assert json.dumps(again.report(), sort_keys=True) == json.dumps(report, sort_keys=True)
+
+    @settings(max_examples=200, deadline=None)
+    @given(cfg=loose_governance())
+    @example(cfg=small_config(governance=NO_GOVERNOR))
+    def test_any_governance_section_is_refused_at_setup_or_runs(self, cfg):
+        """Setup is the only place a scenario is refused: a section it accepts
+        runs to the end."""
+        try:
+            sim = Simulation(cfg)
+        except ConfigInvalid:
+            return
+        sim.run()
 
     def test_no_renewal_offered_while_suspended(self):
         """node-01's ticket expires at 20, where it fails bioauth and is
@@ -1017,6 +1157,24 @@ class TestScriptedGovernance:
         cfg = small_config(governance={"proposals": [proposal]})
         with pytest.raises(ConfigInvalid, match="'ghost' is not a node"):
             netsim.Simulation(cfg)
+
+    @pytest.mark.parametrize("ptype", ["Product", "FeeDistribution"])
+    @pytest.mark.parametrize("epoch", [0, 9], ids=["reached", "never-reached"])
+    def test_proposal_with_no_governor_is_refused_before_the_run(self, epoch, ptype):
+        """With no Governor nothing can pull a proposal out of the pool, so a
+        section that scripts one is refused at setup, at any epoch and for a
+        type its proposer would be slashed for."""
+        gov = {"governors": [], "proposals": [{"epoch": epoch, "proposer": "node-01", "type": ptype}]}
+        with pytest.raises(ConfigInvalid, match="names no governor"):
+            netsim.Simulation(small_config(governance=gov))
+
+    @pytest.mark.parametrize("gov", [None, {}], ids=["null", "empty"])
+    def test_null_or_empty_governance_is_no_governance(self, gov):
+        doc = {"num_nodes": 3, "slots_per_epoch": 5, "epochs": 2, "fees_per_epoch": 10}
+        plain = netsim.run(SimConfig.from_dict(doc))
+        sim = netsim.run(SimConfig.from_dict({**doc, "governance": gov}))
+        assert sim.event_log() == plain.event_log() and sim.report() == plain.report()
+        assert all(r["role"] == "HumanNode" for r in sim.report()["governors"].values())
 
     def test_month_has_one_definition(self):
         from bionode import slashing, vortex
