@@ -298,12 +298,6 @@ def encrypt_with_nonce(params: GroupParams, pk: int, m: int, r: int) -> Cipherte
     return Ciphertext(c=c, d=d, params=params)
 
 
-def encrypt(params: GroupParams, pk: int, m: int, rng_seed: int) -> Ciphertext:
-    rng = random.Random(rng_seed)
-    r = rng.randrange(1, params.q)
-    return encrypt_with_nonce(params, pk, m, r)
-
-
 def decrypt(params: GroupParams, sk: int, ct: Ciphertext) -> int:
     """Recover m = d / c^sk."""
     if not (params.contains(ct.c) and params.contains(ct.d)):

@@ -30,6 +30,7 @@ from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from . import biometrics, lwe, vortex
 from .fath import LedgerSnapshot, PeriodStats, run_period
@@ -152,8 +153,8 @@ class SimConfig:
         try:
             fees = doc.get("fees_per_epoch", 0)
             epochs = _int(doc["epochs"])
-            if isinstance(fees, int):
-                fees = [_int(fees)] * epochs  # _int refuses a bool
+            if isinstance(fees, (int, float)):
+                fees = [_int(fees)] * epochs  # _int refuses a bool and a non-integral number
             if len(_list(fees, "fees_per_epoch")) != epochs:
                 raise ConfigInvalid("fees_per_epoch length must equal epochs")
             faults = doc.get("faults", {})
@@ -243,8 +244,9 @@ class NodeState:
     verification_deadline_slot: int = 0
 
 
-@dataclass(frozen=True)
-class SimEvent:
+class SimEvent(NamedTuple):
+    """One log record; a named tuple, so building one is cheap and its fields stay read-only."""
+
     slot: int
     seq: int
     kind: str
@@ -341,6 +343,9 @@ class Simulation:
             self._roll = sorted(
                 nid for nid, r in self.dao.governors.items() if r.role is vortex.Role.Governor
             )
+            for nid in gov.get("tiers", {}):  # a tier off the roll would have no effect but show in the report
+                if nid not in self._roll:
+                    raise ConfigInvalid(f"governance gives a tier to {nid}, which is not on the governor roll")
             self._upvoters = self._roll[: vortex.pool_threshold(len(self._roll))]
             # parsed before the run, so a bad entry stops it before any event
             proposals = _list(gov.get("proposals", []), "governance.proposals")
@@ -368,7 +373,7 @@ class Simulation:
     # -- event plumbing ----------------------------------------------------
 
     def _emit(self, slot: int, kind: str, data: dict) -> None:
-        self.events.append(SimEvent(slot=slot, seq=len(self.events), kind=kind, data=data))
+        self.events.append(SimEvent(slot, len(self.events), kind, data))
 
     def _now(self, slot: int) -> int:
         return slot * self.config.slot_seconds

@@ -14,6 +14,7 @@ second counts.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -90,6 +91,16 @@ def months_to_seconds(months: Fraction) -> int:
     return secs.numerator
 
 
+@functools.cache
+def offense_term(kind: PerpetrationKind, rung: int) -> tuple[object, int | None]:
+    """(period in months, period in seconds or None for forever) of a kind's
+    rung-th offense. Callers clamp rung at len(SCALING_LADDER_MONTHS): every
+    later offense reads forever too, so the cache holds at most
+    kinds x (rungs + 1) entries."""
+    months = period_for(kind, rung)
+    return months, None if months == FOREVER else months_to_seconds(months)
+
+
 @dataclass(frozen=True)
 class BlacklistEntry:
     node_id: str
@@ -118,20 +129,22 @@ class BlacklistEntry:
 class Blacklist:
     """Per-node offense history and the suspension queries over it.
 
-    entries is the full history in the order issued; a private per-node index
-    of the same entries answers the queries without scanning other nodes.
+    entries is the full history in the order issued; private per-node and
+    per-(node, kind) indexes of the same entries answer the queries without
+    scanning other nodes or other kinds.
     """
 
     def __init__(self) -> None:
         self.entries: list[BlacklistEntry] = []
         self._by_node: dict[str, list[BlacklistEntry]] = {}
+        self._by_offense: dict[tuple[str, PerpetrationKind], list[BlacklistEntry]] = {}
 
     def offense_count(self, node_id: str, kind: PerpetrationKind) -> int:
-        return sum(1 for e in self._by_node.get(node_id, ()) if e.kind == kind)
+        return len(self._by_offense.get((node_id, kind), ()))
 
     def slash(self, node_id: str, kind: PerpetrationKind, now: int) -> BlacklistEntry:
         index = self.offense_count(node_id, kind)
-        months = period_for(kind, index)
+        months, seconds = offense_term(kind, min(index, len(SCALING_LADDER_MONTHS)))
         entry = BlacklistEntry(
             node_id=node_id,
             kind=kind,
@@ -139,10 +152,11 @@ class Blacklist:
             period_months=months,
             effects=PERPETRATION_TABLE[kind].effects,
             issued_at=now,
-            ends_at=None if months == FOREVER else now + months_to_seconds(months),
+            ends_at=None if seconds is None else now + seconds,
         )
         self.entries.append(entry)
         self._by_node.setdefault(node_id, []).append(entry)
+        self._by_offense.setdefault((node_id, kind), []).append(entry)
         return entry
 
     def is_blacklisted(self, node_id: str, now: int) -> bool:

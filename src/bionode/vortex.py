@@ -293,13 +293,17 @@ class Vortex:
     def __init__(self):
         self.governors: dict[str, GovernorRecord] = {}
         self.proposals: dict[str, Proposal] = {}
-        self._governor_count = 0  # records whose role is Governor; kept by _set_role
+        # records per role, kept by _set_role and register_human_node; keyed by
+        # the role's value, since governor_count() runs on every pool vote and a
+        # str keeps its hash where hashing a Role runs Enum.__hash__ each time
+        self._role_counts: dict[str, int] = dict.fromkeys((r.value for r in Role), 0)
 
     # -- membership -------------------------------------------------------
 
     def _set_role(self, record: GovernorRecord, role: Role) -> None:
-        """The one write point of a role, so governor_count() stays O(1)."""
-        self._governor_count += (role is Role.Governor) - (record.role is Role.Governor)
+        """The one write point of a role after registration, so the role counts stay exact."""
+        self._role_counts[record.role.value] -= 1
+        self._role_counts[role.value] += 1
         record.role = role
 
     def register_human_node(self, node_id: str, now: int = 0) -> GovernorRecord:
@@ -308,6 +312,7 @@ class Vortex:
             raise AlreadyRegistered(f"{node_id} is already registered")
         record = GovernorRecord(node_id=node_id, governing_since=now)
         self.governors[node_id] = record
+        self._role_counts[record.role.value] += 1
         return record
 
     def promote_to_governor(self, node_id: str, now: int) -> GovernorRecord:
@@ -318,12 +323,12 @@ class Vortex:
         return record
 
     def governor_count(self) -> int:
-        return self._governor_count
+        return self._role_counts["Governor"]
 
     def eligible_power(self) -> int:
-        return sum(
-            voting_power(r) for r in self.governors.values() if r.role == Role.Governor
-        )
+        # delegate() hands a Delegator's unit only to a Governor, who then cannot delegate, and
+        # undelegate() takes it back: the Governors' summed voting_power is #Governors + #Delegators
+        return self._role_counts["Governor"] + self._role_counts["Delegator"]
 
     # -- delegation -------------------------------------------------------
 

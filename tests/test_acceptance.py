@@ -15,7 +15,7 @@ import pytest
 
 from bionode import biometrics, fees, lwe, netsim, zkp
 from bionode.fath import LedgerSnapshot, PeriodStats, run_period
-from bionode.groups import decrypt, encrypt, generate_params, keygen
+from bionode.groups import decrypt, encrypt_with_nonce, generate_params, keygen
 from bionode.slashing import (
     FOREVER,
     PERPETRATION_TABLE,
@@ -148,8 +148,8 @@ def test_criterion_4_elgamal_homomorphism():
         for i in range(1000):
             m1 = pow(params.g, rng.randrange(params.q), params.p)
             m2 = pow(params.g, rng.randrange(params.q), params.p)
-            ct1 = encrypt(params, pair.pk, m1, 3 * i)
-            ct2 = encrypt(params, pair.pk, m2, 3 * i + 1)
+            ct1 = encrypt_with_nonce(params, pair.pk, m1, random.Random(3 * i).randrange(1, params.q))
+            ct2 = encrypt_with_nonce(params, pair.pk, m2, random.Random(3 * i + 1).randrange(1, params.q))
             if decrypt(params, pair.sk, ct1) != m1:
                 failures += 1
             from bionode.groups import hom_mul

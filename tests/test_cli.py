@@ -4,6 +4,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,9 +14,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bionode import cli
+from bionode import cli, slashing
 
-SCENARIOS = Path(__file__).parent.parent / "scenarios"
+ROOT = Path(__file__).parent.parent
+SCENARIOS = ROOT / "scenarios"
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -366,6 +370,7 @@ class TestRunSim:
         {"initial_balance": -1},
         {"governance": {"proposals": [{"epoch": 1, "proposer": "ghost", "type": "Product", "yes": 2}]}},
         {"epochs": 0, "fees_per_epoch": True},
+        {"fees_per_epoch": 5.5},
     ], ids=["validity-text", "validity-zero", "offline-unknown", "false-tx-unknown",
             "empty-window", "overlapping-windows", "faults-list", "crypto-text",
             "crypto-number", "nodes-fraction", "nodes-bool", "fee-fraction",
@@ -377,7 +382,8 @@ class TestRunSim:
             "proposal-no-negative", "proposal-upvotes-negative", "proposal-no-epoch",
             "proposal-epoch-text", "offline-node-list", "bioauth-node-list",
             "false-tx-node-object", "seed-text", "proposal-votes-above-roll",
-            "initial-balance-negative", "proposal-proposer-not-a-node", "fees-bool-no-epochs"])
+            "initial-balance-negative", "proposal-proposer-not-a-node", "fees-bool-no-epochs",
+            "fees-scalar-fraction"])
     def test_invalid_scenario_exits_one_without_traceback(self, extra, tmp_path, capsys):
         scenario = tmp_path / "s.json"
         doc = {"num_nodes": 3, "slots_per_epoch": 5, "epochs": 1, "fees_per_epoch": 0}
@@ -432,6 +438,30 @@ class TestRunSim:
         assert run_cli("run-sim", str(scenario), "--output", str(out)) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and "names no governor" in captured.err and "Traceback" not in captured.err
+        assert not out.exists()
+
+    def test_integral_float_fee_runs_like_the_integer(self, tmp_path, capsys):
+        doc = {"num_nodes": 3, "slots_per_epoch": 5, "epochs": 2}
+        outputs = []
+        for fee in (5, 5.0):
+            scenario = tmp_path / "s.json"
+            scenario.write_text(json.dumps({**doc, "fees_per_epoch": fee}))
+            assert run_cli("run-sim", str(scenario)) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] and json.loads(outputs[0])["fees_injected"] == 10
+
+    @pytest.mark.parametrize("gov", [
+        {"governors": ["node-00"], "tiers": {"node-01": "Consul"}},
+        {"tiers": {"node-01": "Senator"}, "delegations": [["node-01", "node-00"]]},
+    ], ids=["human-node", "delegator"])
+    def test_tier_off_the_governor_roll_exits_one_naming_the_node(self, gov, tmp_path, capsys):
+        scenario, out = tmp_path / "s.json", tmp_path / "run"
+        scenario.write_text(json.dumps({"num_nodes": 3, "slots_per_epoch": 5, "epochs": 1,
+                                        "fees_per_epoch": 0, "governance": gov}))
+        assert run_cli("run-sim", str(scenario), "--output", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.startswith("error:") and "node-01" in captured.err
         assert not out.exists()
 
     def test_malicious_scenario_emits_slash(self, capsys):
@@ -489,6 +519,29 @@ class TestSlashDemo:
 
     def test_unknown_kind(self):
         assert run_cli("slash-demo", "--kind", "jaywalking") == 1
+
+    def test_long_repeat_costs_constant_time_per_offense(self, tmp_path):
+        """offense_count reads the node's entries of that kind, not every entry,
+        so 50,000 offenses take about a second rather than hours."""
+        out = tmp_path / "slash.json"
+        done = subprocess.run(
+            [sys.executable, "-m", "bionode.cli", "slash-demo", "--kind", "uptime",
+             "--repeat", "50000", "--output", str(out)],
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            capture_output=True, text=True, timeout=30,
+        )
+        assert done.returncode == 0, done.stderr
+        last = json.loads(out.read_text())["progression"][-1]
+        assert last["offense_index"] == 49999 and last["period_months"] == "forever"
+
+    def test_term_cache_holds_one_entry_per_rung(self, capsys):
+        """Offenses past the ladder's last rung share its forever entry, so the
+        cache stays at kinds x (rungs + 1) however long the history is."""
+        for kind in slashing.PerpetrationKind:
+            assert run_cli("slash-demo", "--kind", kind.value, "--repeat", "1000") == 0
+        capsys.readouterr()
+        bound = len(slashing.PerpetrationKind) * (len(slashing.SCALING_LADDER_MONTHS) + 1)
+        assert 0 < slashing.offense_term.cache_info().currsize <= bound
 
     @pytest.mark.parametrize("repeat", ["-1", "0"])
     def test_repeat_below_one_exits_one(self, repeat, capsys):

@@ -22,7 +22,6 @@ from bionode.groups import (
     MessageNotInSubgroup,
     ParamsMismatch,
     decrypt,
-    encrypt,
     encrypt_with_nonce,
     fixed_base_pow,
     generate_params,
@@ -36,6 +35,11 @@ from bionode.groups import (
 )
 
 SMALL = GroupParams(p=23, q=11, g=4)
+
+
+def nonce(params: GroupParams, seed: int) -> int:
+    """A seeded encryption nonce in [1, q)."""
+    return random.Random(seed).randrange(1, params.q)
 
 
 def trial_division_prime(n: int) -> bool:
@@ -114,15 +118,15 @@ class TestEncryptDecrypt:
         assert decrypt(SMALL, 3, ct) == 16
 
     def test_identity_message(self):
-        ct = encrypt(SMALL, pk=18, m=1, rng_seed=4)
+        ct = encrypt_with_nonce(SMALL, pk=18, m=1, r=nonce(SMALL, 4))
         assert decrypt(SMALL, 3, ct) == 1
 
     def test_zero_randomness_degenerate(self):
         assert decrypt(SMALL, 3, Ciphertext(c=1, d=16, params=SMALL)) == 16
 
     def test_randomized_encryption(self):
-        c1 = encrypt(SMALL, 18, 16, rng_seed=1)
-        c2 = encrypt(SMALL, 18, 16, rng_seed=2)
+        c1 = encrypt_with_nonce(SMALL, 18, 16, nonce(SMALL, 1))
+        c2 = encrypt_with_nonce(SMALL, 18, 16, nonce(SMALL, 2))
         assert (c1.c, c1.d) != (c2.c, c2.d)
         assert decrypt(SMALL, 3, c1) == decrypt(SMALL, 3, c2) == 16
 
@@ -130,7 +134,7 @@ class TestEncryptDecrypt:
         # 5 is a quadratic non-residue mod 23, so not in the order-11 subgroup
         assert pow(5, SMALL.q, SMALL.p) != 1
         with pytest.raises(MessageNotInSubgroup):
-            encrypt(SMALL, 18, 5, rng_seed=0)
+            encrypt_with_nonce(SMALL, 18, 5, nonce(SMALL, 0))
 
     def test_bad_ciphertext_rejected(self):
         with pytest.raises(InvalidCiphertext):
@@ -142,12 +146,12 @@ class TestEncryptDecrypt:
         rng = random.Random(99)
         for i in range(1000):
             m = pow(params.g, rng.randrange(params.q), params.p)
-            assert decrypt(params, pair.sk, encrypt(params, pair.pk, m, i)) == m
+            assert decrypt(params, pair.sk, encrypt_with_nonce(params, pair.pk, m, nonce(params, i))) == m
 
     def test_all_outputs_in_subgroup(self):
         params = generate_params(32, seed=3)
         pair = keygen(params, 4)
-        ct = encrypt(params, pair.pk, params.g, 5)
+        ct = encrypt_with_nonce(params, pair.pk, params.g, nonce(params, 5))
         for x in (pair.pk, ct.c, ct.d, decrypt(params, pair.sk, ct)):
             assert pow(x, params.q, params.p) == 1
 
@@ -155,13 +159,13 @@ class TestEncryptDecrypt:
 class TestHomomorphism:
     def test_product_example(self):
         # Enc(16) * Enc(16) decrypts to 16*16 = 256 = 3 (mod 23)
-        ct1 = encrypt(SMALL, 18, 16, rng_seed=1)
-        ct2 = encrypt(SMALL, 18, 16, rng_seed=2)
+        ct1 = encrypt_with_nonce(SMALL, 18, 16, nonce(SMALL, 1))
+        ct2 = encrypt_with_nonce(SMALL, 18, 16, nonce(SMALL, 2))
         assert decrypt(SMALL, 3, hom_mul(ct1, ct2)) == 3
 
     def test_identity_element(self):
-        ct = encrypt(SMALL, 18, 9, rng_seed=1)
-        one = encrypt(SMALL, 18, 1, rng_seed=2)
+        ct = encrypt_with_nonce(SMALL, 18, 9, nonce(SMALL, 1))
+        one = encrypt_with_nonce(SMALL, 18, 1, nonce(SMALL, 2))
         assert decrypt(SMALL, 3, hom_mul(ct, one)) == 9
 
     def test_scalar_is_plaintext_power(self):
@@ -171,7 +175,7 @@ class TestHomomorphism:
         for i in range(50):
             x, a = rng.randrange(params.q), rng.randrange(params.q)
             m = pow(params.g, x, params.p)
-            ct = encrypt(params, pair.pk, m, i)
+            ct = encrypt_with_nonce(params, pair.pk, m, nonce(params, i))
             expected = pow(params.g, x * a % params.q, params.p)
             assert decrypt(params, pair.sk, hom_scalar(ct, a)) == expected
 
@@ -180,8 +184,8 @@ class TestHomomorphism:
         pair = keygen(other, 1)
         with pytest.raises(ParamsMismatch):
             hom_mul(
-                encrypt(SMALL, 18, 16, 1),
-                encrypt(other, pair.pk, other.g, 2),
+                encrypt_with_nonce(SMALL, 18, 16, nonce(SMALL, 1)),
+                encrypt_with_nonce(other, pair.pk, other.g, nonce(other, 2)),
             )
 
     def test_mul_law_randomized(self):
@@ -195,8 +199,8 @@ class TestHomomorphism:
                 params,
                 pair.sk,
                 hom_mul(
-                    encrypt(params, pair.pk, m1, 2 * i),
-                    encrypt(params, pair.pk, m2, 2 * i + 1),
+                    encrypt_with_nonce(params, pair.pk, m1, nonce(params, 2 * i)),
+                    encrypt_with_nonce(params, pair.pk, m2, nonce(params, 2 * i + 1)),
                 ),
             )
             assert got == m1 * m2 % params.p
@@ -460,7 +464,7 @@ class TestFixedBasePow:
         params = generate_params(1024)
         keygen(params, rng_seed=5)
         assert groups.comb_table.cache_info().currsize == 0
-        encrypt(params, keygen(params, rng_seed=5).pk, params.g, rng_seed=1)
+        encrypt_with_nonce(params, keygen(params, rng_seed=5).pk, params.g, nonce(params, 1))
         assert groups.comb_table.cache_info().currsize == 2
 
 

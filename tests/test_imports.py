@@ -51,27 +51,50 @@ def test_numpy_is_never_loaded(argv):
 SCANNED = [ROOT / "src", ROOT / "demos", ROOT / "bench"]
 
 
-def definitions(path: Path) -> list[tuple[str, int]]:
-    """(name, line) of each top-level def or class and each method of a top-level class, dunders excluded."""
+def definitions(path: Path) -> list[str]:
+    """Each top-level def or class and each method of a top-level class, dunders excluded."""
     found = []
     for node in ast.parse(path.read_text(), filename=str(path)).body:
         members = node.body if isinstance(node, ast.ClassDef) else []
         for d in [node, *members]:
             if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 if not (d.name.startswith("__") and d.name.endswith("__")):
-                    found.append((d.name, d.lineno))
+                    found.append(d.name)
     return found
 
 
+def references(path: Path) -> set[str]:
+    """Every name the file's code uses: names, attributes, imported names and
+    the words of its strings. Docstrings and comments are prose, not code."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    prose = {
+        id(node.body[0].value) for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.body and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant) and isinstance(node.body[0].value.value, str)
+    }
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.update(node.name.split("."))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in prose:
+            found.update(re.findall(r"\w+", node.value))
+    return found
+
+
+@pytest.fixture(scope="module")
+def reached() -> set[str]:
+    return set().union(*(references(f) for top in SCANNED for f in sorted(top.rglob("*.py"))))
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=[p.stem for p in SOURCES])
-def test_every_definition_is_reached(path):
-    """Reach it or remove it: each name the module defines appears as a word in
-    src/, demos/ or bench/ on some line other than its own definition line.
-    A string counts, since bench/tracing.py patches entry points by name."""
-    lines = [(f, i, line) for top in SCANNED for f in sorted(top.rglob("*.py"))
-             for i, line in enumerate(f.read_text().splitlines(), 1)]
-    unreached = [
-        name for name, lineno in definitions(path)
-        if not any(re.search(rf"\b{name}\b", line) and (f, i) != (path, lineno) for f, i, line in lines)
-    ]
-    assert not unreached, f"{path.name} defines names nothing else mentions: {unreached}"
+def test_every_definition_is_reached(path, reached):
+    """Reach it or remove it: the code of src/, demos/ or bench/ uses each
+    name the module defines. A string counts, since bench/tracing.py patches
+    entry points by name; a word in a docstring or a comment does not."""
+    unreached = [name for name in definitions(path) if name not in reached]
+    assert not unreached, f"{path.name} defines names no code uses: {unreached}"

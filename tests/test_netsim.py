@@ -257,6 +257,12 @@ class TestDeterminism:
         log2 = netsim.run(cfg).event_log()
         assert log1 == log2
 
+    def test_events_are_read_only(self):
+        event = netsim.run(small_config()).events[0]
+        for field in ("slot", "seq", "kind", "data"):
+            with pytest.raises(AttributeError):
+                setattr(event, field, None)
+
     def test_empty_run(self):
         cfg = small_config(epochs=0, fees_per_epoch=())
         sim = netsim.run(cfg)
@@ -315,6 +321,17 @@ class TestConfig:
         )
         assert cfg.num_nodes == 3 and type(cfg.num_nodes) is int
         assert cfg.crypto_pipeline is True
+
+    def test_scalar_fee_loads_like_every_other_integer_field(self):
+        """A scalar fees_per_epoch goes through _int: an integral float is the
+        integer, a bool or a fraction is refused."""
+        doc = {"num_nodes": 3, "slots_per_epoch": 5, "epochs": 2}
+        cfg = SimConfig.from_dict({**doc, "fees_per_epoch": 5.0})
+        assert cfg == SimConfig.from_dict({**doc, "fees_per_epoch": 5})
+        assert cfg.fees_per_epoch == (5, 5) and all(type(f) is int for f in cfg.fees_per_epoch)
+        for bad in (True, 5.5):
+            with pytest.raises(ConfigInvalid, match="expected an integer"):
+                SimConfig.from_dict({**doc, "fees_per_epoch": bad})
 
     def test_zero_ticket_validity_rejected(self):
         with pytest.raises(ConfigInvalid, match="ticket_validity_slots"):
@@ -549,8 +566,9 @@ CALENDAR_CONFIG = small_config(
 @st.composite
 def governance_sections(draw, ids: list[str], epochs: int) -> dict:
     """A valid governance section: every node or some of them as governors,
-    tiers on any node, each of some members delegating to a member that never
-    delegates (a delegator may move its vote again later), and proposals by
+    each of some members delegating to a member that never delegates (a
+    delegator may move its vote again later), tiers only on the final roll
+    (the members that never delegate), and proposals by
     any node, of any type but most often a Citizen's, some at an epoch the run
     never reaches, whose vote counts fit the roll."""
     everyone = draw(st.booleans())
@@ -574,7 +592,7 @@ def governance_sections(draw, ids: list[str], epochs: int) -> dict:
         })
     return {
         "governors": "all" if everyone else members,
-        "tiers": draw(st.dictionaries(st.sampled_from(ids), st.sampled_from([t.name for t in Tier]), max_size=3)),
+        "tiers": draw(st.dictionaries(st.sampled_from(delegatees), st.sampled_from([t.name for t in Tier]), max_size=3)),
         "delegations": delegations,
         "proposals": proposals,
     }
@@ -1113,6 +1131,17 @@ class TestScriptedGovernance:
         cfg = small_config(governance={"governors": ["node-99"]})
         with pytest.raises(ConfigInvalid):
             netsim.Simulation(cfg)
+
+    @pytest.mark.parametrize("gov", [
+        {"governors": ["node-00"], "tiers": {"node-01": "Consul"}},
+        {"governors": "all", "tiers": {"node-00": "Senator", "node-01": "Consul"},
+         "delegations": [["node-01", "node-00"]]},
+    ], ids=["human-node", "delegator"])
+    def test_tier_off_the_governor_roll_is_refused(self, gov):
+        """A tier is read only for a Governor, so one on any other node would
+        have no effect but show in the report; setup refuses it by name."""
+        with pytest.raises(ConfigInvalid, match="tier to node-01, which is not on the governor roll"):
+            netsim.Simulation(small_config(governance=gov))
 
     @pytest.mark.parametrize("proposals", [
         [{"epoch": 9, "proposer": "node-01", "type": "Nope"}],
