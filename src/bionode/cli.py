@@ -5,8 +5,8 @@ verify-linear, lwe-match, slash-demo. Every command takes --seed (default
 0) and --output; all randomness flows from the seed, so identical
 invocations produce identical bytes.
 
-Exit codes: 0 success, 1 usage or config error, 2 invariant violation,
-3 verification rejected.
+Exit codes: 0 success, 1 usage, config or write error (an output path
+that cannot be written), 2 invariant violation, 3 verification rejected.
 """
 
 from __future__ import annotations
@@ -51,9 +51,6 @@ def cmd_run_sim(args) -> int:
         config = dataclasses.replace(config, seed=args.seed)
     try:
         sim = netsim.run(config)
-    except netsim.ConfigInvalid as exc:
-        print(f"error: invalid config: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except netsim.InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
@@ -331,7 +328,11 @@ def build_parser() -> _Parser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # each command catches its own read errors, so this is a write
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -91,16 +91,15 @@ def distribute_fees(
 
 def _int(value) -> int:
     """A JSON integer field: a bool, a string or a non-integral number is rejected, not coerced."""
-    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not integral:
-        raise ConfigInvalid(f"expected an integer, got {value!r}")
-    return int(value)
+    if type(value) is int or type(value) is float and value.is_integer():  # type(True) is bool
+        return int(value)
+    raise ConfigInvalid(f"expected an integer, got {value!r}")
 
 
-def _node(value) -> str:
-    """A fault's node id: a JSON string, so a list or an object is rejected here."""
+def _node(value, name: str = "a fault's node") -> str:
+    """A node id: a JSON string, so a list or an object is rejected here."""
     if not isinstance(value, str):
-        raise ConfigInvalid(f"a fault's node must be a string, got {value!r}")
+        raise ConfigInvalid(f"{name} must be a string, got {value!r}")
     return value
 
 
@@ -111,11 +110,52 @@ def _list(value, name: str) -> list:
     return value
 
 
-@dataclass(frozen=True)
-class OfflineWindow:
+class OfflineWindow(NamedTuple):  # a named tuple: read-only, and cheap to build from a scenario
     node: str
     from_slot: int
     to_slot: int  # exclusive
+
+    @classmethod
+    def read(cls, doc) -> "OfflineWindow":
+        return cls(_node(doc["node"]), _int(doc["from_slot"]), _int(doc["to_slot"]))
+
+
+class Governance(NamedTuple):
+    """A scenario's Vortex section: the governors ("all" or their ids), tiers and
+    delegations as pairs, and proposals as (epoch, proposer, type, yes, no)."""
+
+    governors: str | tuple[str, ...] = ()  # the default section promotes nobody
+    tiers: tuple[tuple[str, vortex.Tier], ...] = ()
+    delegations: tuple[tuple[str, str], ...] = ()
+    proposals: tuple[tuple[int, str, vortex.ProposalType, int, int], ...] = ()
+
+
+def read_governance(raw) -> Governance:
+    """The governance section's JSON, its shape checked by name: null and {} mean
+    none, and a section that names no governors promotes every node."""
+    if raw is None or raw == {}:
+        return Governance()
+    if not isinstance(raw, dict) or not isinstance(raw.get("tiers", {}), dict):
+        raise ConfigInvalid("governance and its tiers must be objects")
+    try:
+        chosen, pairs = raw.get("governors", "all"), _list(raw.get("delegations", []), "governance.delegations")
+        if bad := [pair for pair in pairs if not isinstance(pair, list) or len(pair) != 2]:
+            raise ConfigInvalid(f"each of governance.delegations must be a [delegator, delegatee] pair, got {bad[0]!r}")
+        proposals = _list(raw.get("proposals", []), "governance.proposals")
+        for item in proposals:
+            if not isinstance(item, dict) or not isinstance(item["proposer"], str):
+                raise ConfigInvalid(f"a proposal must be an object naming its proposer: {item!r}")
+            if "pool_upvotes" in item:
+                raise ConfigInvalid(f"a proposal cannot set pool_upvotes; the pool threshold upvotes it: {item!r}")
+        return Governance(
+            chosen if chosen == "all" else tuple(_node(n, "a governor") for n in _list(chosen, "governance.governors")),
+            tuple((nid, vortex.Tier[name]) for nid, name in raw.get("tiers", {}).items()),
+            tuple((_node(a, "a delegator"), _node(b, "a delegatee")) for a, b in pairs),
+            tuple((_int(p["epoch"]), p["proposer"], vortex.ProposalType[p["type"]], _int(p.get("yes", 0)),
+                   _int(p.get("no", 0))) for p in proposals),
+        )
+    except (KeyError, TypeError) as exc:  # a missing key, or an unknown or unhashable name
+        raise ConfigInvalid(f"bad governance section: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -133,7 +173,7 @@ class SimConfig:
     offline: tuple[OfflineWindow, ...] = ()
     bioauth_fail: tuple[OfflineWindow, ...] = ()
     false_transaction: tuple[tuple[str, int], ...] = ()
-    governance: dict | None = None
+    governance: Governance = Governance()
 
     @property
     def month_slots(self) -> int:
@@ -146,7 +186,7 @@ class SimConfig:
     @property
     def node_ids(self) -> list[str]:
         width = max(2, len(str(self.num_nodes - 1)))
-        return [f"node-{i:0{width}d}" for i in range(self.num_nodes)]
+        return ["node-" + str(i).zfill(width) for i in range(self.num_nodes)]  # zfill: a quarter of a nested format's cost
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SimConfig":
@@ -155,8 +195,6 @@ class SimConfig:
             epochs = _int(doc["epochs"])
             if isinstance(fees, (int, float)):
                 fees = [_int(fees)] * epochs  # _int refuses a bool and a non-integral number
-            if len(_list(fees, "fees_per_epoch")) != epochs:
-                raise ConfigInvalid("fees_per_epoch length must equal epochs")
             faults = doc.get("faults", {})
             if not isinstance(faults, dict):
                 raise ConfigInvalid("faults must be an object")
@@ -172,22 +210,14 @@ class SimConfig:
                 slot_seconds=_int(doc.get("slot_seconds", SLOT_SECONDS_DEFAULT)),
                 ticket_validity_slots=None if validity is None else _int(validity),
                 initial_balance=_int(doc.get("initial_balance", 1_000_000)),
-                fees_per_epoch=tuple(_int(f) for f in fees),
+                fees_per_epoch=tuple(_int(f) for f in _list(fees, "fees_per_epoch")),
                 fath_period_epochs=_int(doc.get("fath_period_epochs", 1)),
                 crypto_pipeline=crypto_pipeline,
-                offline=tuple(
-                    OfflineWindow(_node(w["node"]), _int(w["from_slot"]), _int(w["to_slot"]))
-                    for w in _list(faults.get("offline", []), "faults.offline")
-                ),
-                bioauth_fail=tuple(
-                    OfflineWindow(_node(w["node"]), _int(w["from_slot"]), _int(w["to_slot"]))
-                    for w in _list(faults.get("bioauth_fail", []), "faults.bioauth_fail")
-                ),
-                false_transaction=tuple(
-                    (_node(m["node"]), _int(m["slot"]))
-                    for m in _list(faults.get("false_transaction", []), "faults.false_transaction")
-                ),
-                governance=doc.get("governance"),
+                offline=tuple(map(OfflineWindow.read, _list(faults.get("offline", []), "faults.offline"))),
+                bioauth_fail=tuple(map(OfflineWindow.read, _list(faults.get("bioauth_fail", []), "faults.bioauth_fail"))),
+                false_transaction=tuple((_node(m["node"]), _int(m["slot"]))
+                                        for m in _list(faults.get("false_transaction", []), "faults.false_transaction")),
+                governance=read_governance(doc.get("governance")),
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             # OverflowError: an epoch count too large to index a list
@@ -229,12 +259,50 @@ class SimConfig:
         for prev, nxt in zip(offline, offline[1:]):
             if prev.node == nxt.node and nxt.from_slot <= prev.to_slot:
                 raise ConfigInvalid(f"offline windows for {nxt.node} overlap or touch")
+        gov = self.governance
+        for nid in gov.governors if gov.governors != "all" else ():
+            if nid not in known:
+                raise ConfigInvalid(f"governance names unknown node {nid}")
+        try:
+            roll = self.governor_roll
+        except (KeyError, vortex.VortexError) as exc:  # an unknown node, or a delegation Vortex refuses
+            raise ConfigInvalid(f"bad governance section: {exc}") from exc
+        for nid, _ in gov.tiers:  # a tier off the roll would have no effect but show in the report
+            if nid not in roll:
+                raise ConfigInvalid(f"governance gives a tier to {nid}, which is not on the governor roll")
+        if gov.proposals and not roll:  # no Governor could pull a proposal out of the pool
+            raise ConfigInvalid("governance scripts a proposal but names no governor")
+        for epoch, proposer, _, yes, no in gov.proposals:
+            if proposer not in known:  # the script names no nominator
+                raise ConfigInvalid(f"a proposal's proposer {proposer!r} is not a node")
+            if min(epoch, yes, no) < 0:  # the counts are slice bounds in _run_governance
+                raise ConfigInvalid(f"a proposal's epoch and vote counts cannot be negative: {epoch, proposer, yes, no}")
+            if yes + no > len(roll):
+                raise ConfigInvalid(f"a proposal casts {yes + no} votes but there are {len(roll)} governors")
 
     @cached_property
     def period_fees(self) -> tuple[int, ...]:
         """Each whole Fath period's fee total, in order, summed once per config; a part-period has none."""
         k = self.fath_period_epochs
         return tuple(sum(self.fees_per_epoch[i : i + k]) for i in range(0, len(self.fees_per_epoch) - k + 1, k))
+
+    @cached_property
+    def governor_roll(self) -> list[str]:
+        """The Governor roll, seated once per config on a scratch DAO; validate() reads it."""
+        return self.seat_governance(Vortex())
+
+    def seat_governance(self, dao: Vortex) -> list[str]:
+        """Register, promote, tier and delegate on an empty dao; return the Governor roll in id order."""
+        gov, ids = self.governance, self.node_ids
+        for node_id in ids:
+            dao.register_human_node(node_id, now=0)
+        for node_id in ids if gov.governors == "all" else gov.governors:
+            dao.promote_to_governor(node_id, now=0).has_approved_proposal = True
+        for node_id, tier in gov.tiers:
+            dao.governors[node_id].tier = tier
+        for delegator, delegatee in gov.delegations:
+            dao.delegate(delegator, delegatee)
+        return sorted(nid for nid, r in dao.governors.items() if r.role is vortex.Role.Governor)
 
 
 @dataclass
@@ -253,10 +321,7 @@ class SimEvent(NamedTuple):
     data: dict
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"slot": self.slot, "seq": self.seq, "kind": self.kind, "data": self.data},
-            sort_keys=True,
-        )
+        return json.dumps(self._asdict(), sort_keys=True)
 
 
 def _template_bits(node_id: str) -> list[int]:
@@ -276,16 +341,12 @@ class Simulation:
     def __init__(self, config: SimConfig):
         config.validate()
         self.config = config
-        self.nodes: dict[str, NodeState] = {}
+        self.nodes = {nid: NodeState(nid, verification_deadline_slot=config.month_slots) for nid in config.node_ids}
         self.events: list[SimEvent] = []
         self.blacklist = Blacklist()
         self.dao = Vortex()
-        for node_id in config.node_ids:
-            self.nodes[node_id] = NodeState(node_id, verification_deadline_slot=config.month_slots)
-            self.dao.register_human_node(node_id, now=0)
-        self.ledger = LedgerSnapshot(
-            balances={nid: config.initial_balance for nid in self.nodes}
-        )
+        self._roll = config.seat_governance(self.dao)  # set once, as the run changes no role
+        self.ledger = LedgerSnapshot(balances=dict.fromkeys(self.nodes, config.initial_balance))
         self.vault = 0
         # the calendar: slot -> nodes to look at then, popped when the slot is processed
         self._wake: dict[int, set[str]] = defaultdict(set)
@@ -293,7 +354,10 @@ class Simulation:
         self._roster: list[str] = []  # sorted; re-checked only for _touched nodes
         self._touched: set[str] = set()
         self._compile_faults()
-        self._setup_governance()
+        self._upvoters = self._roll[: vortex.pool_threshold(len(self._roll))]  # just enough to reach the vote
+        self._proposals: dict[int, list[tuple]] = defaultdict(list)  # epoch -> scripted proposals
+        for epoch, *proposal in config.governance.proposals:
+            self._proposals[epoch].append(proposal)
         if config.crypto_pipeline:
             self._lwe_params = lwe.PROFILES["test-exhaustive"]
             self._lwe_keys = lwe.lwe_keygen(self._lwe_params, config.seed)
@@ -318,57 +382,6 @@ class Simulation:
         for w in sorted(self.config.offline, key=lambda w: w.node):  # ids sort in node order
             if w.from_slot + limit < w.to_slot:
                 self._scripted_slashes[w.from_slot + limit].append((w.node, PerpetrationKind.Offline48h))
-
-    def _setup_governance(self) -> None:
-        gov = self.config.governance
-        self._proposals: dict[int, list[tuple]] = {}  # epoch -> scripted proposals
-        self._roll: list[str] = []  # the Governors in id order; set once, as the run changes no role
-        self._upvoters: list[str] = []  # the first pool_threshold of the roll: just enough to reach the vote
-        if gov is None or gov == {}:  # no governance
-            return
-        if not isinstance(gov, dict) or not isinstance(gov.get("tiers", {}), dict):
-            raise ConfigInvalid("governance and its tiers must be objects")
-        try:
-            chosen = gov.get("governors", "all")
-            members = sorted(self.nodes) if chosen == "all" else _list(chosen, "governance.governors")
-            for nid in members:
-                if nid not in self.nodes:
-                    raise ConfigInvalid(f"governance names unknown node {nid}")
-                self.dao.promote_to_governor(nid, now=0)
-                self.dao.governors[nid].has_approved_proposal = True
-            for nid, tier_name in gov.get("tiers", {}).items():
-                self.dao.governors[nid].tier = vortex.Tier[tier_name]
-            for delegator, delegatee in _list(gov.get("delegations", []), "governance.delegations"):
-                self.dao.delegate(delegator, delegatee)
-            self._roll = sorted(
-                nid for nid, r in self.dao.governors.items() if r.role is vortex.Role.Governor
-            )
-            for nid in gov.get("tiers", {}):  # a tier off the roll would have no effect but show in the report
-                if nid not in self._roll:
-                    raise ConfigInvalid(f"governance gives a tier to {nid}, which is not on the governor roll")
-            self._upvoters = self._roll[: vortex.pool_threshold(len(self._roll))]
-            # parsed before the run, so a bad entry stops it before any event
-            proposals = _list(gov.get("proposals", []), "governance.proposals")
-            if proposals and not self._roll:  # no Governor could pull a proposal out of the pool
-                raise ConfigInvalid("governance scripts a proposal but names no governor")
-            for item in proposals:
-                if not isinstance(item, dict) or not isinstance(item["proposer"], str):
-                    raise ConfigInvalid(f"a proposal must be an object naming its proposer: {item!r}")
-                if item["proposer"] not in self.nodes:  # the script names no nominator
-                    raise ConfigInvalid(f"a proposal's proposer {item['proposer']!r} is not a node")
-                if "pool_upvotes" in item:
-                    raise ConfigInvalid(f"a proposal cannot set pool_upvotes; the pool threshold upvotes it: {item!r}")
-                epoch, yes, no = _int(item["epoch"]), _int(item.get("yes", 0)), _int(item.get("no", 0))
-                if min(epoch, yes, no) < 0:  # the counts are slice bounds in _run_governance
-                    raise ConfigInvalid(f"a proposal's epoch and vote counts cannot be negative: {item!r}")
-                if yes + no > len(self._roll):
-                    raise ConfigInvalid(f"a proposal casts {yes + no} votes but there are {len(self._roll)} governors")
-                self._proposals.setdefault(epoch, []).append(
-                    (item["proposer"], vortex.ProposalType[item["type"]], yes, no)
-                )
-        # TypeError / ValueError: a non-list, unhashable id or a pair of the wrong size
-        except (KeyError, TypeError, ValueError, vortex.VortexError) as exc:
-            raise ConfigInvalid(f"bad governance section: {exc}") from exc
 
     # -- event plumbing ----------------------------------------------------
 
@@ -413,10 +426,7 @@ class Simulation:
         self._wake[node.ticket_expiry_slot].add(node_id)
         self._wake[node.verification_deadline_slot].add(node_id)
         self._touched.add(node_id)
-        self._emit(slot, "TicketRenewed", {
-            "node": node.node_id,
-            "expiry_slot": node.ticket_expiry_slot,
-        })
+        self._emit(slot, "TicketRenewed", {"node": node.node_id, "expiry_slot": node.ticket_expiry_slot})
         return node
 
     def _try_renewals(self, slot: int, woken: list[str]) -> None:
@@ -510,21 +520,14 @@ class Simulation:
             return
         now, listed = self._now(slot), {e.node_id for e in self.blacklist.entries}
         eligible = [nid for nid in self.nodes if nid not in listed or not self.blacklist.fees_stopped(nid, now)]
-        balances, vault_delta, distributed = distribute_fees(
-            total, eligible, self.ledger.balances
-        )
+        balances, vault_delta, distributed = distribute_fees(total, eligible, self.ledger.balances)
         if eligible:
             self.ledger = LedgerSnapshot(balances=balances)
         self.vault += vault_delta
         if distributed + vault_delta != total:
             raise InvariantViolation("fee distribution lost units")
-        self._emit(slot, "FeesDistributed", {
-            "epoch": epoch,
-            "total": total,
-            "vault_delta": vault_delta,
-            "distributed": distributed,
-            "recipients": len(eligible),
-        })
+        self._emit(slot, "FeesDistributed", {"epoch": epoch, "total": total, "vault_delta": vault_delta,
+                                             "distributed": distributed, "recipients": len(eligible)})
 
     def _maybe_rebalance(self, epoch: int, slot: int) -> None:
         k = self.config.fath_period_epochs
@@ -541,9 +544,9 @@ class Simulation:
 
         Voting weeks run on the DAO's own clock (the tally happens at the
         proposal's deadline regardless of how short the simulated epochs
-        are); tally records land in the event log. Setup refused every bad
-        proposal, so nothing is refused here; one above the proposer's tier
-        becomes a MismatchedProposalTypeNoRight slash.
+        are); tally records land in the event log. validate() refused every
+        bad proposal, so nothing is refused here; one above the proposer's
+        tier becomes a MismatchedProposalTypeNoRight slash.
         """
         now, governors = self._now(slot), self._roll
         for proposer, ptype, yes, no in self._proposals.get(epoch, ()):
@@ -554,10 +557,8 @@ class Simulation:
                 continue
             for voter in self._upvoters:  # the last one moves the proposal to the vote
                 self.dao.pool_vote(voter, proposal.id, upvote=True, now=now)
-            for voter in governors[:yes]:
-                self.dao.cast_vote(voter, proposal.id, yes=True, now=now + 1)
-            for voter in governors[yes : yes + no]:
-                self.dao.cast_vote(voter, proposal.id, yes=False, now=now + 1)
+            for i, voter in enumerate(governors[: yes + no]):  # the first yes vote yes, the next no vote no
+                self.dao.cast_vote(voter, proposal.id, yes=i < yes, now=now + 1)
             result = self.dao.tally(proposal.id, now=proposal.vote_deadline)
             self._emit(slot, "GovernanceTally", result.to_record(proposal))
 
@@ -589,14 +590,8 @@ class Simulation:
     def report(self) -> dict:
         authored = Counter(data["node"] for data in self._records("BlockAuthored"))
         return {
-            "config": {
-                "seed": self.config.seed,
-                "num_nodes": self.config.num_nodes,
-                "slots_per_epoch": self.config.slots_per_epoch,
-                "epochs": self.config.epochs,
-                "slot_seconds": self.config.slot_seconds,
-                "fath_period_epochs": self.config.fath_period_epochs,
-            },
+            "config": {key: getattr(self.config, key) for key in (
+                "seed", "num_nodes", "slots_per_epoch", "epochs", "slot_seconds", "fath_period_epochs")},
             "blocks_per_node": {nid: authored[nid] for nid in sorted(self.nodes)},
             "skipped_slots": sum(1 for e in self.events if e.kind == "SlotSkipped"),
             "fees_injected": sum(self.config.fees_per_epoch),
@@ -623,4 +618,6 @@ def load_scenario(path: str) -> SimConfig:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ConfigInvalid("scenario must be a JSON object")
-    return SimConfig.from_dict(doc)
+    config = SimConfig.from_dict(doc)
+    config.validate()
+    return config

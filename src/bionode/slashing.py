@@ -22,7 +22,6 @@ from fractions import Fraction
 from importlib import resources
 
 
-DAY_SECONDS = 86_400
 MONTH_SECONDS = 2_630_016  # 30.44 days
 FOREVER = "forever"
 

@@ -391,7 +391,7 @@ class TestRunSim:
         assert run_cli("run-sim", str(scenario)) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error:")
+        assert captured.err.startswith("error: cannot load scenario:")  # from_dict or validate()
         assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("extra, field", [
@@ -427,7 +427,7 @@ class TestRunSim:
         assert run_cli("run-sim", str(scenario)) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and "Traceback" not in captured.err
-        assert captured.err.startswith("error:") and field in captured.err
+        assert captured.err.startswith("error: cannot load scenario:") and field in captured.err
 
     @pytest.mark.parametrize("epoch", [0, 9], ids=["reached", "never-reached"])
     def test_proposal_with_no_governor_exits_one_without_output(self, epoch, tmp_path, capsys):
@@ -565,6 +565,31 @@ class TestExitCodes:
 
         monkeypatch.setattr(netsim_mod, "run", explode)
         assert run_cli("run-sim", str(scenario)) == 2
+
+    @pytest.mark.parametrize("argv, target", [
+        (["fath-demo", "--output"], "missing/out.json"),
+        (["fee-quote", "--output"], "missing/out.json"),
+        (["score-modalities", "--output"], "missing/out.json"),
+        (["prove-linear", "--inputs", "1", "--coeffs", "2", "--output"], "missing/out.json"),
+        (["prove-linear", "--inputs", "1", "--coeffs", "2", "--output"], "a-directory"),
+        (["prove-linear", "--inputs", "1", "--coeffs", "2", "--save-keys"], "missing/keys.json"),
+        (["verify-linear", str(GOLDEN / "prove_linear_64.json"), "--output"], "missing/out.json"),
+        (["lwe-match", "--template", "1011", "--probe", "1011", "--threshold", "3",
+          "--profile", "test-exhaustive", "--output"], "missing/out.json"),
+        (["slash-demo", "--output"], "missing/out.json"),
+        (["run-sim", str(SCENARIOS / "honest.json"), "--output"], "a-file"),
+    ], ids=["fath-demo", "fee-quote", "score-modalities", "prove-linear", "prove-linear-directory",
+            "prove-linear-save-keys", "verify-linear", "lwe-match", "slash-demo", "run-sim-file"])
+    def test_unwritable_output_exits_one_naming_the_path(self, argv, target, tmp_path, capsys):
+        """A path in a missing directory, a directory where a file goes or a file
+        where a directory goes is refused with one line, not a traceback."""
+        (tmp_path / "a-directory").mkdir()
+        (tmp_path / "a-file").write_text("")
+        path = tmp_path / target
+        assert run_cli(*argv, str(path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 # Every committed document, with the command that reads it; the document's

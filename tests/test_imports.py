@@ -64,8 +64,10 @@ def definitions(path: Path) -> list[str]:
 
 
 def references(path: Path) -> set[str]:
-    """Every name the file's code uses: names, attributes, imported names and
-    the words of its strings. Docstrings and comments are prose, not code."""
+    """Every name the file's code uses: names, attributes, imported names, and
+    each string that is a name or a dotted path ending in one (its last part).
+    A string that only mentions a name, such as an error message, does not
+    count, and docstrings and comments are prose, not code."""
     tree = ast.parse(path.read_text(), filename=str(path))
     prose = {
         id(node.body[0].value) for node in ast.walk(tree)
@@ -82,8 +84,15 @@ def references(path: Path) -> set[str]:
         elif isinstance(node, ast.alias):
             found.update(node.name.split("."))
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in prose:
-            found.update(re.findall(r"\w+", node.value))
+            if re.fullmatch(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*", node.value):
+                found.add(node.value.rsplit(".", 1)[-1])
     return found
+
+
+# Definitions a framework calls by its own name, which no code of ours spells out.
+FRAMEWORK_HOOKS = {
+    ("cli", "error"),  # cli._Parser.error: argparse calls it on a usage error
+}
 
 
 @pytest.fixture(scope="module")
@@ -94,7 +103,23 @@ def reached() -> set[str]:
 @pytest.mark.parametrize("path", SOURCES, ids=[p.stem for p in SOURCES])
 def test_every_definition_is_reached(path, reached):
     """Reach it or remove it: the code of src/, demos/ or bench/ uses each
-    name the module defines. A string counts, since bench/tracing.py patches
-    entry points by name; a word in a docstring or a comment does not."""
-    unreached = [name for name in definitions(path) if name not in reached]
+    name the module defines. A string that is the name or a dotted path to it
+    counts, since bench/tracing.py patches entry points by name; a word in a
+    message, a docstring or a comment does not."""
+    unreached = [name for name in definitions(path)
+                 if name not in reached and (path.stem, name) not in FRAMEWORK_HOOKS]
     assert not unreached, f"{path.name} defines names no code uses: {unreached}"
+
+
+def test_a_name_only_in_a_message_is_unreached(tmp_path):
+    """A function named only inside an error message is not a use; a string
+    naming it whole, or a dotted path ending in it, is."""
+    module = tmp_path / "mod.py"
+    module.write_text(
+        'def helper():\n    """helper is documented here."""\n\n\n'
+        'def main():\n    raise ValueError("helper failed")  # helper\n'
+    )
+    assert "helper" not in references(module)
+    for target in ('"helper"', '"mod.helper"'):
+        module.write_text(f"def helper():\n    pass\n\n\nTARGET = {target}\n")
+        assert "helper" in references(module)

@@ -14,9 +14,10 @@ old eligibility loop, and may ask the Blacklist itself only about nodes
 that have an entry. No renewal may be offered to a node that is offline,
 nor to a suspended one at a slot where nothing on its own record wakes
 it. Each reached scripted proposal's tally or tier slash is recounted from
-the governance section, and a section that setup accepts, valid or not,
-runs to the end. A 300-node run in the shape of the sim-churn benchmark
-has its event-log and report SHA-256s pinned.
+the governance section, and a section that `from_dict` and `validate()`
+accept, valid or not, sets up and runs to the end. A 300-node run in the
+shape of the sim-churn benchmark has its event-log and report SHA-256s
+pinned.
 """
 
 import dataclasses
@@ -34,6 +35,7 @@ from hypothesis import strategies as st
 from bionode import netsim
 from bionode.netsim import (
     ConfigInvalid,
+    Governance,
     OfflineWindow,
     SimConfig,
     Simulation,
@@ -57,6 +59,8 @@ def small_config(**overrides) -> SimConfig:
         fath_period_epochs=1,
     )
     base.update(overrides)
+    if "governance" in base:  # a raw section, read as from_dict reads it
+        base["governance"] = netsim.read_governance(base["governance"])
     return SimConfig(**base)
 
 
@@ -280,7 +284,7 @@ class TestConfig:
             SimConfig.from_dict(
                 {"num_nodes": 2, "slots_per_epoch": 5, "epochs": 3,
                  "fees_per_epoch": [1, 2]}
-            )
+            ).validate()
 
     @pytest.mark.parametrize("cfg", [small_config(fees_per_epoch=(300,)), small_config(epochs=1)],
                              ids=["too-short", "too-long"])
@@ -605,28 +609,27 @@ def recount_governance(cfg: SimConfig) -> list[tuple[str, object]]:
     each weighted by the voter's power at setup (1 plus the delegations it
     holds), with quorum at 33% of the eligible power and approval at 66% of
     the power cast."""
-    gov = cfg.governance or {}
-    chosen = gov.get("governors", "all")
-    members = cfg.node_ids if chosen == "all" else chosen
-    delegated = dict(gov.get("delegations", []))  # a delegator's last delegation holds
+    gov = cfg.governance
+    members = cfg.node_ids if gov.governors == "all" else gov.governors
+    delegated = dict(gov.delegations)  # a delegator's last delegation holds
     roll = sorted(m for m in members if m not in delegated)
     power = {g: 1 + list(delegated.values()).count(g) for g in roll}
     eligible = sum(power.values())
-    tiers, expected, submitted = gov.get("tiers", {}), [], 0
-    for p in sorted(gov.get("proposals", []), key=lambda p: p["epoch"]):
-        if p["epoch"] >= cfg.epochs:
+    tiers, expected, submitted = dict(gov.tiers), [], 0
+    for epoch, proposer, ptype, yes_votes, no_votes in sorted(gov.proposals, key=lambda p: p[0]):
+        if epoch >= cfg.epochs:
             continue
-        tier = Tier[tiers.get(p["proposer"], "Citizen")] if p["proposer"] in power else Tier.Citizen
-        if tier.value < MIN_TIER_FOR_TYPE[ProposalType(p["type"])].value:
-            expected.append(("MismatchedProposalTypeNoRight", p["proposer"]))
+        tier = tiers.get(proposer, Tier.Citizen) if proposer in power else Tier.Citizen
+        if tier.value < MIN_TIER_FOR_TYPE[ptype].value:
+            expected.append(("MismatchedProposalTypeNoRight", proposer))
             continue
         submitted += 1
-        voters = roll[: p.get("yes", 0) + p.get("no", 0)]
-        cast, yes = sum(power[v] for v in voters), sum(power[v] for v in voters[: p.get("yes", 0)])
+        voters = roll[: yes_votes + no_votes]
+        cast, yes = sum(power[v] for v in voters), sum(power[v] for v in voters[:yes_votes])
         quorum = 100 * cast >= 33 * eligible
         expected.append(("GovernanceTally", {
             "proposal": hashlib.sha256(f"pool:hup-{submitted}".encode()).hexdigest()[:8],
-            "type": p["type"],
+            "type": ptype.value,
             "eligible_power": eligible,
             "votes_cast": cast,
             "yes": yes,
@@ -637,10 +640,11 @@ def recount_governance(cfg: SimConfig) -> list[tuple[str, object]]:
 
 
 @st.composite
-def loose_governance(draw) -> SimConfig:
-    """A small scenario whose governance section may be invalid: no governor,
-    an unknown node anywhere, an unknown tier or type, a self, chained or
-    foreign delegation, a negative epoch or a vote count above the roll."""
+def loose_governance(draw) -> dict:
+    """The fields of a small scenario whose raw governance section may be
+    invalid: no governor, an unknown node anywhere, an unknown tier or type, a
+    self, chained or foreign delegation, a negative epoch or a vote count above
+    the roll."""
     num_nodes, epochs = draw(st.integers(1, 5)), draw(st.integers(1, 3))
     names = st.sampled_from(SimConfig(num_nodes=num_nodes).node_ids + ["ghost"])
     section = {}
@@ -657,7 +661,7 @@ def loose_governance(draw) -> SimConfig:
         "yes": st.integers(0, num_nodes + 1),
         "no": st.integers(0, num_nodes + 1),
     }), max_size=3))
-    return small_config(
+    return dict(
         num_nodes=num_nodes, slots_per_epoch=draw(st.integers(1, 4)), epochs=epochs,
         fees_per_epoch=(100,) * epochs, governance=section,
     )
@@ -757,7 +761,7 @@ def churn_config(seed: int = 9, num_nodes: int = 300, epochs: int = 34) -> SimCo
         ticket_validity_slots=168,
         fees_per_epoch=tuple(10**6 + (rng.randrange(50_000, 300_000) if e % 2 else 0) for e in range(epochs)),
         offline=tuple(offline), bioauth_fail=tuple(bioauth), false_transaction=false_tx,
-        governance={"governors": "all", "delegations": delegations, "proposals": proposals},
+        governance=netsim.read_governance({"governors": "all", "delegations": delegations, "proposals": proposals}),
     )
 
 
@@ -798,16 +802,25 @@ class TestGeneratedScenarios:
         assert json.dumps(again.report(), sort_keys=True) == json.dumps(report, sort_keys=True)
 
     @settings(max_examples=200, deadline=None)
-    @given(cfg=loose_governance())
-    @example(cfg=small_config(governance=NO_GOVERNOR))
-    def test_any_governance_section_is_refused_at_setup_or_runs(self, cfg):
-        """Setup is the only place a scenario is refused: a section it accepts
-        runs to the end."""
+    @given(fields=loose_governance())
+    @example(fields=dict(governance=NO_GOVERNOR))
+    def test_any_governance_section_is_refused_at_setup_or_runs(self, fields):
+        """Reading and validating the config is the only place a scenario is
+        refused: a section they accept sets up and runs to the end."""
         try:
-            sim = Simulation(cfg)
+            cfg = small_config(**fields)
+            cfg.validate()
         except ConfigInvalid:
             return
-        sim.run()
+        Simulation(cfg).run()
+
+    @settings(max_examples=100, deadline=None)
+    @given(cfg=scenarios())
+    @example(cfg=churn_config())
+    @example(cfg=GOVERNED_CONFIG)
+    def test_every_config_hashes(self, cfg):
+        """A frozen config holds only hashable values, its governance section included."""
+        assert hash(cfg) == hash(dataclasses.replace(cfg))
 
     def test_no_renewal_offered_while_suspended(self):
         """node-01's ticket expires at 20, where it fails bioauth and is
@@ -1130,7 +1143,39 @@ class TestScriptedGovernance:
     def test_bad_governance_section_rejected(self):
         cfg = small_config(governance={"governors": ["node-99"]})
         with pytest.raises(ConfigInvalid):
-            netsim.Simulation(cfg)
+            cfg.validate()
+
+    @pytest.mark.parametrize("gov, match", [
+        (Governance(governors=("node-99",)), "unknown node node-99"),
+        (Governance(governors="all", delegations=(("node-01", "node-01"),)), "cannot delegate to itself"),
+        (Governance(governors=("node-00",), delegations=(("node-01", "node-00"),)), "node-01 is not a Governor"),
+        (Governance(governors="all", tiers=(("node-01", Tier.Consul),), delegations=(("node-01", "node-00"),)),
+         "tier to node-01"),
+        (Governance(proposals=((0, "node-01", ProposalType.Product, 0, 0),)), "names no governor"),
+        (Governance(governors="all", proposals=((-1, "node-01", ProposalType.Product, 0, 0),)), "negative"),
+        (Governance(governors="all", proposals=((0, "ghost", ProposalType.Product, 0, 0),)), "'ghost' is not a node"),
+        (Governance(governors="all", proposals=((0, "node-01", ProposalType.Product, 3, 1),)), "casts 4 votes"),
+    ], ids=["unknown-governor", "self-delegation", "delegator-not-a-governor", "tier-on-a-delegator",
+            "no-governor", "negative-epoch", "proposer-not-a-node", "votes-above-roll"])
+    def test_bad_section_built_in_code_is_refused_by_validate(self, gov, match):
+        """validate() checks the governance section of a config built in code,
+        not only one read from a scenario file."""
+        cfg = dataclasses.replace(small_config(), governance=gov)
+        with pytest.raises(ConfigInvalid, match=match):
+            cfg.validate()
+
+    @pytest.mark.parametrize("gov", [
+        {"governors": "bogus"},
+        {"governors": [1]},
+        {"tiers": {"node-01": "Nope"}},
+        {"delegations": [["node-01"]]},
+        {"delegations": [["node-01", 2]]},
+        {"proposals": [{"epoch": 0, "proposer": "node-01", "type": "Nope"}]},
+    ], ids=["governors-text", "governor-number", "tier-unknown", "pair-short", "delegatee-number",
+            "type-unknown"])
+    def test_bad_section_shape_is_refused_when_read(self, gov):
+        with pytest.raises(ConfigInvalid, match="governance|governor|delegatee|Nope"):
+            netsim.read_governance(gov)
 
     @pytest.mark.parametrize("gov", [
         {"governors": ["node-00"], "tiers": {"node-01": "Consul"}},
@@ -1139,9 +1184,9 @@ class TestScriptedGovernance:
     ], ids=["human-node", "delegator"])
     def test_tier_off_the_governor_roll_is_refused(self, gov):
         """A tier is read only for a Governor, so one on any other node would
-        have no effect but show in the report; setup refuses it by name."""
+        have no effect but show in the report; validate() refuses it by name."""
         with pytest.raises(ConfigInvalid, match="tier to node-01, which is not on the governor roll"):
-            netsim.Simulation(small_config(governance=gov))
+            small_config(governance=gov).validate()
 
     @pytest.mark.parametrize("proposals", [
         [{"epoch": 9, "proposer": "node-01", "type": "Nope"}],
@@ -1163,39 +1208,37 @@ class TestScriptedGovernance:
             "no-negative", "upvotes-negative", "epoch-missing", "epoch-text",
             "epoch-negative", "votes-above-roll"])
     def test_bad_proposal_rejected_before_the_run(self, proposals):
-        """Every scripted proposal is checked at setup, also one whose epoch
-        the run never reaches."""
-        cfg = small_config(governance={"proposals": proposals})
+        """Every scripted proposal is checked before the run, also one whose
+        epoch the run never reaches."""
         with pytest.raises(ConfigInvalid):
-            netsim.Simulation(cfg)
+            small_config(governance={"proposals": proposals}).validate()
 
     def test_pool_upvotes_is_refused_before_the_run(self):
         """The roll's pool threshold upvotes every scripted proposal, so a
-        proposal that sets pool_upvotes is refused at setup, naming the field,
+        proposal that sets pool_upvotes is refused when read, naming the field,
         even at a value that could never reach the vote."""
         proposal = {"epoch": 1, "proposer": "node-01", "type": "Product", "pool_upvotes": 0, "yes": 2}
-        cfg = small_config(governance={"proposals": [proposal]})
         with pytest.raises(ConfigInvalid, match="pool_upvotes"):
-            netsim.Simulation(cfg)
+            small_config(governance={"proposals": [proposal]})
 
     @pytest.mark.parametrize("epoch", [1, 9], ids=["reached", "never-reached"])
     def test_proposer_not_a_node_is_refused_before_the_run(self, epoch):
         """The simulator names no nominator, so a proposer that is not a node
-        could only fail its submission; it is refused at setup, by name."""
+        could only fail its submission; validate() refuses it, by name."""
         proposal = {"epoch": epoch, "proposer": "ghost", "type": "Product", "yes": 2}
         cfg = small_config(governance={"proposals": [proposal]})
         with pytest.raises(ConfigInvalid, match="'ghost' is not a node"):
-            netsim.Simulation(cfg)
+            cfg.validate()
 
     @pytest.mark.parametrize("ptype", ["Product", "FeeDistribution"])
     @pytest.mark.parametrize("epoch", [0, 9], ids=["reached", "never-reached"])
     def test_proposal_with_no_governor_is_refused_before_the_run(self, epoch, ptype):
         """With no Governor nothing can pull a proposal out of the pool, so a
-        section that scripts one is refused at setup, at any epoch and for a
+        section that scripts one is refused by validate(), at any epoch and for a
         type its proposer would be slashed for."""
         gov = {"governors": [], "proposals": [{"epoch": epoch, "proposer": "node-01", "type": ptype}]}
         with pytest.raises(ConfigInvalid, match="names no governor"):
-            netsim.Simulation(small_config(governance=gov))
+            small_config(governance=gov).validate()
 
     @pytest.mark.parametrize("gov", [None, {}], ids=["null", "empty"])
     def test_null_or_empty_governance_is_no_governance(self, gov):

@@ -5,7 +5,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from bionode.slashing import (
-    DAY_SECONDS,
     FOREVER,
     MONTH_SECONDS,
     PERPETRATION_TABLE,
@@ -21,6 +20,7 @@ from bionode.slashing import (
 from bionode.vortex import GovernorRecord
 
 FIXTURE = Path(__file__).parent.parent / "src" / "bionode" / "data" / "slashing_table.json"
+DAY_SECONDS = 86_400
 
 
 class TestLadder:
