@@ -5,6 +5,10 @@ verify-linear, lwe-match, slash-demo. Every command takes --seed (default
 0) and --output; all randomness flows from the seed, so identical
 invocations produce identical bytes.
 
+No command creates a missing parent directory; run-sim creates only the one
+--output names. Work is bounded: --bits by groups.generate_params, --repeat by
+MAX_REPEAT, a scenario by netsim.MAX_NODES and netsim.MAX_SLOTS.
+
 Exit codes: 0 success, 1 usage, config or write error (an output path
 that cannot be written), 2 invariant violation, 3 verification rejected.
 """
@@ -26,6 +30,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INVARIANT = 2
 EXIT_REJECTED = 3
+
+MAX_REPEAT = 100_000  # the most offenses slash-demo replays
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,7 +63,7 @@ def cmd_run_sim(args) -> int:
     report = sim.report()
     if args.output:
         out = Path(args.output)
-        out.mkdir(parents=True, exist_ok=True)
+        out.mkdir(exist_ok=True)
         (out / "events.ndjson").write_text(sim.event_log())
         (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(json.dumps(report, indent=2, sort_keys=True))
@@ -165,10 +171,11 @@ def cmd_prove_linear(args) -> int:
             print(f"error: cannot read key file: {exc}", file=sys.stderr)
             return EXIT_USAGE
     else:
-        if args.bits < groups.MIN_GROUP_BITS:
-            print(f"error: --bits must be at least {groups.MIN_GROUP_BITS}", file=sys.stderr)
+        try:
+            params = groups.generate_params(args.bits, seed=args.seed)
+        except ValueError as exc:
+            print(f"error: --bits: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        params = groups.generate_params(args.bits, seed=args.seed)
         keys = groups.keygen(params, rng_seed=args.seed + 1)
     _write_output(args.save_keys, groups.key_doc(params, keys))
     rng = random.Random(args.seed + 2)
@@ -230,7 +237,6 @@ def cmd_lwe_match(args) -> int:
 
 _KIND_ALIASES = {k.value.lower(): k for k in slashing.PerpetrationKind}
 _KIND_ALIASES.update({
-    "offline48h": slashing.PerpetrationKind.Offline48h,
     "missed-verification": slashing.PerpetrationKind.MissedMonthlyVerification,
     "false-transaction": slashing.PerpetrationKind.FalseTransaction,
     "uptime": slashing.PerpetrationKind.UptimeBelow91,
@@ -245,6 +251,9 @@ def cmd_slash_demo(args) -> int:
         return EXIT_USAGE
     if args.repeat < 1:
         print("error: --repeat must be at least 1", file=sys.stderr)
+        return EXIT_USAGE
+    if args.repeat > MAX_REPEAT:
+        print(f"error: --repeat must be at most {MAX_REPEAT}", file=sys.stderr)
         return EXIT_USAGE
     blacklist = slashing.Blacklist()
     spec = slashing.PERPETRATION_TABLE[kind]

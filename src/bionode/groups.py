@@ -63,6 +63,7 @@ class DocumentInvalid(ValueError):
 
 
 MIN_GROUP_BITS = 16  # the smallest p that generate_params builds and a document may name
+MAX_SEARCHED_BITS = 256  # the largest p generate_params searches for; the search grows steeply with size
 
 
 # 1024-bit MODP group (RFC 2409, Oakley group 2). p is a safe prime; the
@@ -252,14 +253,15 @@ def generate_params(bits: int, seed: int = 0) -> GroupParams:
 
     For well-known production sizes a pinned standard modulus is returned
     (searching for a fresh 1024-bit safe prime takes minutes and buys
-    nothing here); smaller test sizes are searched deterministically from
-    the seed.
+    nothing here); test sizes from MIN_GROUP_BITS to MAX_SEARCHED_BITS are
+    searched deterministically from the seed, and any other size is refused.
     """
-    if bits < MIN_GROUP_BITS:
-        raise ValueError("modulus below 16 bits is not a group, it is a toy")
     if bits in _PINNED_SAFE_PRIMES:
         p = _PINNED_SAFE_PRIMES[bits]
         return GroupParams(p=p, q=(p - 1) // 2, g=4)
+    if not MIN_GROUP_BITS <= bits <= MAX_SEARCHED_BITS:
+        raise ValueError(f"a group has {MIN_GROUP_BITS} to {MAX_SEARCHED_BITS} bits, "
+                         f"or a pinned size {sorted(_PINNED_SAFE_PRIMES)}; got {bits}")
     rng = random.Random(seed)
     while True:
         q = rng.getrandbits(bits - 1) | (1 << (bits - 2)) | 1

@@ -42,6 +42,7 @@ OFFLINE_LIMIT_SECONDS = 48 * 3600
 UPTIME_FLOOR = 0.91
 VAULT_SHARE_PERCENT = 2
 TEMPLATE_BITS = 4  # length of a node's biometric template in the crypto pipeline
+MAX_NODES, MAX_SLOTS = 100_000, 1_000_000  # a scenario's size; slots count epochs x slots_per_epoch
 
 
 class ConfigInvalid(Exception):
@@ -101,6 +102,13 @@ def _node(value, name: str = "a fault's node") -> str:
     if not isinstance(value, str):
         raise ConfigInvalid(f"{name} must be a string, got {value!r}")
     return value
+
+
+def _check_size(num_nodes: int, slots_per_epoch: int, epochs: int) -> None:
+    if num_nodes > MAX_NODES:
+        raise ConfigInvalid(f"num_nodes is {num_nodes}, above the bound of {MAX_NODES}")
+    if epochs * max(slots_per_epoch, 1) > MAX_SLOTS:  # an epoch has at least one slot
+        raise ConfigInvalid(f"{epochs} epochs of {slots_per_epoch} slots are above the bound of {MAX_SLOTS} slots")
 
 
 def _list(value, name: str) -> list:
@@ -192,7 +200,8 @@ class SimConfig:
     def from_dict(cls, doc: dict) -> "SimConfig":
         try:
             fees = doc.get("fees_per_epoch", 0)
-            epochs = _int(doc["epochs"])
+            num_nodes, slots_per_epoch, epochs = _int(doc["num_nodes"]), _int(doc["slots_per_epoch"]), _int(doc["epochs"])
+            _check_size(num_nodes, slots_per_epoch, epochs)
             if isinstance(fees, (int, float)):
                 fees = [_int(fees)] * epochs  # _int refuses a bool and a non-integral number
             faults = doc.get("faults", {})
@@ -204,8 +213,8 @@ class SimConfig:
             validity = doc.get("ticket_validity_slots")
             return cls(
                 seed=_int(doc.get("seed", 0)),
-                num_nodes=_int(doc["num_nodes"]),
-                slots_per_epoch=_int(doc["slots_per_epoch"]),
+                num_nodes=num_nodes,
+                slots_per_epoch=slots_per_epoch,
                 epochs=epochs,
                 slot_seconds=_int(doc.get("slot_seconds", SLOT_SECONDS_DEFAULT)),
                 ticket_validity_slots=None if validity is None else _int(validity),
@@ -224,6 +233,7 @@ class SimConfig:
             raise ConfigInvalid(str(exc)) from exc
 
     def validate(self) -> None:
+        _check_size(self.num_nodes, self.slots_per_epoch, self.epochs)
         if self.num_nodes < 1:
             raise ConfigInvalid("need at least one node")
         if self.slots_per_epoch < 1 or self.epochs < 0:
@@ -260,6 +270,8 @@ class SimConfig:
             if prev.node == nxt.node and nxt.from_slot <= prev.to_slot:
                 raise ConfigInvalid(f"offline windows for {nxt.node} overlap or touch")
         gov = self.governance
+        if not isinstance(gov, Governance):  # a raw section must go through read_governance
+            raise ConfigInvalid(f"governance must be a Governance value, got {type(gov).__name__}")
         for nid in gov.governors if gov.governors != "all" else ():
             if nid not in known:
                 raise ConfigInvalid(f"governance names unknown node {nid}")

@@ -5,17 +5,17 @@ repeat offenses escalate, and side effects on the node's standing.
 Escalating kinds start at their base period's rung on the shared ladder
 and climb one rung per repeat of the same kind; past the last rung is
 forever. The table and the ladder are read at import from
-bionode/data/slashing_table.json; a kind or effect the enums do not name
-stops the import.
-
-A month is 30.44 days of simulated time, so periods are exact integer
-second counts.
+bionode/data/slashing_table.json, and each row's terms are built then: one
+(months, seconds) per repeat, the last holding for every later one, so a
+slash reads its term by index. An unknown kind or effect, an escalating
+base off the ladder, or a period that is not a whole number of seconds
+(a month is 30.44 days) stops the import.
 """
 
 from __future__ import annotations
 
-import functools
 import json
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -50,54 +50,34 @@ class Perpetration:
     base_period_months: Fraction
     scalable: bool
     effects: frozenset[Effect]
+    terms: tuple[tuple[object, int | None], ...]  # (months or FOREVER, seconds or None) per repeat
+
+
+def _term(months) -> tuple[object, int | None]:
+    if months == FOREVER:
+        return FOREVER, None
+    seconds = months * MONTH_SECONDS
+    if seconds.denominator != 1:
+        raise ValueError(f"period {months} months is not a whole second count")
+    return months, seconds.numerator
+
+
+def _perpetration(row: dict) -> Perpetration:
+    """A table row, its terms climbing the ladder from the base rung when it escalates."""
+    base, scalable = Fraction(row["base_period_months"]), row["scalable"]
+    if scalable and base not in SCALING_LADDER_MONTHS:
+        raise ValueError(f"{row['kind']}: base period {base} months is not on the ladder")
+    months = (*SCALING_LADDER_MONTHS[SCALING_LADDER_MONTHS.index(base):], FOREVER) if scalable else (base,)
+    return Perpetration(PerpetrationKind(row["kind"]), row["severity"], base, scalable,
+                        frozenset(map(Effect, row["effects"])), tuple(map(_term, months)))
 
 
 _DOC = json.loads(resources.files("bionode.data").joinpath("slashing_table.json").read_text())
-# the file's ladder ends at "forever", which scaling_ladder returns past the last rung
+# the file's ladder ends at "forever", which every escalating row's terms end at
 SCALING_LADDER_MONTHS: tuple[Fraction, ...] = tuple(map(Fraction, _DOC["ladder_months"][:-1]))
 PERPETRATION_TABLE: dict[PerpetrationKind, Perpetration] = {
-    p.kind: p
-    for p in (
-        Perpetration(PerpetrationKind(r["kind"]), r["severity"], Fraction(r["base_period_months"]),
-                     r["scalable"], frozenset(map(Effect, r["effects"])))
-        for r in _DOC["perpetrations"]
-    )
+    p.kind: p for p in map(_perpetration, _DOC["perpetrations"])
 }
-
-
-def scaling_ladder(offense_index: int):
-    """Period for the given rung; anything past the last rung is forever."""
-    if offense_index < 0:
-        raise ValueError("offense index cannot be negative")
-    if offense_index >= len(SCALING_LADDER_MONTHS):
-        return FOREVER
-    return SCALING_LADDER_MONTHS[offense_index]
-
-
-def period_for(kind: PerpetrationKind, offense_index: int):
-    """Blacklisting period in months for the offense_index-th repeat."""
-    spec = PERPETRATION_TABLE[kind]
-    if not spec.scalable:
-        return spec.base_period_months
-    start = SCALING_LADDER_MONTHS.index(spec.base_period_months)
-    return scaling_ladder(start + offense_index)
-
-
-def months_to_seconds(months: Fraction) -> int:
-    secs = months * MONTH_SECONDS
-    if secs.denominator != 1:
-        raise ValueError(f"period {months} months is not a whole second count")
-    return secs.numerator
-
-
-@functools.cache
-def offense_term(kind: PerpetrationKind, rung: int) -> tuple[object, int | None]:
-    """(period in months, period in seconds or None for forever) of a kind's
-    rung-th offense. Callers clamp rung at len(SCALING_LADDER_MONTHS): every
-    later offense reads forever too, so the cache holds at most
-    kinds x (rungs + 1) entries."""
-    months = period_for(kind, rung)
-    return months, None if months == FOREVER else months_to_seconds(months)
 
 
 @dataclass(frozen=True)
@@ -128,34 +108,25 @@ class BlacklistEntry:
 class Blacklist:
     """Per-node offense history and the suspension queries over it.
 
-    entries is the full history in the order issued; private per-node and
-    per-(node, kind) indexes of the same entries answer the queries without
-    scanning other nodes or other kinds.
+    entries is the full history in the order issued; a private per-node index
+    of the same entries answers the queries without scanning other nodes, and
+    a per-(node, kind) count gives each new offense its index.
     """
 
     def __init__(self) -> None:
         self.entries: list[BlacklistEntry] = []
         self._by_node: dict[str, list[BlacklistEntry]] = {}
-        self._by_offense: dict[tuple[str, PerpetrationKind], list[BlacklistEntry]] = {}
-
-    def offense_count(self, node_id: str, kind: PerpetrationKind) -> int:
-        return len(self._by_offense.get((node_id, kind), ()))
+        self._offenses: Counter[tuple[str, PerpetrationKind]] = Counter()
 
     def slash(self, node_id: str, kind: PerpetrationKind, now: int) -> BlacklistEntry:
-        index = self.offense_count(node_id, kind)
-        months, seconds = offense_term(kind, min(index, len(SCALING_LADDER_MONTHS)))
-        entry = BlacklistEntry(
-            node_id=node_id,
-            kind=kind,
-            offense_index=index,
-            period_months=months,
-            effects=PERPETRATION_TABLE[kind].effects,
-            issued_at=now,
-            ends_at=None if seconds is None else now + seconds,
-        )
+        spec = PERPETRATION_TABLE[kind]
+        index = self._offenses[node_id, kind]
+        self._offenses[node_id, kind] = index + 1
+        months, seconds = spec.terms[min(index, len(spec.terms) - 1)]
+        entry = BlacklistEntry(node_id=node_id, kind=kind, offense_index=index, period_months=months,
+                               effects=spec.effects, issued_at=now, ends_at=None if seconds is None else now + seconds)
         self.entries.append(entry)
         self._by_node.setdefault(node_id, []).append(entry)
-        self._by_offense.setdefault((node_id, kind), []).append(entry)
         return entry
 
     def is_blacklisted(self, node_id: str, now: int) -> bool:

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bionode import cli, slashing
+from bionode import cli, groups, slashing
 
 ROOT = Path(__file__).parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -258,6 +259,17 @@ class TestProveVerify:
                        "--output", str(tmp_path / "s.json")) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("bits", [groups.MAX_SEARCHED_BITS + 1, 100_000])
+    def test_bits_above_the_searched_bound_exits_one(self, bits, tmp_path, capsys):
+        """A size with no pinned group above MAX_SEARCHED_BITS is refused before
+        any prime search; the pinned 1024 is the golden test above."""
+        out = tmp_path / "s.json"
+        assert run_cli("prove-linear", "--inputs", "1", "--coeffs", "1", "--bits", str(bits),
+                       "--output", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --bits: ") and captured.err.count("\n") == 1
+        assert captured.out == "" and not out.exists()
+
     @pytest.mark.parametrize("command, edit", [
         ("verify-linear", lambda d, k: FORGED),
         ("verify-linear", lambda d, k: {**FORGED, "params": {**d["params"], "g": "1", "pk": "1"}}),
@@ -316,6 +328,37 @@ class TestRunSim:
         )
         assert report == golden
         assert (out / "events.ndjson").read_text().count("\n") == report["event_count"]
+
+    def test_missing_parent_of_output_is_not_created(self, tmp_path, capsys):
+        """run-sim creates only the directory --output names, as every other
+        command writes only into a directory that exists."""
+        out = tmp_path / "nest" / "a" / "b"
+        assert run_cli("run-sim", str(SCENARIOS / "honest.json"), "--output", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+        assert not (tmp_path / "nest").exists()
+
+    @pytest.mark.parametrize("doc", [
+        {"num_nodes": 3, "slots_per_epoch": 5, "epochs": 1_000_000_000, "fees_per_epoch": 0},
+        {"num_nodes": 1_000_000_000, "slots_per_epoch": 5, "epochs": 1, "fees_per_epoch": 0},
+        {"num_nodes": 3, "slots_per_epoch": 100_000_000, "epochs": 1, "fees_per_epoch": 0},
+        {"num_nodes": 3, "slots_per_epoch": 0, "epochs": 1_000_000_000, "fees_per_epoch": 0},
+    ], ids=["epochs", "nodes", "slots-per-epoch", "epochs-of-no-slots"])
+    def test_oversized_scenario_is_refused_before_it_is_built(self, doc, tmp_path):
+        """A scenario above netsim.MAX_NODES or MAX_SLOTS is refused by name
+        before a list that grows with it is built. The child runs under a 512 MiB
+        address-space limit, so a build that starts fails there, not on the host."""
+        scenario = tmp_path / "big.json"
+        scenario.write_text(json.dumps(doc))
+        limit = 512 * 2**20
+        done = subprocess.run(
+            [sys.executable, "-m", "bionode.cli", "run-sim", str(scenario)],
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, capture_output=True, text=True,
+            timeout=60, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: cannot load scenario:") and "above the bound" in done.stderr
+        assert "Traceback" not in done.stderr and done.stdout == ""
 
     def test_malformed_scenario(self, tmp_path):
         bad = tmp_path / "broken.json"
@@ -521,8 +564,8 @@ class TestSlashDemo:
         assert run_cli("slash-demo", "--kind", "jaywalking") == 1
 
     def test_long_repeat_costs_constant_time_per_offense(self, tmp_path):
-        """offense_count reads the node's entries of that kind, not every entry,
-        so 50,000 offenses take about a second rather than hours."""
+        """A slash reads the node's count of that kind and indexes the kind's
+        terms, so 50,000 offenses take about a second rather than hours."""
         out = tmp_path / "slash.json"
         done = subprocess.run(
             [sys.executable, "-m", "bionode.cli", "slash-demo", "--kind", "uptime",
@@ -534,14 +577,23 @@ class TestSlashDemo:
         last = json.loads(out.read_text())["progression"][-1]
         assert last["offense_index"] == 49999 and last["period_months"] == "forever"
 
-    def test_term_cache_holds_one_entry_per_rung(self, capsys):
-        """Offenses past the ladder's last rung share its forever entry, so the
-        cache stays at kinds x (rungs + 1) however long the history is."""
-        for kind in slashing.PerpetrationKind:
-            assert run_cli("slash-demo", "--kind", kind.value, "--repeat", "1000") == 0
+    def test_term_table_holds_one_entry_per_rung(self, capsys, tmp_path):
+        """A kind's terms hold at most one entry per rung plus forever, and every
+        offense past the last one reads the last, however long the history is."""
+        bound = len(slashing.SCALING_LADDER_MONTHS) + 1
+        for kind, spec in slashing.PERPETRATION_TABLE.items():
+            assert 0 < len(spec.terms) <= bound
+            out = tmp_path / f"{kind.value}.json"
+            assert run_cli("slash-demo", "--kind", kind.value, "--repeat", "1000", "--output", str(out)) == 0
+            last = json.loads(out.read_text())["progression"][-1]
+            assert last["period_months"] == str(spec.terms[-1][0])
         capsys.readouterr()
-        bound = len(slashing.PerpetrationKind) * (len(slashing.SCALING_LADDER_MONTHS) + 1)
-        assert 0 < slashing.offense_term.cache_info().currsize <= bound
+
+    def test_repeat_above_the_bound_exits_one(self, capsys):
+        assert run_cli("slash-demo", "--repeat", str(cli.MAX_REPEAT + 1)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --repeat must be at most {cli.MAX_REPEAT}\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("repeat", ["-1", "0"])
     def test_repeat_below_one_exits_one(self, repeat, capsys):
@@ -595,11 +647,12 @@ class TestExitCodes:
 # Every committed document, with the command that reads it; the document's
 # path goes last, and prove-linear writes its statement to --output.
 STATEMENT_64 = GOLDEN / "prove_linear_64.json"
+PRICE_QUOTE = Path(cli.__file__).parent / "data" / "price_quote.json"
 FUZZED_DOCUMENTS = {
     **{path: ["run-sim"] for path in sorted(SCENARIOS.glob("*.json"))},
     STATEMENT_64: ["verify-linear"],
     GOLDEN / "keys_64.json": ["prove-linear", "--inputs", "1,2", "--coeffs", "3,-4", "--keys"],
-    Path(cli.__file__).parent / "data" / "price_quote.json": ["fee-quote", "--quote"],
+    PRICE_QUOTE: ["fee-quote", "--quote"],
 }
 OTHER_TYPE_VALUES = [None, True, 2.5, -3, 0, "x", [], [1], {}, {"k": "1"}]
 INTEGER_STRINGS = ["-1", "-5", str(-(2**70)), str(2**1100), "9" * 400]
@@ -646,6 +699,49 @@ def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
+# Option values of each kind a caller could type: negative, zero, huge,
+# non-finite, text and empty.
+ARG_VALUES = ["-1", "0", "3", str(10**30), str(-(10**30)), "nan", "inf", "-inf", "1e400", "x", ""]
+# command -> its arguments in order: (flag, or None for a positional, what it
+# takes): the committed document a path it reads should name, "out" for a path
+# it writes, or values it accepts beyond those of ARG_VALUES.
+ARGV_SURFACE = {
+    "run-sim": [(None, SCENARIOS / "honest.json"), ("--seed", []), ("--output", "out")],
+    "fath-demo": [("--seed", []), ("--output", "out")],
+    "fee-quote": [("--size-gb", ["0.5"]), ("--validators", []), ("--quote", PRICE_QUOTE),
+                  ("--decline", ["0.1", "1"]), ("--seed", []), ("--output", "out")],
+    "score-modalities": [("--seed", []), ("--output", "out")],
+    "prove-linear": [("--inputs", ["1,2", "5"]), ("--coeffs", ["3,-4", "2"]), ("--keys", GOLDEN / "keys_64.json"),
+                     ("--save-keys", "out"), ("--bits", ["16", "1024"]), ("--seed", []), ("--output", "out")],
+    "verify-linear": [(None, STATEMENT_64), ("--seed", []), ("--output", "out")],
+    "lwe-match": [("--template", ["1011", "1"]), ("--probe", ["1011", "0100"]), ("--threshold", []),
+                  ("--profile", ["test-exhaustive", "default"]), ("--seed", []), ("--output", "out")],
+    "slash-demo": [("--kind", ["uptime", "Offline48h"]), ("--repeat", []), ("--seed", []), ("--output", "out")],
+}
+
+
+@st.composite
+def argvs(draw, command: str, root: Path):
+    """An argv for command, each option left out (unless positional), given a
+    value it accepts, or given a bad one. A bad path lies under root: a file in
+    a missing directory, a directory, or a file any earlier example may have
+    written; a good one is the committed document to read or a fresh path."""
+    bad_paths = [root / "missing" / "f.json", root / "a-directory", root / "a-file"]
+    argv = [command]
+    for flag, takes in ARGV_SURFACE[command]:
+        if takes == "out":
+            good, bad = [root / f"{command}{flag}"], bad_paths
+        elif isinstance(takes, Path):
+            good, bad = [takes], bad_paths
+        else:
+            good, bad = takes or ARG_VALUES, ARG_VALUES
+        left_out = st.none() if flag else st.nothing()
+        value = draw(left_out | st.sampled_from(good) | st.sampled_from(bad))
+        if value is not None:
+            argv += [str(value)] if flag is None else [flag, str(value)]
+    return argv
+
+
 class TestDocumentFuzz:
     # A negative A or B must be refused before the challenge hashes it.
     @example(case=mutate(STATEMENT_64, ("proof", "A"), "-5"))
@@ -664,3 +760,26 @@ class TestDocumentFuzz:
             code = run_cli(*argv)
         assert code in (0, 1, 3)
         assert "Traceback" not in err.getvalue()
+
+    @pytest.mark.parametrize("command", ARGV_SURFACE)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_any_argv_exits_cleanly(self, command, data, fuzz_dir):
+        """Every command, with option values of every kind and paths that are
+        missing, a directory or a file, exits 0, 1 or 3 with no traceback. A
+        drawn --repeat or --bits is either small or refused, so work stays small."""
+        (fuzz_dir / "a-directory").mkdir(exist_ok=True)
+        (fuzz_dir / "a-file").touch()
+        argv = data.draw(argvs(command, fuzz_dir))
+        err, cwd = io.StringIO(), os.getcwd()
+        os.chdir(fuzz_dir)  # prove-linear writes statement.json here when --output is left out
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse's usage error
+                code = exc.code
+            finally:
+                os.chdir(cwd)
+        assert code in (0, 1, 3), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        assert not (fuzz_dir / "missing").exists()

@@ -294,6 +294,22 @@ class TestConfig:
         with pytest.raises(ConfigInvalid, match="fees_per_epoch length"):
             netsim.run(cfg)
 
+    @pytest.mark.parametrize("over", [
+        {"num_nodes": netsim.MAX_NODES + 1},
+        {"slots_per_epoch": netsim.MAX_SLOTS // 2 + 1, "epochs": 2},
+        {"slots_per_epoch": 0, "epochs": netsim.MAX_SLOTS + 1},
+    ], ids=["nodes", "slots", "epochs-of-no-slots"])
+    def test_size_above_the_bounds_is_refused(self, over):
+        """Both readers refuse a scenario above MAX_NODES or MAX_SLOTS before
+        building anything that grows with it; a size at the bounds is read."""
+        doc = {"num_nodes": 3, "slots_per_epoch": 5, "epochs": 2, "fees_per_epoch": 0}
+        with pytest.raises(ConfigInvalid, match="above the bound"):
+            SimConfig.from_dict({**doc, **over})
+        with pytest.raises(ConfigInvalid, match="above the bound"):
+            dataclasses.replace(SimConfig.from_dict(doc), **over).validate()
+        at = SimConfig.from_dict({**doc, "num_nodes": netsim.MAX_NODES, "slots_per_epoch": netsim.MAX_SLOTS, "epochs": 1})
+        assert (at.num_nodes, at.slots_per_epoch, at.fees_per_epoch) == (netsim.MAX_NODES, netsim.MAX_SLOTS, (0,))
+
     def test_default_config_runs(self):
         """The defaults were two epochs with no fees, which validate() refuses."""
         sim = netsim.run(SimConfig())
@@ -1176,6 +1192,14 @@ class TestScriptedGovernance:
     def test_bad_section_shape_is_refused_when_read(self, gov):
         with pytest.raises(ConfigInvalid, match="governance|governor|delegatee|Nope"):
             netsim.read_governance(gov)
+
+    @pytest.mark.parametrize("gov", [{"governors": "bogus"}, {}, ["node-01"], "all"],
+                             ids=["dict", "empty-dict", "list", "text"])
+    def test_raw_section_built_in_code_is_refused_by_validate(self, gov):
+        """A config built in code with the JSON section, not read_governance's
+        value, is refused by name; it raised AttributeError."""
+        with pytest.raises(ConfigInvalid, match="governance must be a Governance value"):
+            SimConfig(governance=gov).validate()
 
     @pytest.mark.parametrize("gov", [
         {"governors": ["node-00"], "tiers": {"node-01": "Consul"}},

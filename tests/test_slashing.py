@@ -1,8 +1,14 @@
 """Perpetration table fidelity, ladder progression, date arithmetic."""
 
 import json
+import os
+import shutil
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 from bionode.slashing import (
     FOREVER,
@@ -13,26 +19,31 @@ from bionode.slashing import (
     Effect,
     PerpetrationKind,
     apply_effects,
-    months_to_seconds,
-    period_for,
-    scaling_ladder,
 )
 from bionode.vortex import GovernorRecord
 
-FIXTURE = Path(__file__).parent.parent / "src" / "bionode" / "data" / "slashing_table.json"
+PACKAGE = Path(__file__).parent.parent / "src" / "bionode"
+FIXTURE = PACKAGE / "data" / "slashing_table.json"
 DAY_SECONDS = 86_400
 
 
+def period(kind: PerpetrationKind, offense_index: int):
+    """The months of a kind's offense_index-th repeat, read off its terms as a slash reads them."""
+    terms = PERPETRATION_TABLE[kind].terms
+    return terms[min(offense_index, len(terms) - 1)][0]
+
+
 class TestLadder:
+    # Offline48h escalates from the ladder's first rung, so its repeats are the rungs.
     def test_base_rung(self):
-        assert scaling_ladder(0) == Fraction(1, 2)
+        assert period(PerpetrationKind.Offline48h, 0) == Fraction(1, 2)
 
     def test_one_year_rung(self):
-        assert scaling_ladder(5) == Fraction(12)
+        assert period(PerpetrationKind.Offline48h, 5) == Fraction(12)
 
     def test_forever(self):
-        assert scaling_ladder(10) == FOREVER
-        assert scaling_ladder(25) == FOREVER
+        assert period(PerpetrationKind.Offline48h, 10) == FOREVER
+        assert period(PerpetrationKind.Offline48h, 25) == FOREVER
 
     def test_monotone_non_decreasing(self):
         months = list(SCALING_LADDER_MONTHS)
@@ -61,6 +72,36 @@ class TestTableFidelity:
             assert spec.base_period_months == Fraction(row["base_period_months"]), kind
             assert spec.scalable == row["scalable"], kind
             assert spec.effects == frozenset(Effect(e) for e in row["effects"]), kind
+
+    def test_terms_climb_the_ladder_from_the_base_rung(self):
+        """One (months, seconds) per repeat: an escalating kind's run from its
+        base rung to forever, any other kind its base period alone."""
+        for spec in PERPETRATION_TABLE.values():
+            if spec.scalable:
+                start = SCALING_LADDER_MONTHS.index(spec.base_period_months)
+                expected = [*SCALING_LADDER_MONTHS[start:], FOREVER]
+            else:
+                expected = [spec.base_period_months]
+            assert [months for months, _ in spec.terms] == expected, spec.kind
+            for months, seconds in spec.terms:
+                assert seconds == (None if months == FOREVER else months * MONTH_SECONDS)
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"base_period_months": "5"}, "not on the ladder"),
+        ({"base_period_months": "1/7", "scalable": False}, "not a whole second count"),
+    ], ids=["base-off-the-ladder", "fractional-seconds"])
+    def test_malformed_row_stops_the_import(self, edit, message, tmp_path):
+        """A row whose terms cannot be built is refused when the module loads,
+        not at the first slash of that kind."""
+        shutil.copytree(PACKAGE, tmp_path / "bionode", ignore=shutil.ignore_patterns("__pycache__"))
+        doc = json.loads(FIXTURE.read_text())
+        doc["perpetrations"][2].update(edit)  # FailedFormationDelivery
+        (tmp_path / "bionode" / "data" / "slashing_table.json").write_text(json.dumps(doc))
+        done = subprocess.run([sys.executable, "-c", "import bionode.slashing"],
+                              env={**os.environ, "PYTHONPATH": str(tmp_path)},
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode != 0
+        assert "ValueError" in done.stderr and message in done.stderr
 
     def test_severity_levels(self):
         sev = {k.value: p.severity for k, p in PERPETRATION_TABLE.items()}
@@ -96,8 +137,8 @@ class TestSlash:
             assert entry.period_months == expected[i]
 
     def test_base_one_month_starts_at_second_rung(self):
-        assert period_for(PerpetrationKind.UptimeBelow91, 0) == Fraction(1)
-        assert period_for(PerpetrationKind.UptimeBelow91, 1) == Fraction(2)
+        assert period(PerpetrationKind.UptimeBelow91, 0) == Fraction(1)
+        assert period(PerpetrationKind.UptimeBelow91, 1) == Fraction(2)
 
     def test_false_transaction(self):
         bl = Blacklist()
@@ -105,8 +146,8 @@ class TestSlash:
         assert entry.period_months == Fraction(120)
         assert Effect.DevotionNullified in entry.effects
         # a repeat escalates to 240 months, then forever
-        assert period_for(PerpetrationKind.FalseTransaction, 1) == Fraction(240)
-        assert period_for(PerpetrationKind.FalseTransaction, 2) == FOREVER
+        assert period(PerpetrationKind.FalseTransaction, 1) == Fraction(240)
+        assert period(PerpetrationKind.FalseTransaction, 2) == FOREVER
 
     def test_non_scalable_stays_at_base(self):
         bl = Blacklist()
@@ -128,7 +169,7 @@ class TestIsBlacklisted:
         bl = Blacklist()
         bl.slash("n1", PerpetrationKind.Offline48h, now=0)
         # 0.5 months = 15.22 days at 30.44 days per month
-        assert months_to_seconds(Fraction(1, 2)) == int(15.22 * DAY_SECONDS)
+        assert PERPETRATION_TABLE[PerpetrationKind.Offline48h].terms[0] == (Fraction(1, 2), int(15.22 * DAY_SECONDS))
         assert bl.is_blacklisted("n1", now=10 * DAY_SECONDS)
         assert not bl.is_blacklisted("n1", now=16 * DAY_SECONDS)
 
