@@ -50,13 +50,12 @@ def _write_output(path: str | None, doc: dict) -> None:
 def cmd_run_sim(args) -> int:
     try:
         config = netsim.load_scenario(args.scenario)
+        if args.seed is not None:
+            config = dataclasses.replace(config, seed=args.seed)
+        sim = netsim.run(config)  # Simulation(config) checks the config before the first event
     except (OSError, json.JSONDecodeError, netsim.ConfigInvalid) as exc:
         print(f"error: cannot load scenario: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
-    try:
-        sim = netsim.run(config)
     except netsim.InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
@@ -214,8 +213,8 @@ def cmd_lwe_match(args) -> int:
     try:
         template = _parse_bits(args.template)
         probe = _parse_bits(args.probe)
-        params = lwe.PROFILES[args.profile]
-    except (ValueError, KeyError) as exc:
+        params = lwe.PROFILES[args.profile]  # the parser's choices refuse an unknown profile
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:

@@ -232,7 +232,10 @@ class SimConfig:
             # OverflowError: an epoch count too large to index a list
             raise ConfigInvalid(str(exc)) from exc
 
-    def validate(self) -> None:
+    def validate(self) -> tuple[Vortex, list[str]]:
+        """Apply every cross-field rule and seat the governance section on a fresh
+        Vortex, so Vortex's own delegation rules are never copied; return that DAO,
+        which Simulation(config) runs on, and its Governor roll in id order."""
         _check_size(self.num_nodes, self.slots_per_epoch, self.epochs)
         if self.num_nodes < 1:
             raise ConfigInvalid("need at least one node")
@@ -253,7 +256,8 @@ class SimConfig:
         periods = self.period_fees
         if any(prev and not curr for prev, curr in zip(periods, periods[1:])):
             raise ConfigInvalid("fees fall to zero over a Fath period: the rebase would wipe out the supply")
-        known = set(self.node_ids)
+        ids = self.node_ids
+        known = set(ids)
         windows = self.offline + self.bioauth_fail
         for node in [w.node for w in windows] + [node for node, _ in self.false_transaction]:
             if node not in known:
@@ -275,10 +279,19 @@ class SimConfig:
         for nid in gov.governors if gov.governors != "all" else ():
             if nid not in known:
                 raise ConfigInvalid(f"governance names unknown node {nid}")
+        dao = Vortex()
         try:
-            roll = self.governor_roll
+            for node_id in ids:
+                dao.register_human_node(node_id, now=0)
+            for node_id in ids if gov.governors == "all" else gov.governors:
+                dao.promote_to_governor(node_id, now=0).has_approved_proposal = True
+            for node_id, tier in gov.tiers:
+                dao.governors[node_id].tier = tier
+            for delegator, delegatee in gov.delegations:
+                dao.delegate(delegator, delegatee)
         except (KeyError, vortex.VortexError) as exc:  # an unknown node, or a delegation Vortex refuses
             raise ConfigInvalid(f"bad governance section: {exc}") from exc
+        roll = sorted(nid for nid, r in dao.governors.items() if r.role is vortex.Role.Governor)
         for nid, _ in gov.tiers:  # a tier off the roll would have no effect but show in the report
             if nid not in roll:
                 raise ConfigInvalid(f"governance gives a tier to {nid}, which is not on the governor roll")
@@ -291,30 +304,13 @@ class SimConfig:
                 raise ConfigInvalid(f"a proposal's epoch and vote counts cannot be negative: {epoch, proposer, yes, no}")
             if yes + no > len(roll):
                 raise ConfigInvalid(f"a proposal casts {yes + no} votes but there are {len(roll)} governors")
+        return dao, roll
 
     @cached_property
     def period_fees(self) -> tuple[int, ...]:
         """Each whole Fath period's fee total, in order, summed once per config; a part-period has none."""
         k = self.fath_period_epochs
         return tuple(sum(self.fees_per_epoch[i : i + k]) for i in range(0, len(self.fees_per_epoch) - k + 1, k))
-
-    @cached_property
-    def governor_roll(self) -> list[str]:
-        """The Governor roll, seated once per config on a scratch DAO; validate() reads it."""
-        return self.seat_governance(Vortex())
-
-    def seat_governance(self, dao: Vortex) -> list[str]:
-        """Register, promote, tier and delegate on an empty dao; return the Governor roll in id order."""
-        gov, ids = self.governance, self.node_ids
-        for node_id in ids:
-            dao.register_human_node(node_id, now=0)
-        for node_id in ids if gov.governors == "all" else gov.governors:
-            dao.promote_to_governor(node_id, now=0).has_approved_proposal = True
-        for node_id, tier in gov.tiers:
-            dao.governors[node_id].tier = tier
-        for delegator, delegatee in gov.delegations:
-            dao.delegate(delegator, delegatee)
-        return sorted(nid for nid, r in dao.governors.items() if r.role is vortex.Role.Governor)
 
 
 @dataclass
@@ -350,14 +346,15 @@ def _covered(windows: dict[str, list[OfflineWindow]], node_id: str, slot: int) -
 
 
 class Simulation:
+    """One run of a config. Building one is where the config is checked: validate()
+    refuses it with ConfigInvalid or seats the DAO; run() raises only InvariantViolation."""
+
     def __init__(self, config: SimConfig):
-        config.validate()
+        self.dao, self._roll = config.validate()  # the roll is set once, as the run changes no role
         self.config = config
         self.nodes = {nid: NodeState(nid, verification_deadline_slot=config.month_slots) for nid in config.node_ids}
         self.events: list[SimEvent] = []
         self.blacklist = Blacklist()
-        self.dao = Vortex()
-        self._roll = config.seat_governance(self.dao)  # set once, as the run changes no role
         self.ledger = LedgerSnapshot(balances=dict.fromkeys(self.nodes, config.initial_balance))
         self.vault = 0
         # the calendar: slot -> nodes to look at then, popped when the slot is processed
@@ -626,10 +623,9 @@ def run(config: SimConfig) -> Simulation:
 
 
 def load_scenario(path: str) -> SimConfig:
+    """Read a scenario file and check its JSON shapes; Simulation(config) checks the rest."""
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ConfigInvalid("scenario must be a JSON object")
-    config = SimConfig.from_dict(doc)
-    config.validate()
-    return config
+    return SimConfig.from_dict(doc)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bionode import cli, groups, slashing
+from bionode import cli, groups, netsim, slashing
 
 ROOT = Path(__file__).parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -511,6 +511,45 @@ class TestRunSim:
         assert run_cli("run-sim", str(SCENARIOS / "malicious.json")) == 0
         report = json.loads(capsys.readouterr().out)
         assert any(s["kind"] == "FalseTransaction" for s in report["slashes"])
+
+    @pytest.mark.parametrize("seed", [(), ("--seed", "5")], ids=["scenario-seed", "seed-flag"])
+    def test_scenario_is_validated_once_and_seated_on_one_vortex(self, seed, monkeypatch, capsys):
+        """Simulation(cfg) is the one place a config is checked, and the DAO it
+        seats is the one the run uses: load_scenario validated too, and each
+        validate() seated the section on a scratch Vortex, once more after
+        --seed rebuilt the config."""
+        calls = {"validate": 0, "Vortex": 0}
+        validate = netsim.SimConfig.validate
+
+        def counted_validate(config):
+            calls["validate"] += 1
+            return validate(config)
+
+        class CountedVortex(netsim.Vortex):
+            def __init__(self):
+                calls["Vortex"] += 1
+                super().__init__()
+
+        monkeypatch.setattr(netsim.SimConfig, "validate", counted_validate)
+        monkeypatch.setattr(netsim, "Vortex", CountedVortex)
+        assert run_cli("run-sim", str(SCENARIOS / "governed.json"), *seed) == 0
+        assert calls == {"validate": 1, "Vortex": 1}
+        assert json.loads(capsys.readouterr().out)["governors"]  # the report reads the seated DAO
+
+    @pytest.mark.parametrize("name", ["honest", "governed"])
+    def test_seed_flag_matches_the_seed_written_in_the_scenario(self, name, tmp_path, capsys):
+        """--seed N rebuilds the config with dataclasses.replace; the run must
+        be the one of the same scenario with "seed": N, byte for byte."""
+        scenario = tmp_path / f"{name}.json"
+        scenario.write_text(json.dumps({**json.loads((SCENARIOS / f"{name}.json").read_text()), "seed": 5}))
+        runs = []
+        for argv in ([str(SCENARIOS / f"{name}.json"), "--seed", "5"], [str(scenario)]):
+            out = tmp_path / f"out{len(runs)}"
+            assert run_cli("run-sim", *argv, "--output", str(out)) == 0
+            runs.append((capsys.readouterr().out, (out / "events.ndjson").read_bytes(),
+                         (out / "report.json").read_bytes()))
+        assert runs[0] == runs[1]
+        assert json.loads(runs[0][0])["config"]["seed"] == 5
 
 
 class TestLweMatch:
