@@ -31,8 +31,8 @@ last four bases.
 
 params_doc / read_params_doc are the codec of the params document {"p", "q",
 "g", "pk"}; a key file adds "sk". Reading builds the group, so checks it, and
-adds the document rules: p has at least MIN_GROUP_BITS bits, pk != 1 is a
-member, and a key file's pk is g^sk. Bad documents raise DocumentInvalid.
+adds the document rules: p has MIN_GROUP_BITS to MAX_GROUP_BITS bits, pk != 1
+is a member, and a key file's pk is g^sk. Bad documents raise DocumentInvalid.
 """
 
 from __future__ import annotations
@@ -77,6 +77,7 @@ _MODP_1024 = int(
 )
 
 _PINNED_SAFE_PRIMES = {1024: _MODP_1024}
+MAX_GROUP_BITS = max(_PINNED_SAFE_PRIMES)  # the largest p generate_params builds and a document may name
 
 _MILLER_RABIN_ROUNDS = 40  # random witnesses above the deterministic-base range
 _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
@@ -354,6 +355,8 @@ def read_params_doc(doc) -> tuple[GroupParams, int]:
         raise DocumentInvalid(f"malformed params: {exc!r}") from exc
     if p.bit_length() < MIN_GROUP_BITS:
         raise DocumentInvalid(f"p has fewer than {MIN_GROUP_BITS} bits")
+    if p.bit_length() > MAX_GROUP_BITS:  # refused before GroupParams tests a prime of that size
+        raise DocumentInvalid(f"p has more than {MAX_GROUP_BITS} bits")
     params = GroupParams(p=p, q=q, g=g)
     if pk == 1 or not params.contains(pk):
         raise DocumentInvalid("pk is not a subgroup element other than 1")

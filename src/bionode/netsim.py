@@ -9,7 +9,9 @@ proportional supply rebase every configured number of epochs. Offline
 windows and scripted misbehavior produce blacklist entries that gate both
 authoring and the fee stream. Each fact has one record: tickets and
 deadlines in ``NodeState``, suspensions in the ``Blacklist``, who is offline
-or failing bioauth in the fault windows.
+or failing bioauth in the fault windows, and node ids, roles and devotion in
+the ``Vortex`` the config seats, whose rules the loop never restates: pool
+votes go down the Governor roll until the DAO moves a proposal to the vote.
 
 Per-slot work follows what changes, not the node count: one calendar maps a
 slot to the nodes to look at then (slot 0, both ends of each offline window,
@@ -34,7 +36,7 @@ from typing import NamedTuple
 
 from . import biometrics, lwe, vortex
 from .fath import LedgerSnapshot, PeriodStats, run_period
-from .slashing import MONTH_SECONDS, Blacklist, PerpetrationKind, apply_effects
+from .slashing import MONTH_SECONDS, Blacklist, Effect, PerpetrationKind
 from .vortex import TierInsufficient, Vortex
 
 SLOT_SECONDS_DEFAULT = 6
@@ -235,7 +237,8 @@ class SimConfig:
     def validate(self) -> tuple[Vortex, list[str]]:
         """Apply every cross-field rule and seat the governance section on a fresh
         Vortex, so Vortex's own delegation rules are never copied; return that DAO,
-        which Simulation(config) runs on, and its Governor roll in id order."""
+        which Simulation(config) runs on and takes the node ids from (each one
+        registered in id order), and its Governor roll in id order."""
         _check_size(self.num_nodes, self.slots_per_epoch, self.epochs)
         if self.num_nodes < 1:
             raise ConfigInvalid("need at least one node")
@@ -315,7 +318,6 @@ class SimConfig:
 
 @dataclass
 class NodeState:
-    node_id: str
     ticket_expiry_slot: int = 0
     verification_deadline_slot: int = 0
 
@@ -352,7 +354,7 @@ class Simulation:
     def __init__(self, config: SimConfig):
         self.dao, self._roll = config.validate()  # the roll is set once, as the run changes no role
         self.config = config
-        self.nodes = {nid: NodeState(nid, verification_deadline_slot=config.month_slots) for nid in config.node_ids}
+        self.nodes = {nid: NodeState(verification_deadline_slot=config.month_slots) for nid in self.dao.governors}
         self.events: list[SimEvent] = []
         self.blacklist = Blacklist()
         self.ledger = LedgerSnapshot(balances=dict.fromkeys(self.nodes, config.initial_balance))
@@ -363,7 +365,6 @@ class Simulation:
         self._roster: list[str] = []  # sorted; re-checked only for _touched nodes
         self._touched: set[str] = set()
         self._compile_faults()
-        self._upvoters = self._roll[: vortex.pool_threshold(len(self._roll))]  # just enough to reach the vote
         self._proposals: dict[int, list[tuple]] = defaultdict(list)  # epoch -> scripted proposals
         for epoch, *proposal in config.governance.proposals:
             self._proposals[epoch].append(proposal)
@@ -435,7 +436,7 @@ class Simulation:
         self._wake[node.ticket_expiry_slot].add(node_id)
         self._wake[node.verification_deadline_slot].add(node_id)
         self._touched.add(node_id)
-        self._emit(slot, "TicketRenewed", {"node": node.node_id, "expiry_slot": node.ticket_expiry_slot})
+        self._emit(slot, "TicketRenewed", {"node": node_id, "expiry_slot": node.ticket_expiry_slot})
         return node
 
     def _try_renewals(self, slot: int, woken: list[str]) -> None:
@@ -461,7 +462,8 @@ class Simulation:
 
     def _slash(self, node_id: str, kind: PerpetrationKind, slot: int) -> None:
         entry = self.blacklist.slash(node_id, kind, self._now(slot))
-        apply_effects(entry, self.dao.governors)
+        if Effect.DevotionNullified in entry.effects:  # the Vortex owns the record it resets
+            self.dao.nullify_devotion(node_id, entry.issued_at)
         if entry.ends_at is not None:  # the first slot whose time reaches the end
             self._wake[-(-entry.ends_at // self.config.slot_seconds)].add(node_id)
         self._touched.add(node_id)
@@ -557,15 +559,16 @@ class Simulation:
         bad proposal, so nothing is refused here; one above the proposer's
         tier becomes a MismatchedProposalTypeNoRight slash.
         """
-        now, governors = self._now(slot), self._roll
+        now, governors, in_pool = self._now(slot), self._roll, vortex.ProposalState.InPool  # an Enum read is slow
         for proposer, ptype, yes, no in self._proposals.get(epoch, ()):
             try:
                 proposal = self.dao.submit_proposal(proposer, ptype, now)
             except TierInsufficient:
                 self._slash(proposer, PerpetrationKind.MismatchedProposalTypeNoRight, slot)
                 continue
-            for voter in self._upvoters:  # the last one moves the proposal to the vote
-                self.dao.pool_vote(voter, proposal.id, upvote=True, now=now)
+            upvoters = iter(governors)  # down the roll until the DAO's pool threshold moves it to the vote
+            while proposal.state is in_pool:
+                self.dao.pool_vote(next(upvoters), proposal.id, upvote=True, now=now)
             for i, voter in enumerate(governors[: yes + no]):  # the first yes vote yes, the next no vote no
                 self.dao.cast_vote(voter, proposal.id, yes=i < yes, now=now + 1)
             result = self.dao.tally(proposal.id, now=proposal.vote_deadline)

@@ -10,6 +10,10 @@ bionode/data/slashing_table.json, and each row's terms are built then: one
 slash reads its term by index. An unknown kind or effect, an escalating
 base off the ladder, or a period that is not a whole number of seconds
 (a month is 30.44 days) stops the import.
+
+An entry's effects are read, never pushed from here: exclusion and stopped
+fees are Blacklist queries, and DevotionNullified is applied by the Vortex,
+which owns the governor records (Vortex.nullify_devotion).
 """
 
 from __future__ import annotations
@@ -137,18 +141,3 @@ class Blacklist:
             e.covers(now) and Effect.FeesStopped in e.effects  # covers first: hashing an Enum is slow
             for e in self._by_node.get(node_id, ())
         )
-
-
-def apply_effects(entry: BlacklistEntry, governors: dict) -> None:
-    """Nullify the offender's devotion when the entry carries that effect.
-
-    governors maps node id to a record with governing_since and
-    formation_participant. The other effects need no push: authoring and
-    the fee stream ask the Blacklist directly.
-    """
-    if Effect.DevotionNullified not in entry.effects:
-        return
-    record = governors.get(entry.node_id)
-    if record is not None:
-        record.governing_since = entry.issued_at
-        record.formation_participant = False

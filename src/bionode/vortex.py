@@ -322,6 +322,12 @@ class Vortex:
             record.governing_since = now
         return record
 
+    def nullify_devotion(self, node_id: str, now: int) -> None:
+        """A DevotionNullified slash: the governing years restart at now and Formation participation is lost."""
+        record = self.governors[node_id]
+        record.governing_since = now
+        record.formation_participant = False
+
     def governor_count(self) -> int:
         return self._role_counts["Governor"]
 

@@ -60,13 +60,6 @@ class KernelLargerThanInput(Exception):
 
 
 @dataclass(frozen=True)
-class VssCommitment:
-    """Exponent commitments h_i = g^{a_i}, one per polynomial coefficient."""
-
-    h_list: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class LinearStatement:
     coefficients: tuple[int, ...]
     input_cts: tuple[Ciphertext, ...]
@@ -83,8 +76,9 @@ class LogEqProof:
     t: int
 
 
-def vss_commit(params: GroupParams, coefficients: list[int]) -> VssCommitment:
-    return VssCommitment(h_list=tuple(encode_exponent(params, a) for a in coefficients))
+def vss_commit(params: GroupParams, coefficients: list[int]) -> tuple[int, ...]:
+    """Exponent commitments h_i = g^{a_i}, one per polynomial coefficient."""
+    return tuple(encode_exponent(params, a) for a in coefficients)
 
 
 def poly_eval(coefficients: list[int], x: int, modulus: int) -> int:
@@ -96,14 +90,14 @@ def poly_eval(coefficients: list[int], x: int, modulus: int) -> int:
 
 
 def vss_verify_share(
-    params: GroupParams, commitment: VssCommitment, share: tuple[int, int]
+    params: GroupParams, commitment: tuple[int, ...], share: tuple[int, int]
 ) -> bool:
     """Check g^b == prod h_i^{a^i} for a share (a, b) claimed to be (a, f(a))."""
     a, b = share
     lhs = encode_exponent(params, b)
     rhs = 1
     power = 1  # a^i mod q
-    for h_i in commitment.h_list:
+    for h_i in commitment:
         rhs = rhs * pow(h_i, power, params.p) % params.p
         power = power * a % params.q
     return lhs == rhs

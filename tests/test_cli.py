@@ -297,6 +297,31 @@ class TestProveVerify:
         assert captured.err.startswith("error:")
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("command", ["verify-linear", "--keys"])
+    def test_group_above_the_largest_built_exits_one_untested(self, command, tmp_path, capsys, monkeypatch):
+        """A statement or key file naming a 9,690-bit group (q = 2^9689 - 1, a
+        Mersenne prime) is refused before any primality test."""
+        def refuse(n, rounds=40):
+            raise AssertionError("a primality test ran")
+
+        q = 2**9689 - 1
+        big = {"p": str(2 * q + 1), "q": str(q), "g": "4", "pk": "16"}
+        golden = json.loads((GOLDEN / "prove_linear_64.json").read_text())
+        keys = json.loads((GOLDEN / "keys_64.json").read_text())
+        path = tmp_path / "doc.json"
+        if command == "verify-linear":
+            path.write_text(json.dumps({**golden, "params": big}))
+            argv = ["verify-linear", str(path)]
+        else:
+            path.write_text(json.dumps({**keys, **big}))
+            argv = ["prove-linear", "--inputs", "1", "--coeffs", "1", "--keys", str(path),
+                    "--output", str(tmp_path / "s.json")]
+        monkeypatch.setattr(groups, "is_prime", refuse)
+        assert run_cli(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "more than 1024 bits" in captured.err
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
     def test_key_file_with_a_foreign_sk_exits_one(self, tmp_path, capsys):
         keys = json.loads((GOLDEN / "keys_64.json").read_text())
         path = tmp_path / "keys.json"

@@ -316,6 +316,22 @@ class TestValidate:
         with pytest.raises(DocumentInvalid, match="g\\^sk"):
             read_key_doc(doc)
 
+    @pytest.mark.parametrize("exponent", [1024, 4423, 9689])
+    def test_group_above_the_largest_built_is_refused_untested(self, exponent, monkeypatch):
+        """A document may not name a p above MAX_GROUP_BITS, the largest group
+        generate_params builds. It is refused before any primality test: at
+        q = 2^9689 - 1, a Mersenne prime, the test runs all of its rounds on
+        9,690-bit numbers."""
+        def refuse(n, rounds=40):
+            raise AssertionError("a primality test ran")
+
+        q = 2**exponent - 1
+        doc = {"p": str(2 * q + 1), "q": str(q), "g": "4", "pk": "16"}
+        monkeypatch.setattr(groups, "is_prime", refuse)
+        with pytest.raises(DocumentInvalid, match=f"more than {groups.MAX_GROUP_BITS} bits"):
+            read_params_doc(doc)
+        assert groups.MAX_GROUP_BITS == generate_params(1024).p.bit_length() == 1024
+
     def test_pinned_prime_needs_no_primality_test(self, monkeypatch):
         def refuse(n, rounds=40):
             raise AssertionError("the pinned prime was re-tested")

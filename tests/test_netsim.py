@@ -41,7 +41,7 @@ from bionode.netsim import (
     Simulation,
 )
 from bionode.slashing import MONTH_SECONDS
-from bionode.vortex import MIN_TIER_FOR_TYPE, ProposalType, Role, Tier
+from bionode.vortex import MIN_TIER_FOR_TYPE, ProposalType, Role, Tier, pool_threshold
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 GOLDEN = Path(__file__).parent / "golden"
@@ -362,6 +362,19 @@ class TestConfig:
         assert cfg.node_ids[0] == "node-000" and cfg.node_ids[-1] == "node-100"
         assert list(Simulation(cfg).nodes) == cfg.node_ids
 
+    def test_simulation_builds_node_ids_once(self, monkeypatch):
+        """validate() builds the ids and registers each node on the DAO, and
+        Simulation reads them from there."""
+        cfg, built, node_ids = churn_config(num_nodes=100, epochs=2), [], SimConfig.node_ids
+
+        def counted(cfg):
+            built.append(cfg)
+            return node_ids.fget(cfg)
+
+        monkeypatch.setattr(SimConfig, "node_ids", property(counted))
+        sim = Simulation(cfg)
+        assert built == [cfg] and list(sim.nodes) == list(sim.dao.governors) == node_ids.fget(cfg)
+
     @pytest.mark.parametrize("faults", [
         {"offline": (OfflineWindow("node-77", 5, 10),)},
         {"bioauth_fail": (OfflineWindow("ghost", 5, 10),)},
@@ -481,11 +494,11 @@ def oracle_roster(sim: Simulation, slot: int, offline: set[str]) -> list[str]:
     """The simulator's old roster build: every node, one blacklist query each."""
     now = slot * sim.config.slot_seconds
     return sorted(
-        node.node_id
-        for node in sim.nodes.values()
-        if node.node_id not in offline
+        nid
+        for nid, node in sim.nodes.items()
+        if nid not in offline
         and node.ticket_expiry_slot > slot
-        and not sim.blacklist.is_blacklisted(node.node_id, now)
+        and not sim.blacklist.is_blacklisted(nid, now)
     )
 
 
@@ -1155,6 +1168,41 @@ class TestScriptedGovernance:
         assert roll and sim._roll == roll
         sim.run()
         assert governors() == roll and sim._roll == roll
+
+    @pytest.mark.parametrize("cfg", [
+        netsim.load_scenario(str(SCENARIOS / "governed.json")),
+        churn_config(num_nodes=100, epochs=10),
+    ], ids=["governed", "churn"])
+    def test_each_proposal_gets_the_pool_threshold_of_votes(self, cfg, monkeypatch):
+        """The simulator pool-votes down the roll until the DAO moves the
+        proposal to the vote, so each submitted proposal gets exactly the
+        DAO's threshold of pool votes."""
+        votes, pool_vote = Counter(), netsim.Vortex.pool_vote
+
+        def counted(dao, governor_id, proposal_id, upvote, now):
+            votes[proposal_id] += 1
+            return pool_vote(dao, governor_id, proposal_id, upvote, now)
+
+        monkeypatch.setattr(netsim.Vortex, "pool_vote", counted)
+        sim = netsim.run(cfg)
+        assert votes and set(votes) == set(sim.dao.proposals)
+        assert len(votes) == len(sim.report()["tallies"])
+        assert set(votes.values()) == {pool_threshold(len(sim._roll))}
+
+    def test_only_a_false_transaction_slash_nullifies_devotion(self):
+        """The run asks the DAO to nullify the devotion of a FalseTransaction
+        offender, and of no node slashed for anything else."""
+        cfg = small_config(num_nodes=4, slot_seconds=3600, governance={"governors": "all"},
+                           offline=(OfflineWindow("node-02", 0, 55),), false_transaction=(("node-01", 10),))
+        sim = Simulation(cfg)
+        for record in sim.dao.governors.values():
+            record.formation_participant = True
+        sim.run()
+        slashed = {(s["node"], s["kind"]) for s in sim.report()["slashes"]}
+        assert {("node-01", "FalseTransaction"), ("node-02", "Offline48h")} <= slashed
+        devotion = {nid: (r.governing_since, r.formation_participant) for nid, r in sim.dao.governors.items()}
+        assert devotion == {"node-00": (0, True), "node-01": (10 * 3600, False),
+                            "node-02": (0, True), "node-03": (0, True)}
 
     def test_bad_governance_section_rejected(self):
         cfg = small_config(governance={"governors": ["node-99"]})

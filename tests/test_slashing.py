@@ -18,9 +18,7 @@ from bionode.slashing import (
     Blacklist,
     Effect,
     PerpetrationKind,
-    apply_effects,
 )
-from bionode.vortex import GovernorRecord
 
 PACKAGE = Path(__file__).parent.parent / "src" / "bionode"
 FIXTURE = PACKAGE / "data" / "slashing_table.json"
@@ -205,7 +203,8 @@ class TestIsBlacklisted:
 
 
 class TestApplyEffects:
-    """Each effect is answered by a Blacklist query or pushed by apply_effects."""
+    """Each effect but DevotionNullified is answered by a Blacklist query; the
+    Vortex applies that one (tests/test_vortex.py TestDevotion)."""
 
     def test_missed_verification_excludes_but_keeps_active(self):
         bl = Blacklist()
@@ -221,19 +220,3 @@ class TestApplyEffects:
         bl.slash("n1", PerpetrationKind.UptimeBelow91, now=0)
         assert bl.is_blacklisted("n1", now=0)  # only the blacklist itself gates
         assert not bl.fees_stopped("n1", now=0)
-
-    def test_false_transaction_nullifies_devotion(self):
-        record = GovernorRecord(node_id="n1", governing_since=0, formation_participant=True)
-        bl = Blacklist()
-        entry = bl.slash("n1", PerpetrationKind.FalseTransaction, now=555)
-        apply_effects(entry, {"n1": record})
-        assert bl.fees_stopped("n1", now=555)
-        assert record.governing_since == 555
-        assert record.formation_participant is False
-
-    def test_devotion_kept_without_the_effect(self):
-        record = GovernorRecord(node_id="n1", governing_since=0, formation_participant=True)
-        entry = Blacklist().slash("n1", PerpetrationKind.Offline48h, now=555)
-        apply_effects(entry, {"n1": record})
-        assert record.governing_since == 0
-        assert record.formation_participant is True

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bionode.slashing import PERPETRATION_TABLE, Blacklist, Effect, PerpetrationKind
 from bionode.vortex import (
     APPROVAL_SHARE,
     MONTH_SECONDS,
@@ -429,6 +430,33 @@ class TestTiers:
             dao.delegate("g0001", "g0001")
         assert dao.governors["g0001"].delegated_to == "g0000"
         assert dao.eligible_power() == 3
+
+
+class TestDevotion:
+    """A FalseTransaction slash nullifies devotion, and the Vortex resets the record it owns."""
+
+    def test_false_transaction_nullifies_devotion(self):
+        dao = make_dao(2)
+        for record in dao.governors.values():
+            record.formation_participant = True
+        bl = Blacklist()
+        entry = bl.slash("g0000", PerpetrationKind.FalseTransaction, now=555)
+        assert Effect.DevotionNullified in entry.effects and bl.fees_stopped("g0000", now=555)
+        dao.nullify_devotion("g0000", now=entry.issued_at)
+        assert dao.governors["g0000"].governing_since == 555
+        assert dao.governors["g0000"].formation_participant is False
+        # the other record, its role and the counts are untouched
+        assert dao.governors["g0001"].governing_since == 0
+        assert dao.governors["g0001"].formation_participant is True
+        assert dao.governor_count() == 2 and dao.governors["g0000"].role is Role.Governor
+
+    def test_devotion_kept_without_the_effect(self):
+        """Only a FalseTransaction entry carries the effect, so no other slash
+        reaches nullify_devotion."""
+        entry = Blacklist().slash("g0000", PerpetrationKind.Offline48h, now=555)
+        assert Effect.DevotionNullified not in entry.effects
+        carriers = [kind for kind, row in PERPETRATION_TABLE.items() if Effect.DevotionNullified in row.effects]
+        assert carriers == [PerpetrationKind.FalseTransaction]
 
 
 class TestMembership:
