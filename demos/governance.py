@@ -9,6 +9,7 @@ Delegation moves single votes around without ever stacking.
 from bionode.vortex import (
     ProposalState,
     ProposalType,
+    Tier,
     VetoExhausted,
     Vortex,
     WEEK_SECONDS,
@@ -25,6 +26,9 @@ for i in range(100):
     node = f"g{i:03d}"
     dao.register_human_node(node, now=0)
     dao.promote_to_governor(node, now=0)
+consuls = ["g097", "g098", "g099"]  # four governing years and Formation at genesis
+for node in consuls:
+    dao.seat_tier(node, Tier.Consul, now=0)
 
 print("100 unit-power Governors:")
 print(f"  pool threshold: {pool_threshold(100)} reactions")
@@ -50,12 +54,12 @@ print(f"tally: {result.yes}/{result.votes_cast} cast of {result.eligible_power} 
 
 # --- veto dynamics -----------------------------------------------------------
 
-veto = dao.veto(p.id, consul_yes=2, consul_total=3)
-print(f"2/3 Consuls veto: vetoed={veto.vetoed}, state={p.state.value}")
+vetoed = dao.veto(p.id, consuls[:2], now=200 + WEEK_SECONDS)
+print(f"2/3 Consuls veto: vetoed={vetoed}, state={p.state.value}")
 p.state = ProposalState.Approved  # suppose the decision was approved twice more
 p.approval_count = 3
 try:
-    dao.veto(p.id, consul_yes=3, consul_total=3)
+    dao.veto(p.id, consuls, now=200 + WEEK_SECONDS)
 except VetoExhausted as exc:
     print(f"third approval: veto refused ({exc})\n")
 
@@ -75,17 +79,13 @@ print(f"delegators vote through their delegatee "
 # --- tiers grow with time and devotion ----------------------------------------
 
 veteran = dao.governors["g000"]
-veteran.has_approved_proposal = True
-veteran.formation_participant = True
+dao.seat_tier("g000", Tier.Legate, now=2 * YEAR_SECONDS)  # governing since genesis, with Formation
 for years in (0, 1, 2, 4):
     tier = tier_promotion(veteran, now=years * YEAR_SECONDS)
     print(f"  after {years} governing years (+Formation): {tier.name}")
 
 # --- Formation gate in the early network ---------------------------------------
 
-grant = dao.route_to_formation(
-    p.id, consul_yes=2, consul_total=3,
-    network_age_seconds=1 * YEAR_SECONDS, vault_balance=123_456,
-)
-print(f"\nyear-1 grant with 2/3 Consuls: granted (consul_gated={grant.consul_gated}, "
-      f"vault={grant.vault_balance:,})")
+vault = 123_456
+gated = dao.route_to_formation(p.id, consuls[:2], now=1 * YEAR_SECONDS)
+print(f"\nyear-1 grant with 2/3 Consuls: granted (consul_gated={gated}, vault={vault:,})")

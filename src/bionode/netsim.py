@@ -287,9 +287,10 @@ class SimConfig:
             for node_id in ids:
                 dao.register_human_node(node_id, now=0)
             for node_id in ids if gov.governors == "all" else gov.governors:
-                dao.promote_to_governor(node_id, now=0).has_approved_proposal = True
+                dao.promote_to_governor(node_id, now=0)
+                dao.seat_tier(node_id, vortex.Tier.Citizen, now=0)
             for node_id, tier in gov.tiers:
-                dao.governors[node_id].tier = tier
+                dao.seat_tier(node_id, tier, now=0)
             for delegator, delegatee in gov.delegations:
                 dao.delegate(delegator, delegatee)
         except (KeyError, vortex.VortexError) as exc:  # an unknown node, or a delegation Vortex refuses
@@ -600,6 +601,7 @@ class Simulation:
         return [e.data for e in self.events if e.kind == kind]
 
     def report(self) -> dict:
+        now = self._now(max(0, self.config.epochs * self.config.slots_per_epoch - 1))  # tiers at the last slot
         authored = Counter(data["node"] for data in self._records("BlockAuthored"))
         return {
             "config": {key: getattr(self.config, key) for key in (
@@ -614,7 +616,7 @@ class Simulation:
             "slashes": self._records("Slashed"),
             "tallies": self._records("GovernanceTally"),
             "governors": {
-                nid: {"role": rec.role.value, "tier": rec.tier.name}
+                nid: {"role": rec.role.value, "tier": vortex.tier_promotion(rec, now).name}
                 for nid, rec in sorted(self.dao.governors.items())
             },
             "event_count": len(self.events),

@@ -8,6 +8,10 @@ Consuls can veto an approved decision at most twice; a third approval
 stands. Approved proposals that need funding route to Formation, which for
 the network's first four years additionally requires Consul approval.
 
+No tier is stored: tier_promotion reads it from a record's standing, so
+it grows with governing years and falls with a nullified devotion. The veto
+and the Formation gate take Consuls by id and count the DAO's own.
+
 All thresholds ("at least 33%", "66%", "22%") are ceilings of exact
 rationals. Quorum and approval are measured in voting power: a Governor
 counts 1 plus the delegations they currently hold, so every participating
@@ -193,7 +197,6 @@ def min_approving_yes(eligible_power: int) -> int:
 class GovernorRecord:
     node_id: str
     role: Role = Role.HumanNode
-    tier: Tier = Tier.Citizen
     governing_since: int = 0
     formation_participant: bool = False
     has_approved_proposal: bool = False
@@ -207,22 +210,18 @@ def voting_power(record: GovernorRecord) -> int:
 
 
 def tier_promotion(record: GovernorRecord, now: int) -> Tier:
-    """Highest tier whose requirements the record meets right now.
+    """The one reader of a tier: the highest one the record's standing meets at now.
 
-    Every tier needs a running node, which registration as a human node
-    implies, and an approved proposal; Legate and above additionally need
-    Formation participation; years of governing gate each step.
+    Above Citizen, a Governor needs an approved proposal and the tier's years
+    since governing_since; Legate and above also need Formation. Anyone else,
+    a Delegator included, has Citizen rights.
     """
-    if not record.has_approved_proposal:
-        return record.tier
+    best = Tier.Citizen
+    if record.role is not Role.Governor or not record.has_approved_proposal:
+        return best
     years = (now - record.governing_since) // YEAR_SECONDS
-    best = record.tier
-    for tier in (Tier.Citizen, Tier.Senator, Tier.Legate, Tier.Consul):
-        if years < TIER_YEARS_REQUIRED[tier]:
-            continue
-        if tier in TIERS_REQUIRING_FORMATION and not record.formation_participant:
-            continue
-        if tier.value > best.value:
+    for tier, required in TIER_YEARS_REQUIRED.items():
+        if years >= required and (tier not in TIERS_REQUIRING_FORMATION or record.formation_participant):
             best = tier
     return best
 
@@ -273,20 +272,6 @@ class TallyResult:
         }
 
 
-@dataclass(frozen=True)
-class VetoResult:
-    vetoed: bool
-    consul_yes: int
-    consul_total: int
-
-
-@dataclass(frozen=True)
-class FormationGrant:
-    proposal_id: str
-    vault_balance: int
-    consul_gated: bool
-
-
 class Vortex:
     """Single-writer governance state: governors, the pool, and live votes."""
 
@@ -321,6 +306,14 @@ class Vortex:
             self._set_role(record, Role.Governor)
             record.governing_since = now
         return record
+
+    def seat_tier(self, node_id: str, tier: Tier, now: int) -> None:
+        """Give the record the standing tier needs at now: an approved proposal,
+        the tier's governing years before now, and Formation if it asks for it."""
+        record = self.governors[node_id]
+        record.has_approved_proposal = True
+        record.governing_since = now - TIER_YEARS_REQUIRED[tier] * YEAR_SECONDS
+        record.formation_participant = tier in TIERS_REQUIRING_FORMATION
 
     def nullify_devotion(self, node_id: str, now: int) -> None:
         """A DevotionNullified slash: the governing years restart at now and Formation participation is lost."""
@@ -383,14 +376,11 @@ class Vortex:
     ) -> Proposal:
         record = self.governors.get(proposer)
         if record is None:
-            # non-human actors only get in on a Governor's nomination
-            nominator = self.governors.get(nominated_by or "")
-            if nominator is None or nominator.role != Role.Governor:
+            # non-human actors only get in on a Governor's nomination, with its tier
+            record = self.governors.get(nominated_by or "")
+            if record is None or record.role != Role.Governor:
                 raise NotNominated(f"{proposer} is not a human node and has no nominator")
-            tier = nominator.tier
-        else:
-            # a plain human node proposes with Citizen-level rights
-            tier = record.tier if record.role == Role.Governor else Tier.Citizen
+        tier = tier_promotion(record, now)
         if tier.value < MIN_TIER_FOR_TYPE[ptype].value:
             # a slashable perpetration; the caller that owns the blacklist slashes it
             raise TierInsufficient(f"{tier.name} may not submit {ptype.value}")
@@ -496,40 +486,40 @@ class Vortex:
             approved=approved,
         )
 
-    def veto(self, proposal_id: str, consul_yes: int, consul_total: int) -> VetoResult:
+    def _consul_backing(self, consuls: list[str], now: int) -> tuple[int, int]:
+        """How many of the DAO's Consuls at now back a decision, each named once,
+        and how many it needs: 66% of them, and at least one."""
+        if len(set(consuls)) < len(consuls):
+            raise DuplicateVote(f"a Consul is named twice in {consuls}")
+        for node_id in consuls:
+            record = self.governors.get(node_id)
+            if record is None or tier_promotion(record, now) is not Tier.Consul:
+                raise TierInsufficient(f"{node_id} is not a Consul")
+        total = sum(1 for r in self.governors.values() if tier_promotion(r, now) is Tier.Consul)
+        return len(consuls), max(1, ceil_share(VETO_SHARE, total))
+
+    def veto(self, proposal_id: str, consuls: list[str], now: int) -> bool:
+        """Whether the Consuls named veto an approved decision; a vetoed one is Declined."""
         proposal = self.proposals[proposal_id]
         if proposal.state is not ProposalState.Approved:
             raise NotApproved(f"{proposal_id} is {proposal.state.value}")
         if proposal.approval_count >= 3:
             raise VetoExhausted("approved three times; the decision stands")
-        vetoed = consul_total > 0 and consul_yes >= ceil_share(VETO_SHARE, consul_total)
+        backing, needed = self._consul_backing(consuls, now)
+        vetoed = backing >= needed
         if vetoed:
             proposal.state = ProposalState.Declined
-        return VetoResult(vetoed=vetoed, consul_yes=consul_yes, consul_total=consul_total)
+        return vetoed
 
-    def route_to_formation(
-        self,
-        proposal_id: str,
-        consul_yes: int,
-        consul_total: int,
-        network_age_seconds: int,
-        vault_balance: int,
-    ) -> FormationGrant:
-        """Hand an approved proposal to the grant vault.
-
-        During the network's first four years the grant additionally needs
-        66% of Consuls behind it.
-        """
+    def route_to_formation(self, proposal_id: str, consuls: list[str], now: int) -> bool:
+        """Hand an approved proposal to the grant vault; return whether the grant
+        was Consul-gated: in the first four years of Vortex time, which starts at
+        genesis 0, it also needs 66% of the DAO's Consuls behind it."""
         proposal = self.proposals[proposal_id]
         if proposal.state is not ProposalState.Approved:
             raise NotApproved(f"{proposal_id} is {proposal.state.value}")
-        gated = network_age_seconds < FORMATION_CONSUL_GATE_SECONDS
-        if gated:
-            needed = ceil_share(VETO_SHARE, consul_total) if consul_total else 1
-            if consul_yes < needed:
-                raise ConsulApprovalMissing(
-                    f"{consul_yes}/{consul_total} consuls; need {needed}"
-                )
-        return FormationGrant(
-            proposal_id=proposal_id, vault_balance=vault_balance, consul_gated=gated
-        )
+        backing, needed = self._consul_backing(consuls, now)
+        gated = now < FORMATION_CONSUL_GATE_SECONDS
+        if gated and backing < needed:
+            raise ConsulApprovalMissing(f"{backing} consuls; need {needed}")
+        return gated

@@ -26,6 +26,7 @@ from bionode.slashing import (
 )
 from bionode.vortex import (
     ProposalType,
+    Tier,
     VetoExhausted,
     Vortex,
     approval_threshold,
@@ -132,10 +133,13 @@ def test_criterion_3_vortex_thresholds():
             assert not decide(n, q, y - 1)[1]
             assert not decide(n, q - 1, q - 1)[1]
 
-        # veto blocked after the third approval
+        # veto blocked after the third approval, with every Consul behind it
+        consuls = sorted(dao.governors)[-3:]
+        for nid in consuls:
+            dao.seat_tier(nid, Tier.Consul, now=0)
         p.approval_count = 3
         with pytest.raises(VetoExhausted):
-            dao.veto(p.id, consul_yes=3, consul_total=3)
+            dao.veto(p.id, consuls, now=7 * 86400)
     ok(f"criterion 3 (33/22 minimum, sweep to 10000, veto cap) in {b.elapsed:.2f}s")
 
 

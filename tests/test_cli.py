@@ -354,6 +354,22 @@ class TestRunSim:
         assert report == golden
         assert (out / "events.ndjson").read_text().count("\n") == report["event_count"]
 
+    @pytest.mark.parametrize("name", ["honest", "faulty", "malicious", "governed"])
+    def test_output_bytes_do_not_depend_on_the_hash_seed(self, name, tmp_path):
+        """run-sim writes the same stdout, events.ndjson and report.json under two
+        PYTHONHASHSEED values, so no output follows the iteration order of a set."""
+        outputs = []
+        for hash_seed in ("0", "1"):
+            out = tmp_path / hash_seed
+            done = subprocess.run(
+                [sys.executable, "-m", "bionode.cli", "run-sim", str(SCENARIOS / f"{name}.json"), "--output", str(out)],
+                env={**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": hash_seed},
+                capture_output=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.append((done.stdout, (out / "events.ndjson").read_bytes(), (out / "report.json").read_bytes()))
+        assert outputs[0] == outputs[1]
+
     def test_missing_parent_of_output_is_not_created(self, tmp_path, capsys):
         """run-sim creates only the directory --output names, as every other
         command writes only into a directory that exists."""

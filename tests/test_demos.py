@@ -1,6 +1,7 @@
-"""The walkthroughs in demos/ run to completion and print the same bytes
-on every run."""
+"""The walkthroughs in demos/ run to completion and print the bytes pinned
+in golden/demos.sha256, under any hash seed."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -10,18 +11,23 @@ import pytest
 
 ROOT = Path(__file__).parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+PINNED = dict(line.split()[::-1] for line in (Path(__file__).parent / "golden" / "demos.sha256").read_text().splitlines())
 
 
-def run_demo(demo: Path) -> subprocess.CompletedProcess:
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+def run_demo(demo: Path, hash_seed: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": hash_seed}
     return subprocess.run(
-        [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, str(demo)], env=env, capture_output=True, timeout=120
     )
+
+
+def test_every_demo_is_pinned():
+    assert sorted(PINNED) == [d.name for d in DEMOS]
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs_and_is_deterministic(demo):
-    first = run_demo(demo)
-    assert first.returncode == 0, first.stderr
-    assert first.stdout
-    assert run_demo(demo).stdout == first.stdout
+    for hash_seed in ("0", "7"):
+        done = run_demo(demo, hash_seed)
+        assert done.returncode == 0, done.stderr.decode()
+        assert hashlib.sha256(done.stdout).hexdigest() == PINNED[demo.name], hash_seed

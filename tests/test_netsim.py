@@ -14,7 +14,7 @@ old eligibility loop, and may ask the Blacklist itself only about nodes
 that have an entry. No renewal may be offered to a node that is offline,
 nor to a suspended one at a slot where nothing on its own record wakes
 it. Each reached scripted proposal's tally or tier slash is recounted from
-the governance section, and a section that `from_dict` and `validate()`
+the governance section and the FalseTransaction script, and a section that `from_dict` and `validate()`
 accept, valid or not, sets up and runs to the end. A 300-node run in the
 shape of the sim-churn benchmark has its event-log and report SHA-256s
 pinned.
@@ -41,7 +41,15 @@ from bionode.netsim import (
     Simulation,
 )
 from bionode.slashing import MONTH_SECONDS
-from bionode.vortex import MIN_TIER_FOR_TYPE, ProposalType, Role, Tier, pool_threshold
+from bionode.vortex import (
+    MIN_TIER_FOR_TYPE,
+    TIER_YEARS_REQUIRED,
+    YEAR_SECONDS,
+    ProposalType,
+    Role,
+    Tier,
+    pool_threshold,
+)
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 GOLDEN = Path(__file__).parent / "golden"
@@ -631,12 +639,27 @@ def governance_sections(draw, ids: list[str], epochs: int) -> dict:
     }
 
 
+def recount_tier(cfg: SimConfig, proposer: str, slot: int) -> Tier:
+    """A roll member's tier at slot, from the section and the fault script: its
+    seated tier's years and Formation, plus the years since, restarted with no
+    Formation at its last FalseTransaction at or before slot."""
+    seated = dict(cfg.governance.tiers).get(proposer, Tier.Citizen)
+    since, formation = -TIER_YEARS_REQUIRED[seated] * YEAR_SECONDS, seated in (Tier.Legate, Tier.Consul)
+    resets = [at for node, at in cfg.false_transaction if node == proposer and at <= slot]
+    if resets:
+        since, formation = max(resets) * cfg.slot_seconds, False
+    years = (slot * cfg.slot_seconds - since) // YEAR_SECONDS
+    held = [t for t in Tier if years >= TIER_YEARS_REQUIRED[t] and (formation or t in (Tier.Citizen, Tier.Senator))]
+    return max(held, key=lambda t: t.value)
+
+
 def recount_governance(cfg: SimConfig) -> list[tuple[str, object]]:
     """What each reached proposal must yield, in script order, from the section
-    alone: a slash of its proposer when the proposer's tier (Citizen unless it
-    is on the roll) is below the type's, else the tally of the scripted votes,
-    each weighted by the voter's power at setup (1 plus the delegations it
-    holds), with quorum at 33% of the eligible power and approval at 66% of
+    alone: a slash of its proposer when the proposer's tier at its epoch's
+    last slot (Citizen unless it is on the roll, where governance runs after
+    that slot's slashes) is below the type's, else the tally of the scripted
+    votes, each weighted by the voter's power at setup (1 plus the delegations
+    it holds), with quorum at 33% of the eligible power and approval at 66% of
     the power cast."""
     gov = cfg.governance
     members = cfg.node_ids if gov.governors == "all" else gov.governors
@@ -644,11 +667,12 @@ def recount_governance(cfg: SimConfig) -> list[tuple[str, object]]:
     roll = sorted(m for m in members if m not in delegated)
     power = {g: 1 + list(delegated.values()).count(g) for g in roll}
     eligible = sum(power.values())
-    tiers, expected, submitted = dict(gov.tiers), [], 0
+    expected, submitted = [], 0
     for epoch, proposer, ptype, yes_votes, no_votes in sorted(gov.proposals, key=lambda p: p[0]):
         if epoch >= cfg.epochs:
             continue
-        tier = tiers.get(proposer, Tier.Citizen) if proposer in power else Tier.Citizen
+        last = (epoch + 1) * cfg.slots_per_epoch - 1
+        tier = recount_tier(cfg, proposer, last) if proposer in power else Tier.Citizen
         if tier.value < MIN_TIER_FOR_TYPE[ptype].value:
             expected.append(("MismatchedProposalTypeNoRight", proposer))
             continue
@@ -710,6 +734,18 @@ GOVERNED_CONFIG = small_config(num_nodes=6, governance={
         {"epoch": 2, "proposer": "node-03", "type": "Product", "yes": 5},
     ],
 })
+# node-01, seated as a Consul, is caught in a FalseTransaction at slot 5 of
+# hour-long slots, so its epoch-0 VortexCore proposal is slashed, not tallied.
+TIER_RESET_CONFIG = small_config(slot_seconds=3600, false_transaction=(("node-01", 5),), governance={
+    "governors": "all", "tiers": {"node-01": "Consul"},
+    "proposals": [{"epoch": 0, "proposer": "node-01", "type": "VortexCore", "yes": 3}],
+})
+# Fourteen month-long slots: at the epoch's last slot every governor has
+# governed a year, so a plain governor's FeeDistribution is tallied.
+TIER_GROWTH_CONFIG = small_config(
+    slots_per_epoch=14, epochs=1, slot_seconds=MONTH_SECONDS, fees_per_epoch=(300,), governance={
+        "governors": "all", "proposals": [{"epoch": 0, "proposer": "node-01", "type": "FeeDistribution", "yes": 2}],
+    })
 NO_GOVERNOR = {"governors": [], "proposals": [{"epoch": 0, "proposer": "node-01", "type": "Product"}]}
 
 
@@ -800,6 +836,8 @@ class TestGeneratedScenarios:
     @example(cfg=CALENDAR_CONFIG)
     @example(cfg=churn_config())
     @example(cfg=GOVERNED_CONFIG)
+    @example(cfg=TIER_RESET_CONFIG)
+    @example(cfg=TIER_GROWTH_CONFIG)
     def test_invariants(self, cfg):
         sim, _ = run_checking_roster(cfg)
         expected_slashes, offline_at = oracle_fault_scan(cfg)
@@ -1203,6 +1241,31 @@ class TestScriptedGovernance:
         devotion = {nid: (r.governing_since, r.formation_participant) for nid, r in sim.dao.governors.items()}
         assert devotion == {"node-00": (0, True), "node-01": (10 * 3600, False),
                             "node-02": (0, True), "node-03": (0, True)}
+
+    def test_a_false_transaction_lowers_a_seated_tier(self):
+        """A Consul caught in a FalseTransaction kept its tier: its VortexCore
+        proposal was tallied and approved, and the report listed it as Consul."""
+        honest = netsim.run(dataclasses.replace(TIER_RESET_CONFIG, false_transaction=())).report()
+        assert [t["approved"] for t in honest["tallies"]] == [True]
+        assert honest["governors"]["node-01"]["tier"] == "Consul"
+        report = netsim.run(TIER_RESET_CONFIG).report()
+        assert report["tallies"] == []
+        assert [(s["node"], s["kind"]) for s in report["slashes"]] == [
+            ("node-01", "FalseTransaction"), ("node-01", "MismatchedProposalTypeNoRight")]
+        assert report["governors"]["node-01"] == {"role": "Governor", "tier": "Citizen"}
+
+    def test_governors_gain_tiers_with_governing_years(self):
+        """A governor that never gained a tier had its year-old FeeDistribution slashed."""
+        report = netsim.run(TIER_GROWTH_CONFIG).report()
+        assert [(t["type"], t["approved"]) for t in report["tallies"]] == [("FeeDistribution", True)]
+        assert not any(s["kind"] == "MismatchedProposalTypeNoRight" for s in report["slashes"])
+        assert {r["tier"] for r in report["governors"].values()} == {"Senator"}
+
+    def test_a_run_of_no_epochs_reports_seated_tiers(self):
+        """With no slot the report reads tiers at time 0, where they were seated."""
+        cfg = small_config(epochs=0, fees_per_epoch=(), governance={"governors": "all", "tiers": {"node-00": "Consul"}})
+        tiers = {nid: r["tier"] for nid, r in netsim.run(cfg).report()["governors"].items()}
+        assert tiers == {"node-00": "Consul", "node-01": "Citizen", "node-02": "Citizen"}
 
     def test_bad_governance_section_rejected(self):
         cfg = small_config(governance={"governors": ["node-99"]})

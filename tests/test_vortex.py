@@ -36,6 +36,7 @@ from bionode.vortex import (
     ResubmitTooSoon,
     Role,
     SelfDelegation,
+    TIER_YEARS_REQUIRED,
     Tier,
     TierInsufficient,
     TooManyOpenProposals,
@@ -59,10 +60,17 @@ def make_dao(n_governors: int, tier: Tier = Tier.Citizen) -> Vortex:
     for i in range(n_governors):
         node = f"g{i:04d}"
         dao.register_human_node(node, now=0)
-        record = dao.promote_to_governor(node, now=0)
-        record.tier = tier
-        record.has_approved_proposal = True
+        dao.promote_to_governor(node, now=0)
+        dao.seat_tier(node, tier, now=0)
     return dao
+
+
+def seat_consuls(dao: Vortex, count: int) -> list[str]:
+    """Seat the first count governors as Consuls at 0; return their ids."""
+    consuls = sorted(dao.governors)[:count]
+    for node in consuls:
+        dao.seat_tier(node, Tier.Consul, now=0)
+    return consuls
 
 
 def drive_to_vote(dao: Vortex, proposal_id: str, now: int = 0) -> None:
@@ -350,75 +358,6 @@ class TestDelegation:
         with pytest.raises(NotGovernor):
             dao.cast_vote("g0001", p.id, True, now=1)
 
-
-class TestVeto:
-    def approved_proposal(self, dao):
-        p = dao.submit_proposal("g0000", ProposalType.Product, now=0)
-        drive_to_vote(dao, p.id)
-        for v in sorted(dao.governors)[: dao.governor_count()]:
-            dao.cast_vote(v, p.id, True, now=1)
-        dao.tally(p.id, now=WEEK_SECONDS)
-        return p
-
-    def test_two_of_three_consuls_veto(self):
-        dao = make_dao(9)
-        p = self.approved_proposal(dao)
-        result = dao.veto(p.id, consul_yes=2, consul_total=3)
-        assert result.vetoed
-        assert p.state is ProposalState.Declined
-
-    def test_one_of_three_insufficient(self):
-        dao = make_dao(9)
-        p = self.approved_proposal(dao)
-        assert not dao.veto(p.id, consul_yes=1, consul_total=3).vetoed
-        assert p.state is ProposalState.Approved
-
-    def test_third_approval_cannot_be_vetoed(self):
-        dao = make_dao(9)
-        p = self.approved_proposal(dao)
-        p.approval_count = 3
-        with pytest.raises(VetoExhausted):
-            dao.veto(p.id, consul_yes=3, consul_total=3)
-
-    def test_unapproved_cannot_be_vetoed(self):
-        dao = make_dao(9)
-        p = dao.submit_proposal("g0000", ProposalType.Product, now=0)
-        with pytest.raises(NotApproved):
-            dao.veto(p.id, consul_yes=3, consul_total=3)
-
-
-class TestTiers:
-    def record(self, years, formation=True, approved=True):
-        return GovernorRecord(
-            node_id="n",
-            role=Role.Governor,
-            governing_since=0,
-            formation_participant=formation,
-            has_approved_proposal=approved,
-        )
-
-    def test_two_years_formation_gives_legate(self):
-        r = self.record(2)
-        assert tier_promotion(r, now=2 * YEAR_SECONDS) is Tier.Legate
-
-    def test_one_year_no_formation_gives_senator(self):
-        r = self.record(1, formation=False)
-        assert tier_promotion(r, now=1 * YEAR_SECONDS) is Tier.Senator
-
-    def test_four_years_formation_gives_consul(self):
-        r = self.record(4)
-        assert tier_promotion(r, now=4 * YEAR_SECONDS) is Tier.Consul
-
-    def test_no_approved_proposal_blocks_promotion(self):
-        r = self.record(4, approved=False)
-        assert tier_promotion(r, now=4 * YEAR_SECONDS) is Tier.Citizen
-
-    def test_promotion_monotone_in_time(self):
-        r = self.record(0)
-        tiers = [tier_promotion(r, now=y * YEAR_SECONDS).value for y in range(6)]
-        assert tiers == sorted(tiers)
-
-
     def test_self_delegation_rejected(self):
         dao = make_dao(3)
         with pytest.raises(SelfDelegation):
@@ -432,13 +371,153 @@ class TestTiers:
         assert dao.eligible_power() == 3
 
 
+class TestVeto:
+    def approved_proposal(self, dao):
+        p = dao.submit_proposal("g0000", ProposalType.Product, now=0)
+        drive_to_vote(dao, p.id)
+        for v in sorted(dao.governors)[: dao.governor_count()]:
+            dao.cast_vote(v, p.id, True, now=1)
+        dao.tally(p.id, now=WEEK_SECONDS)
+        return p
+
+    def test_two_of_three_consuls_veto(self):
+        dao = make_dao(9)
+        consuls = seat_consuls(dao, 3)
+        p = self.approved_proposal(dao)
+        assert dao.veto(p.id, consuls[:2], now=WEEK_SECONDS)
+        assert p.state is ProposalState.Declined
+
+    def test_one_of_three_insufficient(self):
+        dao = make_dao(9)
+        consuls = seat_consuls(dao, 3)
+        p = self.approved_proposal(dao)
+        assert not dao.veto(p.id, consuls[:1], now=WEEK_SECONDS)
+        assert p.state is ProposalState.Approved
+
+    def test_third_approval_cannot_be_vetoed(self):
+        dao = make_dao(9)
+        consuls = seat_consuls(dao, 3)
+        p = self.approved_proposal(dao)
+        p.approval_count = 3
+        with pytest.raises(VetoExhausted):
+            dao.veto(p.id, consuls, now=WEEK_SECONDS)
+
+    def test_unapproved_cannot_be_vetoed(self):
+        dao = make_dao(9)
+        consuls = seat_consuls(dao, 3)
+        p = dao.submit_proposal("g0000", ProposalType.Product, now=0)
+        with pytest.raises(NotApproved):
+            dao.veto(p.id, consuls, now=0)
+
+    def test_a_dao_without_consuls_cannot_veto(self):
+        """Seven approving Consuls of three, in a DAO that has none, vetoed an approved decision."""
+        dao = make_dao(9)
+        p = self.approved_proposal(dao)
+        with pytest.raises(TierInsufficient, match="g0000 is not a Consul"):
+            dao.veto(p.id, sorted(dao.governors)[:7], now=WEEK_SECONDS)
+        assert not dao.veto(p.id, [], now=WEEK_SECONDS)
+        assert p.state is ProposalState.Approved
+
+    def test_each_approving_consul_counts_once(self):
+        dao = make_dao(9)
+        consuls = seat_consuls(dao, 3)
+        p = self.approved_proposal(dao)
+        with pytest.raises(DuplicateVote):
+            dao.veto(p.id, [consuls[0], consuls[0]], now=WEEK_SECONDS)
+        assert p.state is ProposalState.Approved
+
+    @pytest.mark.parametrize("who", ["ghost", "g0005"], ids=["unknown", "governor"])
+    def test_only_consuls_may_veto(self, who):
+        dao = make_dao(9)
+        consuls = seat_consuls(dao, 3)
+        p = self.approved_proposal(dao)
+        with pytest.raises(TierInsufficient):
+            dao.veto(p.id, [consuls[0], who], now=WEEK_SECONDS)
+
+    def test_consuls_are_counted_at_now(self):
+        """A Consul whose devotion was nullified neither vetoes nor counts
+        towards the total: the one Consul left is 66% on its own."""
+        dao = make_dao(9)
+        consuls = seat_consuls(dao, 2)
+        p = self.approved_proposal(dao)
+        dao.nullify_devotion(consuls[1], now=WEEK_SECONDS)
+        with pytest.raises(TierInsufficient):
+            dao.veto(p.id, consuls, now=WEEK_SECONDS)
+        assert dao.veto(p.id, consuls[:1], now=WEEK_SECONDS)
+
+
+class TestTiers:
+    def record(self, years, formation=True, approved=True):
+        """A Governor that has governed for years at now=0."""
+        return GovernorRecord(
+            node_id="n",
+            role=Role.Governor,
+            governing_since=-years * YEAR_SECONDS,
+            formation_participant=formation,
+            has_approved_proposal=approved,
+        )
+
+    def test_two_years_formation_gives_legate(self):
+        assert tier_promotion(self.record(2), now=0) is Tier.Legate
+
+    def test_one_year_no_formation_gives_senator(self):
+        assert tier_promotion(self.record(1, formation=False), now=0) is Tier.Senator
+
+    def test_four_years_formation_gives_consul(self):
+        assert tier_promotion(self.record(4), now=0) is Tier.Consul
+
+    def test_four_years_without_formation_stop_at_senator(self):
+        assert tier_promotion(self.record(4, formation=False), now=0) is Tier.Senator
+
+    def test_no_approved_proposal_blocks_promotion(self):
+        assert tier_promotion(self.record(4, approved=False), now=0) is Tier.Citizen
+
+    def test_promotion_monotone_in_time(self):
+        r = self.record(0)
+        tiers = [tier_promotion(r, now=y * YEAR_SECONDS).value for y in range(6)]
+        assert tiers == sorted(tiers)
+        assert tiers[0] == Tier.Citizen.value and tiers[-1] == Tier.Consul.value
+
+    @pytest.mark.parametrize("role", [Role.HumanNode, Role.Delegator])
+    def test_a_non_governor_has_citizen_rights(self, role):
+        r = self.record(4)
+        r.role = role
+        assert tier_promotion(r, now=0) is Tier.Citizen
+
+    @pytest.mark.parametrize("tier", list(Tier))
+    def test_seat_tier_seats_the_standing_the_tier_needs(self, tier):
+        dao = make_dao(1, tier=tier)
+        record = dao.governors["g0000"]
+        assert tier_promotion(record, now=0) is tier
+        assert record.governing_since == -TIER_YEARS_REQUIRED[tier] * YEAR_SECONDS
+        assert record.formation_participant is (tier in (Tier.Legate, Tier.Consul))
+
+    def test_a_nullified_devotion_lowers_the_tier(self):
+        """A Consul caught in a FalseTransaction kept its tier and its VortexCore rights."""
+        dao = make_dao(2, tier=Tier.Consul)
+        assert dao.submit_proposal("g0000", ProposalType.VortexCore, now=100)
+        dao.nullify_devotion("g0000", now=100)
+        assert tier_promotion(dao.governors["g0000"], now=100) is Tier.Citizen
+        with pytest.raises(TierInsufficient):
+            dao.submit_proposal("g0000", ProposalType.VortexCore, now=100)
+        # the clock restarts: a year on it is a Senator, and without Formation it stays one
+        assert tier_promotion(dao.governors["g0000"], now=100 + 4 * YEAR_SECONDS) is Tier.Senator
+        assert tier_promotion(dao.governors["g0001"], now=100) is Tier.Consul
+
+    def test_a_nominee_proposes_with_its_nominators_tier(self):
+        dao = make_dao(1, tier=Tier.Senator)
+        assert dao.submit_proposal("contract-7", ProposalType.FeeDistribution, now=0, nominated_by="g0000")
+        with pytest.raises(TierInsufficient):
+            dao.submit_proposal("contract-7", ProposalType.Monetary, now=0, nominated_by="g0000")
+
+
 class TestDevotion:
     """A FalseTransaction slash nullifies devotion, and the Vortex resets the record it owns."""
 
     def test_false_transaction_nullifies_devotion(self):
         dao = make_dao(2)
-        for record in dao.governors.values():
-            record.formation_participant = True
+        for node in dao.governors:  # Legates governing since 0
+            dao.seat_tier(node, Tier.Legate, now=2 * YEAR_SECONDS)
         bl = Blacklist()
         entry = bl.slash("g0000", PerpetrationKind.FalseTransaction, now=555)
         assert Effect.DevotionNullified in entry.effects and bl.fees_stopped("g0000", now=555)
@@ -643,31 +722,47 @@ class TestFormation:
 
     def test_year_five_no_consul_gate(self):
         dao = make_dao(6)
+        seat_consuls(dao, 3)
         p = self.approved(dao)
-        grant = dao.route_to_formation(
-            p.id, consul_yes=0, consul_total=3,
-            network_age_seconds=5 * YEAR_SECONDS, vault_balance=777,
-        )
-        assert not grant.consul_gated
-        assert grant.vault_balance == 777
+        assert not dao.route_to_formation(p.id, [], now=5 * YEAR_SECONDS)
 
     def test_year_one_with_consuls(self):
         dao = make_dao(6)
+        consuls = seat_consuls(dao, 3)
         p = self.approved(dao)
-        grant = dao.route_to_formation(
-            p.id, consul_yes=2, consul_total=3,
-            network_age_seconds=1 * YEAR_SECONDS, vault_balance=10,
-        )
-        assert grant.consul_gated
+        assert dao.route_to_formation(p.id, consuls[:2], now=1 * YEAR_SECONDS)
 
     def test_year_one_below_threshold(self):
         dao = make_dao(6)
+        consuls = seat_consuls(dao, 3)
+        p = self.approved(dao)
+        with pytest.raises(ConsulApprovalMissing, match="1 consuls; need 2"):
+            dao.route_to_formation(p.id, consuls[:1], now=1 * YEAR_SECONDS)
+
+    def test_the_gate_reads_the_dao_clock(self):
+        """Vortex time starts at genesis, so the gate closes at four years of it."""
+        dao = make_dao(6)
+        seat_consuls(dao, 3)
         p = self.approved(dao)
         with pytest.raises(ConsulApprovalMissing):
-            dao.route_to_formation(
-                p.id, consul_yes=1, consul_total=3,
-                network_age_seconds=1 * YEAR_SECONDS, vault_balance=10,
-            )
+            dao.route_to_formation(p.id, [], now=4 * YEAR_SECONDS - 1)
+        assert not dao.route_to_formation(p.id, [], now=4 * YEAR_SECONDS)
+
+    def test_a_dao_without_consuls_grants_nothing_in_its_first_years(self):
+        """Nine approving Consuls of two, in a DAO that has none, got a grant."""
+        dao = make_dao(9)
+        p = self.approved(dao)
+        with pytest.raises(TierInsufficient):
+            dao.route_to_formation(p.id, sorted(dao.governors), now=1 * YEAR_SECONDS)
+        with pytest.raises(ConsulApprovalMissing, match="0 consuls; need 1"):
+            dao.route_to_formation(p.id, [], now=1 * YEAR_SECONDS)
+
+    def test_a_consul_is_named_once(self):
+        dao = make_dao(6)
+        consuls = seat_consuls(dao, 3)
+        p = self.approved(dao)
+        with pytest.raises(DuplicateVote):
+            dao.route_to_formation(p.id, [consuls[0]] * 2, now=1 * YEAR_SECONDS)
 
 
 class TestStateMachine:
