@@ -250,7 +250,18 @@ class TestVoting:
         dao, p, result = self.run_vote(100, 22, 11)  # 33 cast, 22 yes
         assert result.quorum_met and result.approved
         assert p.state is ProposalState.Approved
-        assert dao.governors["g0000"].has_approved_proposal
+
+    def test_approval_marks_the_proposer(self):
+        """A plain human node has no approved proposal until a tally approves its own."""
+        dao = make_dao(3)
+        dao.register_human_node("h0000", now=0)
+        p = dao.submit_proposal("h0000", ProposalType.Product, now=0)
+        drive_to_vote(dao, p.id)
+        for voter in ("g0000", "g0001", "g0002"):
+            dao.cast_vote(voter, p.id, yes=True, now=1)
+        assert not dao.governors["h0000"].has_approved_proposal
+        assert dao.tally(p.id, now=WEEK_SECONDS).approved
+        assert dao.governors["h0000"].has_approved_proposal
 
     def test_quorum_missed_at_32(self):
         _, p, result = self.run_vote(100, 32, 0)
