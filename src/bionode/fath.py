@@ -4,20 +4,19 @@ The network's value metric per period is the total of fees paid (GNetP).
 When it rises by some fraction r between two periods, supply is minted by
 the same fraction and handed to every balance proportionally (inFath);
 when it falls, supply is burned proportionally (outFath). Balances are
-integers in smallest units, and 1 + r is split once into numerator and
-denominator, so each scaled balance is an integer floor and remainder.
-Largest-remainder rounding makes the new balances sum to the new supply
-exactly. With the cut the leftover-th largest sorted remainder, one floor
-per account, (b*num + den-1-cut) // den, carries exactly when the
-remainder is above the cut; a bisect of the sorted remainders counts the
-units left for those tied at it, smallest id first. A rebase builds only
-the remainders and the new balances; after that dict, the sort is its
-largest part. The per-account deltas are derived when read.
+integers in smallest units; with 1 + r = num/den, largest-remainder
+rounding keeps the new supply exact. With the cut the leftover-th largest
+remainder b*num mod den, one floor per account, (b*num + den-1-cut) // den,
+carries exactly when the remainder is above the cut, and the units still
+owed go to those tied at it, smallest id first. The cut is found by
+counting the remainders and walking their distinct values from the
+largest down; a remainder lies in range(den), so a small den leaves few
+values to walk. Deltas are derived on read.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -108,16 +107,21 @@ def rebalance(
     # the floors sum to (total * num - sum(rems)) / den exactly
     leftover = new_supply - (ledger.total_supply * num - sum(rems)) // den
     # 0 <= leftover <= the number of non-zero remainders, so the cut is
-    # non-zero; with nothing left over it is den, above every remainder
-    ranked = sorted(rems)
-    cut = ranked[-leftover] if leftover else den
-    owed = leftover - len(ranked) + bisect_right(ranked, cut)  # to those tied at the cut
-    del ranked  # not held while the new balances are built (peak memory)
-    offset = den - 1 - cut if leftover else 0  # carries exactly when rem > cut
+    # non-zero; with nothing left over no remainder is above den - 1
+    cut, owed = den - 1, leftover  # owed: units left for those tied at the cut
+    if leftover:
+        counts = Counter(rems)
+        for cut in sorted(counts, reverse=True):  # down until the leftover is placed
+            if owed <= counts[cut]:
+                break
+            owed -= counts[cut]
+        del counts  # not held while the new balances are built (peak memory)
+    offset = den - 1 - cut  # carries exactly when rem > cut
     balances = {acct: (b * num + offset) // den for acct, b in old.items()}
-    tied = sorted(acct for acct, rem in zip(old, rems) if rem == cut)
-    for acct in tied[:owed]:
-        balances[acct] += 1
+    if owed:
+        tied = sorted(acct for acct, rem in zip(old, rems) if rem == cut)
+        for acct in tied[:owed]:
+            balances[acct] += 1
 
     kind = "inFath" if ratio > 0 else "outFath" if ratio < 0 else "none"
     outcome = RebalanceOutcome(kind, ratio, new_supply, old, balances)

@@ -87,8 +87,10 @@ def distribute_fees(
         return dict(balances), total, 0
     base, rem = divmod(to_nodes, len(roster))
     new_balances = dict(balances)
-    for i, nid in enumerate(roster):
-        new_balances[nid] += base + (1 if i < rem else 0)
+    for nid in roster[:rem]:
+        new_balances[nid] += base + 1
+    for nid in roster[rem:]:
+        new_balances[nid] += base
     return new_balances, vault_delta, to_nodes
 
 

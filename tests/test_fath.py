@@ -9,7 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, currently_in_test_context, event, given, settings
 from hypothesis import strategies as st
 
 from bionode.fath import (
@@ -180,6 +180,12 @@ class TestMatchesFractionOracle:
         ledger = LedgerSnapshot(balances=balances)
         new, outcome = rebalance(ledger, ratio)
         want, want_outcome = fraction_rebalance(ledger, ratio)
+        if currently_in_test_context():  # --hypothesis-show-statistics gives each kind's share
+            num, den = (1 + Fraction(ratio)).as_integer_ratio()
+            if want.total_supply == sum(b * num // den for b in balances.values()):
+                event("no leftover, no cut")
+            else:  # a remainder takes at most den values: no more than the accounts when den <= n
+                event("den <= accounts" if den <= len(balances) else "den > accounts")
         assert new.balances == want.balances
         assert list(new.balances) == list(want.balances)
         assert list(outcome.per_account_deltas) == list(balances)
@@ -256,6 +262,45 @@ class TestMatchesFractionOracle:
         awarded = [a for a in tied if new.balances[a] > balances[a] * factor]
         assume(0 < len(awarded) < len(tied))
         assert sorted(awarded) == sorted(tied)[: len(awarded)]
+        self.assert_same(balances, ratio)
+
+    @given(
+        names=st.lists(
+            st.text(alphabet="abcdefgh", min_size=1, max_size=4),
+            min_size=8, max_size=60, unique=True,
+        ),
+        shared=st.lists(st.integers(min_value=0, max_value=10**9), min_size=1, max_size=4),
+        # 1 + ratio = k/den with den in 2..8 and k not a multiple of it: a whole ratio leaves nothing over
+        ratio=st.integers(min_value=2, max_value=8).flatmap(
+            lambda den: st.integers(min_value=1, max_value=11 * den - 1)
+            .filter(lambda k: k % den)
+            .map(lambda k: Fraction(k, den) - 1)
+        ),
+        rng=st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_few_remainder_values(self, names, shared, ratio, rng):
+        # den <= 8 <= n, so a remainder takes at most den values and many
+        # accounts tie at each; most balances share a few values too, so
+        # ties straddle the cut
+        balances = {
+            name: rng.choice(shared) if rng.random() < 0.7 else rng.randrange(10**9)
+            for name in names
+        }
+        self.assert_same(balances, ratio)
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 30])
+    @pytest.mark.parametrize("extra", [0, 1], ids=["den=n", "den=n+1"])
+    @pytest.mark.parametrize("whole", [0, 1], ids=["r=1/den", "r=1+1/den"])
+    def test_den_at_and_just_above_the_account_count(self, n, extra, whole):
+        # den == n allows as many remainder values as accounts, den == n + 1
+        # one more; every case here leaves units over, so a cut is found
+        rng = random.Random(f"boundary:{n}")
+        ids = [f"acct-{k:06d}" for k in rng.sample(range(10**6), n)]
+        balances = {acct: rng.choice((1, 2, 3, 10**6 + 1, rng.randrange(10**9))) for acct in ids}
+        den = n + extra
+        ratio = Fraction(1, den) + whole
+        assert (1 + ratio).denominator == den
         self.assert_same(balances, ratio)
 
     @pytest.mark.parametrize(
@@ -373,8 +418,9 @@ class TestProperties:
 def rebase_steps_bytes() -> bytes:
     """A seeded 20,000-account ledger, ids in random order and a third of
     the balances drawn from a few shared values (so remainders tie across
-    the cut), rebased by 7/100, then -7/107, then a ratio over a 13-digit
-    denominator; each step's ordered balances and deltas, as JSON lines."""
+    the cut), rebased by 7/100, then -7/107 (den < n, so remainders repeat),
+    then a ratio over a 13-digit denominator (remainders all but distinct);
+    each step's ordered balances and deltas, as JSON lines."""
     rng = random.Random("fath-rebase-golden")
     ids = [f"acct-{n:08d}" for n in rng.sample(range(10**8), 20_000)]
     shared = (0, 1, 3, 100, 10**6 + 7)
