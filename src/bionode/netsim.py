@@ -556,25 +556,26 @@ class Simulation:
     def _run_governance(self, epoch: int, slot: int) -> None:
         """Play the epoch's scripted proposals through the DAO.
 
-        Voting weeks run on the DAO's own clock (the tally happens at the
-        proposal's deadline regardless of how short the simulated epochs
-        are); tally records land in the event log. validate() refused every
-        bad proposal, so nothing is refused here; one above the proposer's
-        tier becomes a MismatchedProposalTypeNoRight slash.
+        Each proposal takes one pool_votes call down the roll, which the DAO
+        stops at its pool threshold, and two cast_votes calls: the first yes
+        governors vote yes, the next no vote no. Voting weeks run on the DAO's
+        own clock (the tally happens at the proposal's deadline regardless of
+        how short the simulated epochs are); tally records land in the event
+        log. validate() refused every bad proposal, so nothing is refused
+        here; one above the proposer's tier becomes a
+        MismatchedProposalTypeNoRight slash.
         """
-        now, governors, in_pool = self._now(slot), self._roll, vortex.ProposalState.InPool  # an Enum read is slow
+        now, governors, dao = self._now(slot), self._roll, self.dao
         for proposer, ptype, yes, no in self._proposals.get(epoch, ()):
             try:
-                proposal = self.dao.submit_proposal(proposer, ptype, now)
+                proposal = dao.submit_proposal(proposer, ptype, now)
             except TierInsufficient:
                 self._slash(proposer, PerpetrationKind.MismatchedProposalTypeNoRight, slot)
                 continue
-            upvoters = iter(governors)  # down the roll until the DAO's pool threshold moves it to the vote
-            while proposal.state is in_pool:
-                self.dao.pool_vote(next(upvoters), proposal.id, upvote=True, now=now)
-            for i, voter in enumerate(governors[: yes + no]):  # the first yes vote yes, the next no vote no
-                self.dao.cast_vote(voter, proposal.id, yes=i < yes, now=now + 1)
-            result = self.dao.tally(proposal.id, now=proposal.vote_deadline)
+            dao.pool_votes(governors, proposal.id, upvote=True, now=now)
+            dao.cast_votes(governors[:yes], proposal.id, yes=True, now=now + 1)
+            dao.cast_votes(governors[yes : yes + no], proposal.id, yes=False, now=now + 1)
+            result = dao.tally(proposal.id, now=proposal.vote_deadline)
             self._emit(slot, "GovernanceTally", result.to_record(proposal))
 
     # -- driving -----------------------------------------------------------

@@ -24,6 +24,7 @@ a clock of its own.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -164,8 +165,11 @@ TIER_YEARS_REQUIRED = {
 TIERS_REQUIRING_FORMATION = {Tier.Legate, Tier.Consul}
 
 # Enum member reads and hashes run Python code (~100 ns each on 3.11): the vote paths compare
-# with _GOVERNOR, and seat_tier reads (seconds governed, Formation) with one hash of the tier
+# with _GOVERNOR, _IN_POOL and _IN_VOTE, and seat_tier reads (seconds governed, Formation)
+# with one hash of the tier
 _GOVERNOR = Role.Governor
+_IN_POOL = ProposalState.InPool
+_IN_VOTE = ProposalState.InVote
 _SEATING = {t: (y * YEAR_SECONDS, t in TIERS_REQUIRING_FORMATION) for t, y in TIER_YEARS_REQUIRED.items()}
 
 
@@ -251,10 +255,10 @@ class Proposal:
 
     @property
     def open(self) -> bool:
-        return self.state in (ProposalState.InPool, ProposalState.InVote)
+        return self.state in (_IN_POOL, _IN_VOTE)
 
     def stale(self, now: int) -> bool:
-        return self.state is ProposalState.InPool and now > self.submitted_at + POOL_MAX_SECONDS[self.type]
+        return self.state is _IN_POOL and now > self.submitted_at + POOL_MAX_SECONDS[self.type]
 
 
 @dataclass(frozen=True)
@@ -407,7 +411,7 @@ class Vortex:
             id=f"hup-{len(self.proposals) + 1}",  # proposals are never removed
             proposer=proposer,
             type=ptype,
-            state=ProposalState.InPool,
+            state=_IN_POOL,
             submitted_at=now,
             approval_count=approval_count,
         )
@@ -417,7 +421,7 @@ class Vortex:
     def expire_stale(self, now: int) -> list[Proposal]:
         """Drop pool proposals that outlived their type's max pool time, in
         submission order. The one writer of Expired: submit_proposal calls it
-        before counting open proposals, and pool_vote when its target is stale."""
+        before counting open proposals, and pool_votes when its target is stale."""
         expired = [p for p in self.proposals.values() if p.stale(now)]
         for p in expired:
             p.state = ProposalState.Expired
@@ -425,40 +429,57 @@ class Vortex:
             p.pool.clear()
         return expired
 
-    def pool_vote(self, governor_id: str, proposal_id: str, upvote: bool, now: int) -> Proposal:
-        record = self.governors.get(governor_id)
-        if record is None or record.role is not _GOVERNOR:
-            raise NotGovernor(f"{governor_id} cannot vote in the pool")
+    def pool_votes(self, governor_ids: Iterable[str], proposal_id: str, upvote: bool, now: int) -> Proposal:
+        """Pool-vote each id in order until the pool threshold moves the proposal
+        to the vote; the ids after that one are not read. A refused id raises and
+        leaves the ballots before it recorded, as a loop of pool_vote calls does."""
         proposal = self.proposals[proposal_id]
         if proposal.stale(now):
             self.expire_stale(now)
-        if proposal.state is not ProposalState.InPool:
+        if proposal.state is not _IN_POOL:
             raise ProposalNotActive(f"{proposal_id} is {proposal.state.value}")
-        if governor_id in proposal.pool:
-            raise DuplicatePoolVote(f"{governor_id} already pool-voted on {proposal_id}")
-        proposal.pool[governor_id] = upvote
-        if len(proposal.pool) >= pool_threshold(self.governor_count()):
-            proposal.state = ProposalState.InVote
-            proposal.vote_deadline = now + WEEK_SECONDS
+        governors, pool = self.governors, proposal.pool
+        threshold = pool_threshold(self.governor_count())
+        for governor_id in governor_ids:
+            record = governors.get(governor_id)
+            if record is None or record.role is not _GOVERNOR:
+                raise NotGovernor(f"{governor_id} cannot vote in the pool")
+            if governor_id in pool:
+                raise DuplicatePoolVote(f"{governor_id} already pool-voted on {proposal_id}")
+            pool[governor_id] = upvote
+            if len(pool) >= threshold:
+                proposal.state = _IN_VOTE
+                proposal.vote_deadline = now + WEEK_SECONDS
+                break
         return proposal
 
-    def cast_vote(self, governor_id: str, proposal_id: str, yes: bool, now: int) -> Proposal:
-        record = self.governors.get(governor_id)
-        if record is None or record.role is not _GOVERNOR:
-            raise NotGovernor(f"{governor_id} cannot vote (delegators vote via their delegatee)")
+    def pool_vote(self, governor_id: str, proposal_id: str, upvote: bool, now: int) -> Proposal:
+        return self.pool_votes((governor_id,), proposal_id, upvote, now)
+
+    def cast_votes(self, governor_ids: Iterable[str], proposal_id: str, yes: bool, now: int) -> Proposal:
+        """Cast the same ballot for each id in order. A refused id raises and leaves
+        the ballots before it recorded, as a loop of cast_vote calls does."""
         proposal = self.proposals[proposal_id]
-        if proposal.state is not ProposalState.InVote:
+        if proposal.state is not _IN_VOTE:
             raise ProposalNotActive(f"{proposal_id} is {proposal.state.value}")
         if now >= proposal.vote_deadline:
             raise ProposalNotActive("voting window closed; call tally")
-        if governor_id in proposal.votes:
-            raise DuplicateVote(f"{governor_id} already voted on {proposal_id}")
-        proposal.votes[governor_id] = yes
+        governors, votes = self.governors, proposal.votes
+        for governor_id in governor_ids:
+            record = governors.get(governor_id)
+            if record is None or record.role is not _GOVERNOR:
+                raise NotGovernor(f"{governor_id} cannot vote (delegators vote via their delegatee)")
+            if governor_id in votes:
+                raise DuplicateVote(f"{governor_id} already voted on {proposal_id}")
+            votes[governor_id] = yes
         return proposal
+
+    def cast_vote(self, governor_id: str, proposal_id: str, yes: bool, now: int) -> Proposal:
+        return self.cast_votes((governor_id,), proposal_id, yes, now)
 
     def tally(self, proposal_id: str, now: int) -> TallyResult:
         proposal = self.proposals[proposal_id]
-        if proposal.state is not ProposalState.InVote:
+        if proposal.state is not _IN_VOTE:
             raise ProposalNotActive(f"{proposal_id} is {proposal.state.value}")
         if now < proposal.vote_deadline:
             raise VotingStillOpen(f"deadline at {proposal.vote_deadline}")

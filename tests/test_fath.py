@@ -4,6 +4,7 @@ oracle on exact fractions, and a byte pin of a rebase at scale."""
 
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -171,6 +172,32 @@ ratios = st.fractions(
 )
 
 
+def cut_ratios(max_den: int, min_factor: Fraction = Fraction(1, 100), max_factor: Fraction = Fraction(11)):
+    """Ratios whose 1 + ratio = k/den lies in [min_factor, max_factor], with
+    den in 2..max_den and k not a multiple of den: a whole factor leaves no
+    remainder at all."""
+    return st.integers(min_value=2, max_value=max_den).flatmap(
+        lambda den: st.integers(min_value=math.ceil(min_factor * den), max_value=math.floor(max_factor * den))
+        .filter(lambda k: k % den)
+        .map(lambda k: Fraction(k, den) - 1)
+    )
+
+
+@st.composite
+def units_over(draw, balances, ratios):
+    """A ledger from balances and a ratio from ratios (1 + ratio not whole) that
+    leave units over for the cut: one drawn account's balance is raised by the
+    least amount that gives it a drawn remainder b * num mod den of at least
+    den / 2, so the remainders sum to at least half a unit."""
+    ratio = draw(ratios)
+    balances = dict(draw(balances))
+    num, den = (1 + ratio).as_integer_ratio()
+    acct = draw(st.sampled_from(sorted(balances)))
+    rem = draw(st.integers(min_value=(den + 1) // 2, max_value=den - 1))
+    balances[acct] += (rem - balances[acct] * num) * pow(num, -1, den) % den
+    return balances, ratio
+
+
 class TestMatchesFractionOracle:
     """Integer floors and remainders against one denominator, and the
     remainder cut, give the Fraction results."""
@@ -195,22 +222,19 @@ class TestMatchesFractionOracle:
         assert outcome.per_account_deltas == want_outcome.per_account_deltas
         return new, outcome
 
-    @given(balances=ledgers, ratio=ratios)
+    @given(case=units_over(ledgers, cut_ratios(997)))
     @settings(max_examples=300, deadline=None)
-    def test_random_ledgers(self, balances, ratio):
-        self.assert_same(balances, ratio)
+    def test_random_ledgers(self, case):
+        self.assert_same(*case)
 
     @given(
-        balances=ledgers,
-        ratio=st.fractions(
-            min_value=Fraction(-1, 1) + Fraction(1, 10**12),
-            max_value=Fraction(10**6),
-            max_denominator=10**15,
+        case=units_over(
+            ledgers, cut_ratios(10**15, min_factor=Fraction(1, 10**12), max_factor=Fraction(10**6 + 1))
         ),
     )
     @settings(max_examples=300, deadline=None)
-    def test_large_denominators(self, balances, ratio):
-        self.assert_same(balances, ratio)
+    def test_large_denominators(self, case):
+        self.assert_same(*case)
 
     @given(
         names=st.lists(
@@ -239,28 +263,37 @@ class TestMatchesFractionOracle:
             st.text(alphabet="abcdefgh", min_size=1, max_size=4),
             min_size=3, max_size=40, unique=True,
         ),
-        tied_balance=st.integers(min_value=1, max_value=10**9),
         others=st.lists(st.integers(min_value=0, max_value=10**9), max_size=8),
-        ratio=ratios,
+        ratio=st.one_of(cut_ratios(8), cut_ratios(997)),
+        pick=st.integers(min_value=0),
+        lift=st.integers(min_value=0, max_value=10**6),
         order=st.randoms(use_true_random=False),
     )
     @settings(max_examples=300, deadline=None)
-    def test_tie_straddles_the_cut_in_shuffled_order(
-        self, names, tied_balance, others, ratio, order
-    ):
-        # most accounts share one balance, so one remainder ties many ways;
-        # some of the tied accounts get a leftover unit and some do not
+    def test_tie_straddles_the_cut_in_shuffled_order(self, names, others, ratio, pick, lift, order):
+        # most accounts share one balance, so one remainder ties many ways; that
+        # balance is built so that some of the tied accounts get a leftover unit
+        # and some do not
         others = others[: len(names) - 2]
-        values = others + [tied_balance] * (len(names) - len(others))
+        num, den = (1 + ratio).as_integer_ratio()
+        rems = [b * num % den for b in others]
+        shared = len(names) - len(others)
+
+        def straddles(cut):  # the units over, rounded half up, end inside the tie at cut
+            above = sum(r > cut for r in rems)
+            over = (2 * (sum(rems) + shared * cut) + den) // (2 * den)
+            return above < over < above + shared + rems.count(cut)
+
+        cuts = [cut for cut in range(1, den) if straddles(cut)]
+        assume(cuts)
+        cut = cuts[pick % len(cuts)]
+        tied_balance = cut * pow(num, -1, den) % den + lift * den  # its remainder is cut
         order.shuffle(names)
-        balances = dict(zip(names, values))
-        factor = 1 + ratio
-        cut_rem = tied_balance * factor.numerator % factor.denominator
+        balances = dict(zip(names, others + [tied_balance] * shared))
         new, _ = fraction_rebalance(LedgerSnapshot(balances=balances), ratio)
-        tied = [a for a, b in balances.items()
-                if b * factor.numerator % factor.denominator == cut_rem]
-        awarded = [a for a in tied if new.balances[a] > balances[a] * factor]
-        assume(0 < len(awarded) < len(tied))
+        tied = [a for a, b in balances.items() if b * num % den == cut]
+        awarded = [a for a in tied if new.balances[a] > balances[a] * (1 + ratio)]
+        assert 0 < len(awarded) < len(tied)
         assert sorted(awarded) == sorted(tied)[: len(awarded)]
         self.assert_same(balances, ratio)
 
@@ -270,12 +303,7 @@ class TestMatchesFractionOracle:
             min_size=8, max_size=60, unique=True,
         ),
         shared=st.lists(st.integers(min_value=0, max_value=10**9), min_size=1, max_size=4),
-        # 1 + ratio = k/den with den in 2..8 and k not a multiple of it: a whole ratio leaves nothing over
-        ratio=st.integers(min_value=2, max_value=8).flatmap(
-            lambda den: st.integers(min_value=1, max_value=11 * den - 1)
-            .filter(lambda k: k % den)
-            .map(lambda k: Fraction(k, den) - 1)
-        ),
+        ratio=cut_ratios(8),
         rng=st.randoms(use_true_random=False),
     )
     @settings(max_examples=300, deadline=None)
@@ -334,15 +362,19 @@ class TestMatchesFractionOracle:
             assert new.balances[acct] == -(-exact // 1)  # the ceiling
 
     @given(
-        balances=st.dictionaries(
-            st.text(alphabet="abcdefgh", min_size=1, max_size=3),
-            st.sampled_from([0, 0, 0, 1, 2, 3, 10**9]),
-            max_size=20,
+        case=units_over(
+            st.dictionaries(
+                st.text(alphabet="abcdefgh", min_size=1, max_size=3),
+                st.sampled_from([0, 0, 0, 1, 2, 3, 10**9]),
+                min_size=2,  # units_over raises one account, and may leave the other at 0
+                max_size=20,
+            ),
+            cut_ratios(997),
         ),
-        ratio=ratios,
     )
     @settings(max_examples=200, deadline=None)
-    def test_zero_balances(self, balances, ratio):
+    def test_zero_balances(self, case):
+        balances, ratio = case
         new, _ = self.assert_same(balances, ratio)
         assert all(new.balances[a] == 0 for a, b in balances.items() if b == 0)
 

@@ -1053,16 +1053,18 @@ class TestScriptedGovernance:
         churn_config(num_nodes=100, epochs=10),
     ], ids=["governed", "churn"])
     def test_each_proposal_gets_the_pool_threshold_of_votes(self, cfg, monkeypatch):
-        """The simulator pool-votes down the roll until the DAO moves the
-        proposal to the vote, so each submitted proposal gets exactly the
-        DAO's threshold of pool votes."""
-        votes, pool_vote = Counter(), netsim.Vortex.pool_vote
+        """The simulator pool-votes down the roll and the DAO stops at its
+        threshold, moving the proposal to the vote, so each submitted
+        proposal holds exactly the threshold of pool votes when pool_votes
+        returns."""
+        votes, pool_votes = Counter(), netsim.Vortex.pool_votes
 
-        def counted(dao, governor_id, proposal_id, upvote, now):
-            votes[proposal_id] += 1
-            return pool_vote(dao, governor_id, proposal_id, upvote, now)
+        def counted(dao, governor_ids, proposal_id, upvote, now):
+            proposal = pool_votes(dao, governor_ids, proposal_id, upvote, now)
+            votes[proposal_id] += len(proposal.pool)
+            return proposal
 
-        monkeypatch.setattr(netsim.Vortex, "pool_vote", counted)
+        monkeypatch.setattr(netsim.Vortex, "pool_votes", counted)
         sim = netsim.run(cfg)
         assert votes and set(votes) == set(sim.dao.proposals)
         assert len(votes) == len(sim.report()["tallies"])

@@ -8,7 +8,7 @@ spot-checked beyond.
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from bionode.slashing import PERPETRATION_TABLE, Blacklist, Effect, PerpetrationKind
@@ -720,6 +720,89 @@ class TestPoolExpiry:
         for p in stale:
             assert p.state is ProposalState.Expired
             assert p.resubmit_eligible_at == late + 2 * WEEK_SECONDS
+
+
+# ids a batch may name: sixteen Governors (some of them Delegators), two plain human nodes, an
+# unknown id. A batch is never empty: an empty one still checks the proposal, a loop of none does not
+BATCH_IDS = [f"g{i:04d}" for i in range(16)] + ["h0", "h1", "nobody"]
+batch_ids = st.lists(st.sampled_from(BATCH_IDS), min_size=1, max_size=12)
+batch_draws = {"ids": batch_ids, "delegators": st.integers(0, 6), "valid": st.integers(0, 5)}
+
+
+def with_valid_prefix(delegators: int, valid: int, ids: list[str]) -> list[str]:
+    """The first `valid` Governors that are not Delegators, then ids, so that
+    many batches reach the pool threshold before a refused id."""
+    return [f"g{i:04d}" for i in range(delegators + 1, delegators + 1 + valid)] + ids
+
+
+def batch_dao(delegators: int, in_vote: bool) -> Vortex:
+    """Sixteen Governors, g0001.. delegating to g0000 as many as delegators
+    says, two plain human nodes, and proposal hup-1 submitted at 0; in the
+    vote from 0 if in_vote."""
+    dao = make_dao(16)
+    for i in range(1, delegators + 1):
+        dao.delegate(f"g{i:04d}", "g0000")
+    for node in ("h0", "h1"):
+        dao.register_human_node(node, now=0)
+    p = dao.submit_proposal("g0000", ProposalType.Product, now=0)
+    if in_vote:
+        drive_to_vote(dao, p.id)
+    return dao
+
+
+def refusal(call) -> type | None:
+    try:
+        call()
+    except VortexError as exc:
+        return type(exc)
+    return None
+
+
+def proposals_state(dao: Vortex) -> list:
+    return [(p.state, list(p.pool.items()), list(p.votes.items()), p.vote_deadline, p.resubmit_eligible_at)
+            for p in dao.proposals.values()]
+
+
+class TestBatchVotes:
+    """pool_votes and cast_votes check the proposal once per call and each id
+    in turn. For any ids they record the same ballots in the same order, leave
+    the same states, and raise the same refusal after the same ballots as a
+    loop of one-id calls, which checks everything on every id."""
+
+    @given(**batch_draws, phase=st.sampled_from(["fresh", "stale", "in_vote"]), up=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_pool_votes_match_a_loop_of_pool_vote(self, ids, delegators, valid, phase, up):
+        ids = with_valid_prefix(delegators, valid, ids)
+        now = 2 * WEEK_SECONDS + 1 if phase == "stale" else 1  # a Product's pool time is two weeks
+        batch, single = (batch_dao(delegators, in_vote=phase == "in_vote") for _ in range(2))
+        got = refusal(lambda: batch.pool_votes(ids, "hup-1", up, now))
+
+        def loop():
+            p = single.proposals["hup-1"]
+            for governor_id in ids:
+                single.pool_vote(governor_id, p.id, up, now)
+                if p.state is not ProposalState.InPool:
+                    return
+
+        assert got is refusal(loop)
+        assert proposals_state(batch) == proposals_state(single)
+        event(f"{phase}: {got.__name__ if got else batch.proposals['hup-1'].state.value}")
+
+    @given(**batch_draws, phase=st.sampled_from(["open", "closed", "in_pool"]), yes=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_cast_votes_match_a_loop_of_cast_vote(self, ids, delegators, valid, phase, yes):
+        ids = with_valid_prefix(delegators, valid, ids)
+        now = WEEK_SECONDS if phase == "closed" else 1  # the vote opened at 0
+        batch, single = (batch_dao(delegators, in_vote=phase != "in_pool") for _ in range(2))
+        got = refusal(lambda: batch.cast_votes(ids, "hup-1", yes, now))
+
+        def loop():
+            for governor_id in ids:
+                single.cast_vote(governor_id, "hup-1", yes, now)
+
+        assert got is refusal(loop)
+        assert proposals_state(batch) == proposals_state(single)
+        event(f"{phase}: {got.__name__ if got else 'accepted'}")
 
 
 class TestFormation:
