@@ -9,8 +9,8 @@ No command creates a missing parent directory; run-sim creates only the one
 --output names. Work is bounded: --bits by groups.generate_params, --repeat by
 MAX_REPEAT, a scenario by netsim.MAX_NODES and netsim.MAX_SLOTS.
 
-Exit codes: 0 success, 1 usage, config or write error (an output path
-that cannot be written), 2 invariant violation, 3 verification rejected.
+Exit codes: 0 success, 1 usage, config or write error, 2 invariant violation,
+3 verification rejected. Only main maps a failure to its code and error line.
 """
 
 from __future__ import annotations
@@ -39,9 +39,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+class _Refused(Exception):
+    """A command's refusal of its input; main prints it as an error line and returns 1."""
+
+
 def _write_output(path: str | None, doc: dict) -> None:
     if path:
         Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def _show(doc: dict, path: str | None) -> None:
+    print(json.dumps(doc, indent=2, sort_keys=True))
+    _write_output(path, doc)
 
 
 # -- run-sim ---------------------------------------------------------------
@@ -54,18 +63,14 @@ def cmd_run_sim(args) -> int:
             config = dataclasses.replace(config, seed=args.seed)
         sim = netsim.run(config)  # Simulation(config) checks the config before the first event
     except (OSError, json.JSONDecodeError, netsim.ConfigInvalid) as exc:
-        print(f"error: cannot load scenario: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except netsim.InvariantViolation as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
-    report = sim.report()
+        raise _Refused(f"cannot load scenario: {exc}") from exc
+    report = json.dumps(sim.report(), indent=2, sort_keys=True)
     if args.output:
         out = Path(args.output)
         out.mkdir(exist_ok=True)
         (out / "events.ndjson").write_text(sim.event_log())
-        (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    print(json.dumps(report, indent=2, sort_keys=True))
+        (out / "report.json").write_text(report + "\n")
+    print(report)
     return EXIT_OK
 
 
@@ -105,10 +110,8 @@ def cmd_fee_quote(args) -> int:
             args.validators,
             fees.parse_finite(args.decline, "--decline"),
         )
-    except (OSError, json.JSONDecodeError, ValueError, ArithmeticError,
-            fees.DeclineOutOfRange) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except (OSError, ValueError, ArithmeticError, fees.DeclineOutOfRange) as exc:
+        raise _Refused(str(exc)) from exc
     doc = {
         "computational_units": breakdown.computational,
         "storage_perpetual_units": breakdown.storage_perpetual,
@@ -117,8 +120,7 @@ def cmd_fee_quote(args) -> int:
         "validators": breakdown.validators,
         "data_size_gb": str(breakdown.data_size_gb),
     }
-    print(json.dumps(doc, indent=2, sort_keys=True))
-    _write_output(args.output, doc)
+    _show(doc, args.output)
     return EXIT_OK
 
 
@@ -150,31 +152,24 @@ def _parse_ints(text: str, name: str):
         try:
             yield int(x)
         except ValueError:
-            raise ValueError(f"{name}: {x!r:.40} is not an integer") from None
+            raise _Refused(f"{name}: {x!r:.40} is not an integer") from None
 
 
 def cmd_prove_linear(args) -> int:
-    try:
-        inputs = list(_parse_ints(args.inputs, "--inputs"))
-        coeffs = list(_parse_ints(args.coeffs, "--coeffs"))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    inputs = list(_parse_ints(args.inputs, "--inputs"))
+    coeffs = list(_parse_ints(args.coeffs, "--coeffs"))
     if len(inputs) != len(coeffs) or not inputs:
-        print("error: --inputs and --coeffs must be non-empty, same length", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Refused("--inputs and --coeffs must be non-empty, same length")
     if args.keys:
         try:
             params, keys = groups.read_key_doc(json.loads(Path(args.keys).read_text()))
         except (OSError, json.JSONDecodeError, groups.DocumentInvalid) as exc:
-            print(f"error: cannot read key file: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+            raise _Refused(f"cannot read key file: {exc}") from exc
     else:
         try:
             params = groups.generate_params(args.bits, seed=args.seed)
         except ValueError as exc:
-            print(f"error: --bits: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+            raise _Refused(f"--bits: {exc}") from exc
         keys = groups.keygen(params, rng_seed=args.seed + 1)
     _write_output(args.save_keys, groups.key_doc(params, keys))
     rng = random.Random(args.seed + 2)
@@ -192,8 +187,7 @@ def cmd_verify_linear(args) -> int:
             json.loads(Path(args.statement).read_text())
         )
     except (OSError, json.JSONDecodeError, groups.DocumentInvalid) as exc:
-        print(f"error: cannot read statement: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Refused(f"cannot read statement: {exc}") from exc
     ok = zkp.verify_linear(params, pk, statement, proof)
     _write_output(args.output, {"accepted": ok})
     print("accept" if ok else "reject")
@@ -205,18 +199,14 @@ def cmd_verify_linear(args) -> int:
 
 def _parse_bits(text: str) -> list[int]:
     if any(ch not in "01" for ch in text):
-        raise ValueError(f"bit string must be 0/1, got {text!r}")
+        raise _Refused(f"bit string must be 0/1, got {text!r}")
     return [int(ch) for ch in text]
 
 
 def cmd_lwe_match(args) -> int:
-    try:
-        template = _parse_bits(args.template)
-        probe = _parse_bits(args.probe)
-        params = lwe.PROFILES[args.profile]  # the parser's choices refuse an unknown profile
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    template = _parse_bits(args.template)
+    probe = _parse_bits(args.probe)
+    params = lwe.PROFILES[args.profile]  # the parser's choices refuse an unknown profile
     try:
         keys = lwe.lwe_keygen(params, args.seed)
         result = biometrics.encrypted_match(
@@ -224,11 +214,9 @@ def cmd_lwe_match(args) -> int:
             rng_seed=args.seed + 1,
         )
     except (lwe.VectorTooLong, lwe.PlaintextOutOfRange, biometrics.DimensionMismatch) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Refused(str(exc)) from exc
     doc = {"result": result.value, "threshold": args.threshold, "profile": args.profile}
-    print(json.dumps(doc, indent=2, sort_keys=True))
-    _write_output(args.output, doc)
+    _show(doc, args.output)
     return EXIT_OK
 
 
@@ -245,15 +233,11 @@ _KIND_ALIASES.update({
 def cmd_slash_demo(args) -> int:
     kind = _KIND_ALIASES.get(args.kind.lower())
     if kind is None:
-        print(f"error: unknown perpetration kind {args.kind!r}; one of "
-              f"{sorted(_KIND_ALIASES)}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Refused(f"unknown perpetration kind {args.kind!r}; one of {sorted(_KIND_ALIASES)}")
     if args.repeat < 1:
-        print("error: --repeat must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Refused("--repeat must be at least 1")
     if args.repeat > MAX_REPEAT:
-        print(f"error: --repeat must be at most {MAX_REPEAT}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Refused(f"--repeat must be at most {MAX_REPEAT}")
     blacklist = slashing.Blacklist()
     spec = slashing.PERPETRATION_TABLE[kind]
     print(f"{kind.value}: severity {spec.severity}, scalable {spec.scalable}")
@@ -338,7 +322,13 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except OSError as exc:  # each command catches its own read errors, so this is a write
+    except _Refused as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except netsim.InvariantViolation as exc:
+        print(f"invariant violation: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
+    except OSError as exc:  # each command refuses its own read errors, so this is a write
         print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -51,8 +51,10 @@ class FeeBreakdown:
 
 
 def parse_finite(text, name: str) -> Decimal:
-    """Decimal(text), or a ValueError naming name when text is not a finite number."""
-    value = Decimal(text, Context(traps=[]))  # malformed text reads as NaN
+    """Decimal(text), or a ValueError naming name when text is not a finite number;
+    a JSON true or array is refused, not read as 1 or as Decimal's tuple form."""
+    readable = type(text) in (str, int, float)  # type(True) is bool
+    value = Decimal(text if readable else "NaN", Context(traps=[]))  # malformed text reads as NaN
     if not value.is_finite():
         raise ValueError(f"{name}: {text!r} is not a finite number")
     return value

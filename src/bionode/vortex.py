@@ -204,7 +204,6 @@ def min_approving_yes(eligible_power: int) -> int:
 
 @dataclass
 class GovernorRecord:
-    node_id: str
     role: Role = Role.HumanNode
     governing_since: int = 0
     formation_participant: bool = False
@@ -304,7 +303,7 @@ class Vortex:
         if node_id in self.governors:
             # a fresh record would orphan the delegations that point at it
             raise AlreadyRegistered(f"{node_id} is already registered")
-        record = GovernorRecord(node_id=node_id, governing_since=now)
+        record = GovernorRecord(governing_since=now)
         self.governors[node_id] = record
         self._role_counts[record.role.value] += 1
         return record

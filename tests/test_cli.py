@@ -1,5 +1,6 @@
 """CLI surface: exit codes, output documents, determinism."""
 
+import ast
 import contextlib
 import hashlib
 import io
@@ -91,6 +92,8 @@ class TestFeeQuote:
         ("compute_usd", "x"),
         ("storage_gb_hour_usd", "Infinity"),
         ("hmnd_per_usd", "NaN"),
+        ("compute_usd", True),
+        ("hmnd_per_usd", [0, [1], 0]),
     ])
     def test_non_numeric_price_names_field_and_file(self, tmp_path, capsys, field, value):
         provider = {"compute_usd": "1", "storage_gb_hour_usd": "1"}
@@ -108,6 +111,12 @@ class TestFeeQuote:
     def test_non_finite_option_names_option_and_value(self, capsys, option, value):
         assert run_cli("fee-quote", option, value) == 1
         assert capsys.readouterr().err == f"error: {option}: {value!r} is not a finite number\n"
+
+    def test_no_validators_exits_one(self, capsys):
+        assert run_cli("fee-quote", "--validators", "0") == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: at least one validator processes a transaction\n"
+        assert captured.out == ""
 
 
 class TestScoreModalities:
@@ -168,14 +177,20 @@ class TestProveVerify:
         assert run_cli("verify-linear", str(stmt)) == 3
         assert "reject" in capsys.readouterr().out
 
-    def test_missing_key_file(self, tmp_path):
+    def test_missing_key_file(self, tmp_path, capsys):
         assert run_cli(
             "prove-linear", "--inputs", "1", "--coeffs", "1",
             "--keys", str(tmp_path / "nope.json"), "--output", str(tmp_path / "s.json"),
         ) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot read key file: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
 
-    def test_mismatched_lengths(self, tmp_path):
+    def test_mismatched_lengths(self, tmp_path, capsys):
         assert run_cli("prove-linear", "--inputs", "1,2", "--coeffs", "3") == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: --inputs and --coeffs must be non-empty, same length\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("option, other", [("--inputs", "--coeffs"), ("--coeffs", "--inputs")])
     @pytest.mark.parametrize("value, entry", [("1,x", "x"), ("1, 2.5", " 2.5")])
@@ -401,13 +416,20 @@ class TestRunSim:
         assert done.stderr.startswith("error: cannot load scenario:") and "above the bound" in done.stderr
         assert "Traceback" not in done.stderr and done.stdout == ""
 
-    def test_malformed_scenario(self, tmp_path):
+    def test_malformed_scenario(self, tmp_path, capsys):
         bad = tmp_path / "broken.json"
         bad.write_text("{oops")
         assert run_cli("run-sim", str(bad)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: cannot load scenario: Expecting property name enclosed "
+                                "in double quotes: line 1 column 2 (char 1)\n")
+        assert captured.out == ""
 
-    def test_missing_scenario(self):
+    def test_missing_scenario(self, capsys):
         assert run_cli("run-sim", "/nonexistent/x.json") == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot load scenario: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
 
     @pytest.mark.parametrize("extra", [
         {"ticket_validity_slots": "abc"},
@@ -606,9 +628,17 @@ class TestLweMatch:
         doc = json.loads(capsys.readouterr().out)
         assert doc["result"] == "no_match"
 
-    def test_bad_bits(self):
-        assert run_cli("lwe-match", "--template", "10x1", "--probe", "1011",
+    @pytest.mark.parametrize("template, probe, message", [
+        ("10x1", "1011", "bit string must be 0/1, got '10x1'"),
+        ("1" * 40, "1" * 40, "40 bits exceed d/2 = 32"),
+        ("1011", "101", "template and probe lengths differ"),
+    ], ids=["not-bits", "too-long", "lengths-differ"])
+    def test_bad_bits(self, template, probe, message, capsys):
+        assert run_cli("lwe-match", "--template", template, "--probe", probe,
                        "--threshold", "1") == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
 
 
 # Written out here, not read from bionode/data/slashing_table.json, so that
@@ -640,8 +670,16 @@ class TestSlashDemo:
         assert [r["period_months"] for r in doc["progression"]] == periods
         assert doc["progression"][0]["effects"] == effects
 
-    def test_unknown_kind(self):
+    def test_unknown_kind(self, capsys):
         assert run_cli("slash-demo", "--kind", "jaywalking") == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: unknown perpetration kind 'jaywalking'; one of ['failedformationdelivery', "
+            "'false-transaction', 'falsetransaction', 'mismatchedproposaltype', "
+            "'mismatchedproposaltypenoright', 'missed-verification', 'missedmonthlyverification', "
+            "'offline48h', 'uptime', 'uptimebelow91']\n"
+        )
+        assert captured.out == ""
 
     def test_long_repeat_costs_constant_time_per_offense(self, tmp_path):
         """A slash reads the node's count of that kind and indexes the kind's
@@ -722,6 +760,42 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+def failures_outside_main(path: Path) -> list[str]:
+    """function:line of each print(..., file=sys.stderr) and each return of
+    EXIT_USAGE or EXIT_INVARIANT in a function other than main. A call such as
+    _Parser.error's self.exit(EXIT_USAGE, ...) is argparse's hook, not a return."""
+    found = []
+    for func in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) or func.name == "main":
+            continue
+        for node in ast.walk(func):
+            to_stderr = (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                         and node.func.id == "print"
+                         and any(k.arg == "file" and ast.unparse(k.value) == "sys.stderr"
+                                 for k in node.keywords))
+            exits = isinstance(node, ast.Return) and node.value is not None and any(
+                isinstance(n, ast.Name) and n.id in ("EXIT_USAGE", "EXIT_INVARIANT")
+                for n in ast.walk(node.value))
+            if to_stderr or exits:
+                found.append(f"{func.name}:{node.lineno}")
+    return found
+
+
+def test_only_main_turns_a_failure_into_an_exit_code_and_error_line():
+    """A command refuses by raising; main alone prints the line and picks the code."""
+    assert failures_outside_main(Path(cli.__file__)) == []
+
+
+def test_a_refusal_outside_main_is_found(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "def cmd(args):\n    print('error: x', file=sys.stderr)\n    return EXIT_USAGE\n\n\n"
+        "def check(ok):\n    return EXIT_OK if ok else EXIT_INVARIANT\n\n\n"
+        "def main():\n    print('error: x', file=sys.stderr)\n    return EXIT_USAGE\n"
+    )
+    assert set(failures_outside_main(module)) == {"cmd:2", "cmd:3", "check:7"}
 
 
 # Every committed document, with the command that reads it; the document's

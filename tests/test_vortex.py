@@ -461,7 +461,6 @@ class TestTiers:
     def record(self, years, formation=True, approved=True):
         """A Governor that has governed for years at now=0."""
         return GovernorRecord(
-            node_id="n",
             role=Role.Governor,
             governing_since=-years * YEAR_SECONDS,
             formation_participant=formation,
@@ -610,11 +609,11 @@ class TestGovernorCount:
             governors = [r for r in dao.governors.values() if r.role is Role.Governor]
             assert dao.governor_count() == len(governors)
             # every delegated unit sits with a Governor, so none is lost
-            for r in dao.governors.values():
+            for nid, r in dao.governors.items():
                 if r.delegated_to is not None:
                     assert r.role is Role.Delegator
                     assert dao.governors[r.delegated_to].role is Role.Governor
-                    assert r.node_id in dao.governors[r.delegated_to].delegations_received
+                    assert nid in dao.governors[r.delegated_to].delegations_received
             participants = sum(
                 1 for r in dao.governors.values() if r.role in (Role.Governor, Role.Delegator)
             )
