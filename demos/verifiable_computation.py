@@ -14,26 +14,15 @@ from bionode.zkp import (
     conv_as_linear,
     prove_linear,
     verify_linear,
-    vss_commit,
-    vss_verify_share,
-    poly_eval,
 )
 
 params = generate_params(64, seed=42)
 pair = keygen(params, rng_seed=1)
 print(f"group: {params.p.bit_length()}-bit modulus, order {params.q}")
 
-# --- commit to the coefficients so everyone can check shares against them --
-
-coefficients = [3, 1, 4]
-commitment = vss_commit(params, coefficients)
-share_x = 12
-share_y = poly_eval(coefficients, share_x, params.q)
-print("share verifies:", vss_verify_share(params, commitment, (share_x, share_y)))
-print("forged share verifies:", vss_verify_share(params, commitment, (share_x, share_y + 1)))
-
 # --- prove y = 3*x1 + 1*x2 + 4*x3 without revealing x or y ----------------
 
+coefficients = [3, 1, 4]
 rng = random.Random(2)
 inputs = [5, 11, 2]
 nonces = [rng.randrange(1, params.q) for _ in inputs]

@@ -3,7 +3,7 @@
 Subsystems:
 
 * groups / zkp  -- prime-order group ElGamal and verifiable encrypted
-  linear computation (Feldman commitments + Chaum-Pedersen equality proof)
+  linear computation (Chaum-Pedersen equality proof)
 * lwe           -- ring-LWE homomorphic encryption with inner-product
   packing for encrypted template matching
 * biometrics    -- cosine matching, quantization, encrypted matching,

@@ -62,7 +62,7 @@ def cmd_run_sim(args) -> int:
         if args.seed is not None:
             config = dataclasses.replace(config, seed=args.seed)
         sim = netsim.run(config)  # Simulation(config) checks the config before the first event
-    except (OSError, json.JSONDecodeError, netsim.ConfigInvalid) as exc:
+    except (OSError, json.JSONDecodeError, groups.DocumentInvalid) as exc:
         raise _Refused(f"cannot load scenario: {exc}") from exc
     report = json.dumps(sim.report(), indent=2, sort_keys=True)
     if args.output:

@@ -17,6 +17,9 @@ import json
 from dataclasses import dataclass
 from decimal import ROUND_CEILING, Context, Decimal
 from importlib import resources
+from pathlib import Path
+
+from .groups import DocumentInvalid, each, field
 
 
 class DeclineOutOfRange(Exception):
@@ -50,40 +53,31 @@ class FeeBreakdown:
     data_size_gb: Decimal
 
 
-def parse_finite(text, name: str) -> Decimal:
-    """Decimal(text), or a ValueError naming name when text is not a finite number;
+def parse_finite(text, name: str | None = None) -> Decimal:
+    """Decimal(text), refused (by name, when one is given) unless text is a finite number;
     a JSON true or array is refused, not read as 1 or as Decimal's tuple form."""
     readable = type(text) in (str, int, float)  # type(True) is bool
     value = Decimal(text if readable else "NaN", Context(traps=[]))  # malformed text reads as NaN
     if not value.is_finite():
-        raise ValueError(f"{name}: {text!r} is not a finite number")
+        raise DocumentInvalid(f"{text!r} is not a finite number", [name] if name else [])
     return value
 
 
 def load_quote(path: str | None = None) -> PriceQuote:
-    """Read a provider quote file; the highest quoted prices win."""
-    if path is None:
-        text = resources.files("bionode.data").joinpath("price_quote.json").read_text()
-    else:
-        with open(path) as fh:
-            text = fh.read()
-    doc = json.loads(text)
-
-    def price(entry: dict, key: str) -> Decimal:
-        return parse_finite(entry[key], f"{path or 'quote'}: {key}")
-
+    """Read a provider quote file; the highest quoted prices win. A malformed
+    field is refused naming the file and the field's path."""
+    source = resources.files("bionode.data").joinpath("price_quote.json") if path is None else Path(path)
+    doc = json.loads(source.read_text())
     try:
-        providers = doc["providers"]
+        providers = field(doc, "providers", each(lambda p: (field(p, "compute_usd", parse_finite),
+                                                           field(p, "storage_gb_hour_usd", parse_finite))))
         if not providers:
-            raise ValueError("quote file lists no providers")
-        return PriceQuote(
-            compute_cost_per_tx_usd=max(price(p, "compute_usd") for p in providers),
-            storage_cost_gb_hour_usd=max(price(p, "storage_gb_hour_usd") for p in providers),
-            hmnd_per_usd=price(doc, "hmnd_per_usd"),
-            timestamp=doc.get("timestamp", ""),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed quote: {exc!r}") from exc
+            raise DocumentInvalid("expected a non-empty list, got []", ["providers"])
+        hmnd_per_usd = field(doc, "hmnd_per_usd", parse_finite)
+    except DocumentInvalid as exc:
+        raise DocumentInvalid(f"{path or 'quote'}: {exc}") from exc
+    compute, storage = zip(*providers)
+    return PriceQuote(max(compute), max(storage), hmnd_per_usd, doc.get("timestamp", ""))
 
 
 def _usd_to_units_ceil(usd: Decimal, hmnd_per_usd: Decimal) -> int:

@@ -6,9 +6,10 @@ Messages are group elements; integer payloads are carried in the exponent
 subgroup. All randomness is drawn from explicitly seeded generators, which
 makes every operation replayable.
 
-A GroupParams is valid by construction: building one raises DocumentInvalid
-unless p = 2q + 1 is a safe prime (the pinned 1024-bit one is known by value)
-and g != 1 is a quadratic residue. The subgroup is then exactly the quadratic
+A GroupParams is valid by construction: building one raises DocumentInvalid (the
+one refusal of a params, key, statement, quote or scenario document) unless
+p = 2q + 1 is a safe prime (the pinned 1024-bit one is known by value) and
+g != 1 is a quadratic residue. The subgroup is then exactly the quadratic
 residues: x^q = (x|p) for 0 < x < p by Euler's criterion, so membership is a
 Jacobi symbol (jacobi), not a full-size power. The same identity gives
 x^(q-k) = (x|p) * (x^-1)^k for 0 < x < p, in the subgroup or not: hom_scalar
@@ -32,13 +33,15 @@ last four bases.
 params_doc / read_params_doc are the codec of the params document {"p", "q",
 "g", "pk"}; a key file adds "sk". Reading builds the group, so checks it, and
 adds the document rules: p has MIN_GROUP_BITS to MAX_GROUP_BITS bits, pk != 1
-is a member, and a key file's pk is g^sk. Bad documents raise DocumentInvalid.
+is a member, and a key file's pk is g^sk. field reads every field of the params, key,
+statement, quote and scenario documents; DocumentInvalid refuses any of them.
 """
 
 from __future__ import annotations
 
 import functools
 import random
+from contextlib import suppress
 from dataclasses import dataclass
 
 
@@ -59,7 +62,16 @@ class ParamsMismatch(GroupError):
 
 
 class DocumentInvalid(ValueError):
-    """A params, key or statement document is malformed or names an invalid group."""
+    """A params, key, statement, quote or scenario document that is malformed, named by the path
+    from its root to the field (`inputs[0].d: missing`), or breaks a rule, named by its message alone."""
+
+    def __init__(self, problem: str, path: list | None = None):
+        super().__init__(problem)
+        self.path = path  # keys from the root, an int for a list index; None for a broken rule
+
+    def __str__(self) -> str:
+        steps = "".join(f"[{k}]" if type(k) is int else f".{k}" for k in self.path or ())
+        return f"{steps.removeprefix('.')}: {self.args[0]}" if steps else self.args[0]
 
 
 MIN_GROUP_BITS = 16  # the smallest p that generate_params builds and a document may name
@@ -336,11 +348,64 @@ def hom_scalar(ct: Ciphertext, k: int) -> Ciphertext:
     return Ciphertext(c=c, d=d, params=ct.params)
 
 
+def field(doc, key, kind, default=...):
+    """kind(doc[key]) for a JSON object doc (or a list and an index), or kind(default) when doc has no
+    key, which a default of ... refuses. A refusal is a DocumentInvalid whose path gains key as it
+    passes, so a valid document builds none."""
+    try:
+        value = doc[key]
+    except KeyError:
+        if default is ...:
+            raise DocumentInvalid("missing", [key]) from None
+        value = default
+    except TypeError:  # doc is not an object
+        raise expected("an object", doc) from None
+    try:
+        return kind(value)
+    except DocumentInvalid as exc:
+        if exc.path is not None:
+            exc.path.insert(0, key)
+        raise
+
+
+def fields(doc, kinds: dict) -> dict:
+    """{key: field(doc, key, kind)} for each key of kinds that the JSON object doc has."""
+    return {key: field(doc, key, kind) for key, kind in kinds.items() if key in _object(doc)}
+
+
+def expected(kind: str, value) -> DocumentInvalid:
+    return DocumentInvalid(f"expected {kind}, got {value!r:.40}", [])
+
+
+def typed(cls, kind: str):
+    """The kind of a JSON value that is a cls, such as str; any other is refused as not `kind`."""
+    def read(value):
+        if isinstance(value, cls):
+            return value
+        raise expected(kind, value)
+    return read
+
+
+_object, _list = typed(dict, "an object"), typed(list, "a list")
+
+
+def each(kind):
+    """The kind of a JSON list of items of kind, read as a tuple; a refusal names the item's index."""
+    def read(value) -> tuple:
+        items = _list(value)
+        try:
+            return tuple([kind(item) for item in items])
+        except DocumentInvalid:  # read again, item by item, to name the refused one
+            return tuple(field(items, i, kind) for i in range(len(items)))
+    return read
+
+
 def doc_int(value) -> int:
-    """A decimal string or a JSON integer; TypeError or ValueError otherwise."""
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise TypeError(f"not an integer: {value!r:.40}")
-    return int(value)
+    """A decimal string or a JSON integer."""
+    if not isinstance(value, bool) and isinstance(value, (int, str)):
+        with suppress(ValueError):  # a string of no integer
+            return int(value)
+    raise expected("an integer", value)
 
 
 def params_doc(params: GroupParams, pk: int) -> dict:
@@ -349,10 +414,7 @@ def params_doc(params: GroupParams, pk: int) -> dict:
 
 def read_params_doc(doc) -> tuple[GroupParams, int]:
     """The inverse of params_doc; the group and the key must be valid."""
-    try:
-        p, q, g, pk = (doc_int(doc[k]) for k in ("p", "q", "g", "pk"))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DocumentInvalid(f"malformed params: {exc!r}") from exc
+    p, q, g, pk = (field(doc, k, doc_int) for k in ("p", "q", "g", "pk"))
     if p.bit_length() < MIN_GROUP_BITS:
         raise DocumentInvalid(f"p has fewer than {MIN_GROUP_BITS} bits")
     if p.bit_length() > MAX_GROUP_BITS:  # refused before GroupParams tests a prime of that size
@@ -369,10 +431,7 @@ def key_doc(params: GroupParams, keys: KeyPair) -> dict:
 
 def read_key_doc(doc) -> tuple[GroupParams, KeyPair]:
     params, pk = read_params_doc(doc)
-    try:
-        sk = doc_int(doc["sk"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DocumentInvalid(f"malformed sk: {exc!r}") from exc
+    sk = field(doc, "sk", doc_int)
     if pow(params.g, sk, params.p) != pk:
         raise DocumentInvalid("pk is not g^sk")
     return params, KeyPair(sk=sk, pk=pk)

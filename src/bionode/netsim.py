@@ -35,6 +35,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from . import biometrics, lwe, vortex
+from .groups import DocumentInvalid, each, expected, field, fields, typed
 from .fath import LedgerSnapshot, PeriodStats, run_period
 from .slashing import MONTH_SECONDS, Blacklist, Effect, PerpetrationKind
 from .vortex import TierInsufficient, Vortex
@@ -45,10 +46,6 @@ UPTIME_FLOOR = 0.91
 VAULT_SHARE_PERCENT = 2
 TEMPLATE_BITS = 4  # length of a node's biometric template in the crypto pipeline
 MAX_NODES, MAX_SLOTS = 100_000, 1_000_000  # a scenario's size; slots count epochs x slots_per_epoch
-
-
-class ConfigInvalid(Exception):
-    pass
 
 
 class InvariantViolation(Exception):
@@ -95,41 +92,36 @@ def distribute_fees(
 
 
 def _int(value) -> int:
-    """A JSON integer field: a bool, a string or a non-integral number is rejected, not coerced."""
+    """A JSON integer field: a bool, a string or a non-integral number is refused, not coerced."""
     if type(value) is int or type(value) is float and value.is_integer():  # type(True) is bool
         return int(value)
-    raise ConfigInvalid(f"expected an integer, got {value!r}")
+    raise expected("an integer", value)
 
 
-def _node(value, name: str = "a fault's node") -> str:
-    """A node id: a JSON string, so a list or an object is rejected here."""
-    if not isinstance(value, str):
-        raise ConfigInvalid(f"{name} must be a string, got {value!r}")
-    return value
+def _name_of(enum):
+    """The kind of a JSON string naming a member of enum."""
+    def read(name):
+        if isinstance(name, str) and name in enum.__members__:
+            return enum[name]
+        raise DocumentInvalid(f"{name!r:.40} is not one of {', '.join(enum.__members__)}", [])
+    return read
+
+
+_node, _bool, _object = typed(str, "a node id"), typed(bool, "true or false"), typed(dict, "an object")
+_tier, _proposal_type = _name_of(vortex.Tier), _name_of(vortex.ProposalType)
 
 
 def _check_size(num_nodes: int, slots_per_epoch: int, epochs: int) -> None:
     if num_nodes > MAX_NODES:
-        raise ConfigInvalid(f"num_nodes is {num_nodes}, above the bound of {MAX_NODES}")
+        raise DocumentInvalid(f"num_nodes is {num_nodes}, above the bound of {MAX_NODES}")
     if epochs * max(slots_per_epoch, 1) > MAX_SLOTS:  # an epoch has at least one slot
-        raise ConfigInvalid(f"{epochs} epochs of {slots_per_epoch} slots are above the bound of {MAX_SLOTS} slots")
-
-
-def _list(value, name: str) -> list:
-    """A JSON array field: a string or an object is rejected, not read as empty."""
-    if not isinstance(value, list):
-        raise ConfigInvalid(f"{name} must be a list, got {value!r}")
-    return value
+        raise DocumentInvalid(f"{epochs} epochs of {slots_per_epoch} slots are above the bound of {MAX_SLOTS} slots")
 
 
 class OfflineWindow(NamedTuple):  # a named tuple: read-only, and cheap to build from a scenario
     node: str
     from_slot: int
     to_slot: int  # exclusive
-
-    @classmethod
-    def read(cls, doc) -> "OfflineWindow":
-        return cls(_node(doc["node"]), _int(doc["from_slot"]), _int(doc["to_slot"]))
 
 
 class Governance(NamedTuple):
@@ -142,32 +134,38 @@ class Governance(NamedTuple):
     proposals: tuple[tuple[int, str, vortex.ProposalType, int, int], ...] = ()
 
 
+def _pair(value) -> tuple[str, str]:
+    if isinstance(value, list) and len(value) == 2 and isinstance(value[0], str) and isinstance(value[1], str):
+        return tuple(value)
+    raise expected("a [delegator, delegatee] pair of node ids", value)
+
+
+def _proposal(doc) -> tuple[int, str, vortex.ProposalType, int, int]:
+    if "pool_upvotes" in _object(doc):
+        raise DocumentInvalid("cannot be set; the pool threshold upvotes every proposal", ["pool_upvotes"])
+    return (field(doc, "epoch", _int), field(doc, "proposer", _node), field(doc, "type", _proposal_type),
+            field(doc, "yes", _int, 0), field(doc, "no", _int, 0))
+
+
+_GOVERNANCE = {"governors": lambda ids: ids if ids == "all" else each(_node)(ids),
+               "tiers": lambda tiers: tuple((nid, field(tiers, nid, _tier)) for nid in _object(tiers)),
+               "delegations": each(_pair), "proposals": each(_proposal)}
+
+
 def read_governance(raw) -> Governance:
-    """The governance section's JSON, its shape checked by name: null and {} mean
-    none, and a section that names no governors promotes every node."""
+    """The governance section's JSON: null and {} mean none, and a section that
+    names no governors promotes every node."""
     if raw is None or raw == {}:
         return Governance()
-    if not isinstance(raw, dict) or not isinstance(raw.get("tiers", {}), dict):
-        raise ConfigInvalid("governance and its tiers must be objects")
-    try:
-        chosen, pairs = raw.get("governors", "all"), _list(raw.get("delegations", []), "governance.delegations")
-        if bad := [pair for pair in pairs if not isinstance(pair, list) or len(pair) != 2]:
-            raise ConfigInvalid(f"each of governance.delegations must be a [delegator, delegatee] pair, got {bad[0]!r}")
-        proposals = _list(raw.get("proposals", []), "governance.proposals")
-        for item in proposals:
-            if not isinstance(item, dict) or not isinstance(item["proposer"], str):
-                raise ConfigInvalid(f"a proposal must be an object naming its proposer: {item!r}")
-            if "pool_upvotes" in item:
-                raise ConfigInvalid(f"a proposal cannot set pool_upvotes; the pool threshold upvotes it: {item!r}")
-        return Governance(
-            chosen if chosen == "all" else tuple(_node(n, "a governor") for n in _list(chosen, "governance.governors")),
-            tuple((nid, vortex.Tier[name]) for nid, name in raw.get("tiers", {}).items()),
-            tuple((_node(a, "a delegator"), _node(b, "a delegatee")) for a, b in pairs),
-            tuple((_int(p["epoch"]), p["proposer"], vortex.ProposalType[p["type"]], _int(p.get("yes", 0)),
-                   _int(p.get("no", 0))) for p in proposals),
-        )
-    except (KeyError, TypeError) as exc:  # a missing key, or an unknown or unhashable name
-        raise ConfigInvalid(f"bad governance section: {exc}") from exc
+    return Governance(**{"governors": "all", **fields(raw, _GOVERNANCE)})
+
+
+# The optional fields of a scenario and of its faults section, each read into SimConfig's argument of that name.
+_SCENARIO = {"seed": _int, "slot_seconds": _int, "ticket_validity_slots": lambda n: None if n is None else _int(n),
+             "initial_balance": _int, "fath_period_epochs": _int, "crypto_pipeline": _bool, "governance": read_governance}
+_WINDOWS = each(lambda w: OfflineWindow(field(w, "node", _node), field(w, "from_slot", _int), field(w, "to_slot", _int)))
+_FAULTS = {"offline": _WINDOWS, "bioauth_fail": _WINDOWS,
+           "false_transaction": each(lambda tx: (field(tx, "node", _node), field(tx, "slot", _int)))}
 
 
 @dataclass(frozen=True)
@@ -202,39 +200,17 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SimConfig":
-        try:
-            fees = doc.get("fees_per_epoch", 0)
-            num_nodes, slots_per_epoch, epochs = _int(doc["num_nodes"]), _int(doc["slots_per_epoch"]), _int(doc["epochs"])
-            _check_size(num_nodes, slots_per_epoch, epochs)
-            if isinstance(fees, (int, float)):
-                fees = [_int(fees)] * epochs  # _int refuses a bool and a non-integral number
-            faults = doc.get("faults", {})
-            if not isinstance(faults, dict):
-                raise ConfigInvalid("faults must be an object")
-            crypto_pipeline = doc.get("crypto_pipeline", False)
-            if not isinstance(crypto_pipeline, bool):
-                raise ConfigInvalid("crypto_pipeline must be true or false")
-            validity = doc.get("ticket_validity_slots")
-            return cls(
-                seed=_int(doc.get("seed", 0)),
-                num_nodes=num_nodes,
-                slots_per_epoch=slots_per_epoch,
-                epochs=epochs,
-                slot_seconds=_int(doc.get("slot_seconds", SLOT_SECONDS_DEFAULT)),
-                ticket_validity_slots=None if validity is None else _int(validity),
-                initial_balance=_int(doc.get("initial_balance", 1_000_000)),
-                fees_per_epoch=tuple(_int(f) for f in _list(fees, "fees_per_epoch")),
-                fath_period_epochs=_int(doc.get("fath_period_epochs", 1)),
-                crypto_pipeline=crypto_pipeline,
-                offline=tuple(map(OfflineWindow.read, _list(faults.get("offline", []), "faults.offline"))),
-                bioauth_fail=tuple(map(OfflineWindow.read, _list(faults.get("bioauth_fail", []), "faults.bioauth_fail"))),
-                false_transaction=tuple((_node(m["node"]), _int(m["slot"]))
-                                        for m in _list(faults.get("false_transaction", []), "faults.false_transaction")),
-                governance=read_governance(doc.get("governance")),
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            # OverflowError: an epoch count too large to index a list
-            raise ConfigInvalid(str(exc)) from exc
+        """Read a scenario document: a field it leaves out keeps its default here, and a
+        malformed one is refused with DocumentInvalid naming its path (groups.field)."""
+        num_nodes, slots_per_epoch, epochs = (field(doc, k, _int) for k in ("num_nodes", "slots_per_epoch", "epochs"))
+        _check_size(num_nodes, slots_per_epoch, epochs)
+
+        def fees(value) -> tuple[int, ...]:  # a scalar is every epoch's fee; validate() refuses a negative epoch count
+            return (_int(value),) * max(epochs, 0) if isinstance(value, (int, float)) else each(_int)(value)
+
+        return cls(num_nodes=num_nodes, slots_per_epoch=slots_per_epoch, epochs=epochs,
+                   fees_per_epoch=field(doc, "fees_per_epoch", fees, 0), **fields(doc, _SCENARIO),
+                   **field(doc, "faults", lambda faults: fields(faults, _FAULTS), {}))
 
     def validate(self) -> tuple[Vortex, list[str]]:
         """Apply every cross-field rule and seat the governance section on a fresh
@@ -243,73 +219,76 @@ class SimConfig:
         registered in id order), and its Governor roll in id order."""
         _check_size(self.num_nodes, self.slots_per_epoch, self.epochs)
         if self.num_nodes < 1:
-            raise ConfigInvalid("need at least one node")
+            raise DocumentInvalid("need at least one node")
         if self.slots_per_epoch < 1 or self.epochs < 0:
-            raise ConfigInvalid("bad epoch geometry")
+            raise DocumentInvalid("bad epoch geometry")
         if not 1 <= self.slot_seconds <= MONTH_SECONDS:
-            raise ConfigInvalid(f"slot_seconds must be between 1 and a month ({MONTH_SECONDS})")
+            raise DocumentInvalid(f"slot_seconds must be between 1 and a month ({MONTH_SECONDS})")
         if len(self.fees_per_epoch) != self.epochs:
-            raise ConfigInvalid("fees_per_epoch length must equal epochs")
+            raise DocumentInvalid("fees_per_epoch length must equal epochs")
         if self.fath_period_epochs < 1:
-            raise ConfigInvalid("fath_period_epochs must be positive")
+            raise DocumentInvalid("fath_period_epochs must be positive")
         if any(f < 0 for f in self.fees_per_epoch):
-            raise ConfigInvalid("fees cannot be negative")
+            raise DocumentInvalid("fees cannot be negative")
         if self.initial_balance < 0:
-            raise ConfigInvalid("initial_balance cannot be negative")
+            raise DocumentInvalid("initial_balance cannot be negative")
         if self.ticket_validity_slots is not None and self.ticket_validity_slots < 1:
-            raise ConfigInvalid("ticket_validity_slots must be positive")
+            raise DocumentInvalid("ticket_validity_slots must be positive")
         periods = self.period_fees
         if any(prev and not curr for prev, curr in zip(periods, periods[1:])):
-            raise ConfigInvalid("fees fall to zero over a Fath period: the rebase would wipe out the supply")
+            raise DocumentInvalid("fees fall to zero over a Fath period: the rebase would wipe out the supply")
         ids = self.node_ids
         known = set(ids)
         windows = self.offline + self.bioauth_fail
         for node in [w.node for w in windows] + [node for node, _ in self.false_transaction]:
             if node not in known:
-                raise ConfigInvalid(f"fault names unknown node {node}")
+                raise DocumentInvalid(f"fault names unknown node {node}")
         if any(w.from_slot < 0 for w in windows) or any(s < 0 for _, s in self.false_transaction):
-            raise ConfigInvalid("fault slots cannot be negative")
+            raise DocumentInvalid("fault slots cannot be negative")
         for w in windows:
             if w.to_slot <= w.from_slot:
-                raise ConfigInvalid(f"empty fault window for {w.node}: {w.from_slot}..{w.to_slot}")
+                raise DocumentInvalid(f"empty fault window for {w.node}: {w.from_slot}..{w.to_slot}")
         # Offline48h is fixed per window, so two touching windows would hide
         # a continuous stretch of more than 48 hours offline.
         offline = sorted(self.offline, key=lambda w: (w.node, w.from_slot))
         for prev, nxt in zip(offline, offline[1:]):
             if prev.node == nxt.node and nxt.from_slot <= prev.to_slot:
-                raise ConfigInvalid(f"offline windows for {nxt.node} overlap or touch")
+                raise DocumentInvalid(f"offline windows for {nxt.node} overlap or touch")
         gov = self.governance
         if not isinstance(gov, Governance):  # a raw section must go through read_governance
-            raise ConfigInvalid(f"governance must be a Governance value, got {type(gov).__name__}")
-        for nid in gov.governors if gov.governors != "all" else ():
+            raise DocumentInvalid(f"governance must be a Governance value, got {type(gov).__name__}")
+        named = () if gov.governors == "all" else gov.governors
+        for nid in [*named, *(nid for nid, _ in gov.tiers), *(nid for pair in gov.delegations for nid in pair)]:
             if nid not in known:
-                raise ConfigInvalid(f"governance names unknown node {nid}")
+                raise DocumentInvalid(f"governance names unknown node {nid}")
+        if bad := [tier for _, tier in gov.tiers if not isinstance(tier, vortex.Tier)]:
+            raise DocumentInvalid(f"governance tiers must be Tier values, got {bad[0]!r}")
         dao = Vortex()
-        try:
-            for node_id in ids:
-                dao.register_human_node(node_id, now=0)
-            for node_id in ids if gov.governors == "all" else gov.governors:
-                dao.promote_to_governor(node_id, now=0)
-                dao.seat_tier(node_id, vortex.Tier.Citizen, now=0)
-            for node_id, tier in gov.tiers:
-                dao.seat_tier(node_id, tier, now=0)
-            for delegator, delegatee in gov.delegations:
+        for node_id in ids:
+            dao.register_human_node(node_id, now=0)
+        for node_id in ids if gov.governors == "all" else gov.governors:
+            dao.promote_to_governor(node_id, now=0)
+            dao.seat_tier(node_id, vortex.Tier.Citizen, now=0)
+        for node_id, tier in gov.tiers:
+            dao.seat_tier(node_id, tier, now=0)
+        for i, (delegator, delegatee) in enumerate(gov.delegations):
+            try:
                 dao.delegate(delegator, delegatee)
-        except (KeyError, vortex.VortexError) as exc:  # an unknown node, or a delegation Vortex refuses
-            raise ConfigInvalid(f"bad governance section: {exc}") from exc
+            except vortex.VortexError as exc:  # a delegation Vortex refuses
+                raise DocumentInvalid(str(exc), ["governance", "delegations", i]) from exc
         roll = sorted(nid for nid, r in dao.governors.items() if r.role is vortex.Role.Governor)
         for nid, _ in gov.tiers:  # a tier off the roll would have no effect but show in the report
             if nid not in roll:
-                raise ConfigInvalid(f"governance gives a tier to {nid}, which is not on the governor roll")
+                raise DocumentInvalid(f"governance gives a tier to {nid}, which is not on the governor roll")
         if gov.proposals and not roll:  # no Governor could pull a proposal out of the pool
-            raise ConfigInvalid("governance scripts a proposal but names no governor")
+            raise DocumentInvalid("governance scripts a proposal but names no governor")
         for epoch, proposer, _, yes, no in gov.proposals:
             if proposer not in known:  # the script names no nominator
-                raise ConfigInvalid(f"a proposal's proposer {proposer!r} is not a node")
+                raise DocumentInvalid(f"a proposal's proposer {proposer!r} is not a node")
             if min(epoch, yes, no) < 0:  # the counts are slice bounds in _run_governance
-                raise ConfigInvalid(f"a proposal's epoch and vote counts cannot be negative: {epoch, proposer, yes, no}")
+                raise DocumentInvalid(f"a proposal's epoch and vote counts cannot be negative: {epoch, proposer, yes, no}")
             if yes + no > len(roll):
-                raise ConfigInvalid(f"a proposal casts {yes + no} votes but there are {len(roll)} governors")
+                raise DocumentInvalid(f"a proposal casts {yes + no} votes but there are {len(roll)} governors")
         return dao, roll
 
     @cached_property
@@ -352,7 +331,7 @@ def _covered(windows: dict[str, list[OfflineWindow]], node_id: str, slot: int) -
 
 class Simulation:
     """One run of a config. Building one is where the config is checked: validate()
-    refuses it with ConfigInvalid or seats the DAO; run() raises only InvariantViolation."""
+    refuses it with DocumentInvalid or seats the DAO; run() raises only InvariantViolation."""
 
     def __init__(self, config: SimConfig):
         self.dao, self._roll = config.validate()  # the roll is set once, as the run changes no role
@@ -633,7 +612,4 @@ def run(config: SimConfig) -> Simulation:
 def load_scenario(path: str) -> SimConfig:
     """Read a scenario file and check its JSON shapes; Simulation(config) checks the rest."""
     with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ConfigInvalid("scenario must be a JSON object")
-    return SimConfig.from_dict(doc)
+        return SimConfig.from_dict(json.load(fh))

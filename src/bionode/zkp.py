@@ -3,10 +3,8 @@
 A prover holds inputs x_1..x_n encrypted as ElGamal ciphertexts of g^{x_i}
 and wants to convince anyone that a published output ciphertext encrypts
 g^y for y = sum(a_i * x_i) with public coefficients a_i, without revealing
-the x_i or y. Three pieces cooperate:
+the x_i or y. Two pieces cooperate:
 
-* Feldman-style commitments (vss_commit / vss_verify_share) make the
-  coefficient vector publicly checkable.
 * aggregate() folds the input ciphertexts with the public coefficients:
   C = prod c_i^{a_i}, D = prod d_i^{a_i} is itself an encryption of g^y.
 * A Chaum-Pedersen discrete-log-equality proof on the componentwise
@@ -37,12 +35,13 @@ from dataclasses import dataclass
 
 from .groups import (
     Ciphertext,
-    DocumentInvalid,
     GroupParams,
     ParamsMismatch,
     doc_int,
+    each,
     encode_exponent,
     encrypt_with_nonce,
+    field,
     fixed_base_pow,
     hom_mul,
     hom_scalar,
@@ -74,33 +73,6 @@ class LogEqProof:
     A: int
     B: int
     t: int
-
-
-def vss_commit(params: GroupParams, coefficients: list[int]) -> tuple[int, ...]:
-    """Exponent commitments h_i = g^{a_i}, one per polynomial coefficient."""
-    return tuple(encode_exponent(params, a) for a in coefficients)
-
-
-def poly_eval(coefficients: list[int], x: int, modulus: int) -> int:
-    """Horner evaluation of sum(a_i x^i) mod modulus."""
-    acc = 0
-    for a in reversed(coefficients):
-        acc = (acc * x + a) % modulus
-    return acc
-
-
-def vss_verify_share(
-    params: GroupParams, commitment: tuple[int, ...], share: tuple[int, int]
-) -> bool:
-    """Check g^b == prod h_i^{a^i} for a share (a, b) claimed to be (a, f(a))."""
-    a, b = share
-    lhs = encode_exponent(params, b)
-    rhs = 1
-    power = 1  # a^i mod q
-    for h_i in commitment:
-        rhs = rhs * pow(h_i, power, params.p) % params.p
-        power = power * a % params.q
-    return lhs == rhs
 
 
 def aggregate(params: GroupParams, statement: LinearStatement) -> Ciphertext:
@@ -254,19 +226,15 @@ def statement_doc(
 def read_statement_doc(doc) -> tuple[GroupParams, int, LinearStatement, LogEqProof]:
     """The inverse of statement_doc. The group and the key are validated;
     whether the proof holds is for verify_linear to say."""
-    if not (isinstance(doc, dict) and all(
-        isinstance(doc.get(k), list) for k in ("coefficients", "inputs")
-    )):
-        raise DocumentInvalid("expected an object with lists of coefficients and inputs")
-    params, pk = read_params_doc(doc.get("params"))
-    try:
-        cts = [Ciphertext(doc_int(x["c"]), doc_int(x["d"]), params)
-               for x in [*doc["inputs"], doc["output"]]]
-        coefficients = tuple(doc_int(a) for a in doc["coefficients"])
-        proof = LogEqProof(*(doc_int(doc["proof"][k]) for k in ("A", "B", "t")))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DocumentInvalid(f"malformed statement: {exc!r}") from exc
-    return params, pk, LinearStatement(coefficients, tuple(cts[:-1]), cts[-1]), proof
+    params, pk = field(doc, "params", read_params_doc)
+
+    def ciphertext(ct) -> Ciphertext:
+        return Ciphertext(field(ct, "c", doc_int), field(ct, "d", doc_int), params)
+
+    coefficients = field(doc, "coefficients", each(doc_int))
+    inputs, output = field(doc, "inputs", each(ciphertext)), field(doc, "output", ciphertext)
+    proof = field(doc, "proof", lambda pr: LogEqProof(*(field(pr, k, doc_int) for k in ("A", "B", "t"))))
+    return params, pk, LinearStatement(coefficients, inputs, output), proof
 
 
 def conv_as_linear(n: int, kernel: list[int]) -> list[list[int]]:

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -798,6 +799,49 @@ def test_a_refusal_outside_main_is_found(tmp_path):
     assert set(failures_outside_main(module)) == {"cmd:2", "cmd:3", "check:7"}
 
 
+# Handlers whose caught exception may be a KeyError, which str() renders as a bare quoted key.
+KEY_ERROR_CATCHERS = {"KeyError", "LookupError", "Exception", "BaseException"}
+
+
+def exceptions_shown_in_handlers(path: Path) -> list[str]:
+    """file:line of each place where an except handler formats the exception it
+    caught with !r or repr(), or, when that exception may be a KeyError, with
+    str() or an f-string. A refusal names the field's path, not an exception."""
+    found = []
+    for handler in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(handler, ast.ExceptHandler) or handler.name is None:
+            continue
+        types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+        key_error = any(ast.unparse(t).split(".")[-1] in KEY_ERROR_CATCHERS for t in types)
+        for node in (n for stmt in handler.body for n in ast.walk(stmt)):
+            if isinstance(node, ast.FormattedValue):
+                shown, as_repr = node.value, node.conversion == ord("r")
+            elif isinstance(node, ast.Call) and ast.unparse(node.func) in ("repr", "str") and node.args:
+                shown, as_repr = node.args[0], ast.unparse(node.func) == "repr"
+            else:
+                continue
+            if isinstance(shown, ast.Name) and shown.id == handler.name and (as_repr or key_error):
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_no_handler_shows_an_exception_repr_or_a_bare_key():
+    sources = sorted(Path(cli.__file__).parent.glob("*.py"))
+    assert [hit for path in sources for hit in exceptions_shown_in_handlers(path)] == []
+
+
+def test_a_shown_exception_is_found(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "try:\n    pass\nexcept (KeyError, TypeError) as exc:\n    raise ValueError(f'bad: {exc!r}')\n"
+        "try:\n    pass\nexcept KeyError as exc:\n    raise ValueError(str(exc))\n"
+        "try:\n    pass\nexcept Exception as exc:\n    raise ValueError(f'bad: {exc}')\n"
+        "try:\n    pass\nexcept ValueError as exc:\n    raise ValueError(repr(exc))\n"
+        "try:\n    pass\nexcept ValueError as exc:\n    raise ValueError(f'{exc}: {name!r}')\n"
+    )
+    assert exceptions_shown_in_handlers(module) == ["mod.py:4", "mod.py:8", "mod.py:12", "mod.py:16"]
+
+
 # Every committed document, with the command that reads it; the document's
 # path goes last, and prove-linear writes its statement to --output.
 STATEMENT_64 = GOLDEN / "prove_linear_64.json"
@@ -896,24 +940,84 @@ def argvs(draw, command: str, root: Path):
     return argv
 
 
+def run_on_document(source: Path, doc, directory: Path) -> tuple[int, str]:
+    """Exit code and stderr of the command that reads source, run on doc instead."""
+    path = directory / "document.json"
+    path.write_text(json.dumps(doc))
+    argv = [*FUZZED_DOCUMENTS[source], str(path)]
+    if argv[0] == "prove-linear":
+        argv += ["--output", str(directory / "statement.json")]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run_cli(*argv)
+    return code, err.getvalue()
+
+
+HONEST = SCENARIOS / "honest.json"
+KEYS_64 = GOLDEN / "keys_64.json"
+
+
+def scenario(**fields) -> dict:
+    return {"num_nodes": 3, "slots_per_epoch": 5, "epochs": 1, "fees_per_epoch": 0, **fields}
+
+
+# The committed document a command reads, the refused document, and the error
+# line; {path} is where the document was written.
+REFUSAL_LINES = {
+    "scenario-no-slots": (HONEST, {"num_nodes": 3}, "cannot load scenario: slots_per_epoch: missing"),
+    "epochs-huge-negative": (HONEST, scenario(epochs=-1e30), "cannot load scenario: bad epoch geometry"),
+    "offline-no-to-slot": (HONEST, scenario(faults={"offline": [{"node": "node-01", "from_slot": 1}]}),
+                           "cannot load scenario: faults.offline[0].to_slot: missing"),
+    "offline-text-from-slot": (HONEST, scenario(faults={"offline": [{"node": "node-01", "from_slot": "1", "to_slot": 3}]}),
+                               "cannot load scenario: faults.offline[0].from_slot: expected an integer, got '1'"),
+    "false-tx-no-slot": (HONEST, scenario(faults={"false_transaction": [{"node": "node-01"}]}),
+                         "cannot load scenario: faults.false_transaction[0].slot: missing"),
+    "proposal-no-epoch": (HONEST, scenario(governance={"proposals": [{"proposer": "node-01", "type": "Product"}]}),
+                          "cannot load scenario: governance.proposals[0].epoch: missing"),
+    "proposal-no-type": (HONEST, scenario(governance={"proposals": [{"epoch": 0, "proposer": "node-01"}]}),
+                         "cannot load scenario: governance.proposals[0].type: missing"),
+    "tier-unknown": (HONEST, scenario(governance={"tiers": {"node-01": "Nope"}}),
+                     "cannot load scenario: governance.tiers.node-01: 'Nope' is not one of Citizen, Senator, Legate, Consul"),
+    "delegatee-unknown": (HONEST, scenario(governance={"delegations": [["node-01", "ghost"]]}),
+                          "cannot load scenario: governance names unknown node ghost"),
+    "statement-no-output": (STATEMENT_64, mutate(STATEMENT_64, ("output",), DELETE)[1],
+                            "cannot read statement: output: missing"),
+    "input-no-d": (STATEMENT_64, mutate(STATEMENT_64, ("inputs", 0, "d"), DELETE)[1],
+                   "cannot read statement: inputs[0].d: missing"),
+    "t-null": (STATEMENT_64, mutate(STATEMENT_64, ("proof", "t"), None)[1],
+               "cannot read statement: proof.t: expected an integer, got None"),
+    "coefficient-text": (STATEMENT_64, mutate(STATEMENT_64, ("coefficients", 0), "x")[1],
+                         "cannot read statement: coefficients[0]: expected an integer, got 'x'"),
+    "keys-no-q": (KEYS_64, mutate(KEYS_64, ("q",), DELETE)[1], "cannot read key file: q: missing"),
+    "keys-sk-list": (KEYS_64, mutate(KEYS_64, ("sk",), [1])[1], "cannot read key file: sk: expected an integer, got [1]"),
+    "quote-no-storage": (PRICE_QUOTE, mutate(PRICE_QUOTE, ("providers", 0, "storage_gb_hour_usd"), DELETE)[1],
+                         "{path}: providers[0].storage_gb_hour_usd: missing"),
+    "quote-providers-number": (PRICE_QUOTE, mutate(PRICE_QUOTE, ("providers",), 5)[1],
+                               "{path}: providers: expected a list, got 5"),
+    "quote-no-rate": (PRICE_QUOTE, mutate(PRICE_QUOTE, ("hmnd_per_usd",), DELETE)[1], "{path}: hmnd_per_usd: missing"),
+}
+
+
+@pytest.mark.parametrize("source, doc, line", REFUSAL_LINES.values(), ids=REFUSAL_LINES)
+def test_a_malformed_field_is_refused_by_its_path(source, doc, line, tmp_path):
+    """One line per refusal, naming the field's path and the problem: no
+    exception repr and no bare quoted key."""
+    code, err = run_on_document(source, doc, tmp_path)
+    assert (code, err) == (1, f"error: {line.format(path=tmp_path / 'document.json')}\n")
+
+
 class TestDocumentFuzz:
     # A negative A or B must be refused before the challenge hashes it.
     @example(case=mutate(STATEMENT_64, ("proof", "A"), "-5"))
     @example(case=mutate(STATEMENT_64, ("proof", "B"), "-1"))
+    @example(case=mutate(STATEMENT_64, ("inputs", 0, "d"), DELETE))  # refused by its path, not a KeyError repr
     @settings(max_examples=300, deadline=None)
     @given(case=mutated_documents())
     def test_mutated_document_exits_cleanly(self, case, fuzz_dir):
-        path, doc = case
-        mutated = fuzz_dir / "mutated.json"
-        mutated.write_text(json.dumps(doc))
-        argv = [*FUZZED_DOCUMENTS[path], str(mutated)]
-        if argv[0] == "prove-linear":
-            argv += ["--output", str(fuzz_dir / "statement.json")]
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = run_cli(*argv)
+        code, err = run_on_document(*case, fuzz_dir)
         assert code in (0, 1, 3)
-        assert "Traceback" not in err.getvalue()
+        assert "Traceback" not in err
+        assert not re.search(r"\b\w+Error\(", err), err
 
     @pytest.mark.parametrize("command", ARGV_SURFACE)
     @settings(max_examples=150, deadline=None)

@@ -250,7 +250,7 @@ class TestSerialization:
     def test_non_integer_rejected(self, value):
         params = generate_params(32, seed=1)
         doc = {**params_doc(params, keygen(params, 2).pk), "g": value}
-        with pytest.raises(DocumentInvalid, match="params"):
+        with pytest.raises(DocumentInvalid, match="^g: expected an integer, got "):
             read_params_doc(doc)
 
     def test_missing_sk_rejected(self):

@@ -29,8 +29,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bionode import netsim
+from bionode.groups import DocumentInvalid
 from bionode.netsim import (
-    ConfigInvalid,
     Governance,
     OfflineWindow,
     SimConfig,
@@ -273,11 +273,11 @@ class TestDeterminism:
 
 class TestConfig:
     def test_zero_nodes_rejected(self):
-        with pytest.raises(ConfigInvalid):
+        with pytest.raises(DocumentInvalid):
             netsim.run(small_config(num_nodes=0))
 
     def test_fee_length_mismatch_rejected(self):
-        with pytest.raises(ConfigInvalid):
+        with pytest.raises(DocumentInvalid):
             SimConfig.from_dict(
                 {"num_nodes": 2, "slots_per_epoch": 5, "epochs": 3,
                  "fees_per_epoch": [1, 2]}
@@ -288,7 +288,7 @@ class TestConfig:
     def test_fee_length_mismatch_built_in_code_rejected(self, cfg):
         """from_dict checked the length, validate() did not: two epochs with
         one fee died with an IndexError in the fee split."""
-        with pytest.raises(ConfigInvalid, match="fees_per_epoch length"):
+        with pytest.raises(DocumentInvalid, match="fees_per_epoch length"):
             netsim.run(cfg)
 
     @pytest.mark.parametrize("over", [
@@ -300,9 +300,9 @@ class TestConfig:
         """Both readers refuse a scenario above MAX_NODES or MAX_SLOTS before
         building anything that grows with it; a size at the bounds is read."""
         doc = {"num_nodes": 3, "slots_per_epoch": 5, "epochs": 2, "fees_per_epoch": 0}
-        with pytest.raises(ConfigInvalid, match="above the bound"):
+        with pytest.raises(DocumentInvalid, match="above the bound"):
             SimConfig.from_dict({**doc, **over})
-        with pytest.raises(ConfigInvalid, match="above the bound"):
+        with pytest.raises(DocumentInvalid, match="above the bound"):
             dataclasses.replace(SimConfig.from_dict(doc), **over).validate()
         at = SimConfig.from_dict({**doc, "num_nodes": netsim.MAX_NODES, "slots_per_epoch": netsim.MAX_SLOTS, "epochs": 1})
         assert (at.num_nodes, at.slots_per_epoch, at.fees_per_epoch) == (netsim.MAX_NODES, netsim.MAX_SLOTS, (0,))
@@ -316,7 +316,7 @@ class TestConfig:
     def test_slot_longer_than_a_month_rejected(self):
         """With month_slots 0 a ticket expired in the slot it was issued and
         every node was slashed for a missed verification in every slot."""
-        with pytest.raises(ConfigInvalid, match="slot_seconds"):
+        with pytest.raises(DocumentInvalid, match="slot_seconds"):
             netsim.Simulation(small_config(slot_seconds=MONTH_SECONDS + 1))
         assert netsim.run(small_config(slot_seconds=MONTH_SECONDS)).config.month_slots == 1
 
@@ -326,7 +326,7 @@ class TestConfig:
         assert cfg.ticket_validity_slots == 120
 
     def test_non_integer_ticket_validity_rejected(self):
-        with pytest.raises(ConfigInvalid):
+        with pytest.raises(DocumentInvalid):
             SimConfig.from_dict(
                 {"num_nodes": 2, "slots_per_epoch": 5, "epochs": 1,
                  "ticket_validity_slots": "abc"}
@@ -347,11 +347,11 @@ class TestConfig:
         assert cfg == SimConfig.from_dict({**doc, "fees_per_epoch": 5})
         assert cfg.fees_per_epoch == (5, 5) and all(type(f) is int for f in cfg.fees_per_epoch)
         for bad in (True, 5.5):
-            with pytest.raises(ConfigInvalid, match="expected an integer"):
+            with pytest.raises(DocumentInvalid, match="expected an integer"):
                 SimConfig.from_dict({**doc, "fees_per_epoch": bad})
 
     def test_zero_ticket_validity_rejected(self):
-        with pytest.raises(ConfigInvalid, match="ticket_validity_slots"):
+        with pytest.raises(DocumentInvalid, match="ticket_validity_slots"):
             netsim.run(small_config(ticket_validity_slots=0))
 
     def test_node_ids_match_simulation(self):
@@ -378,13 +378,13 @@ class TestConfig:
         {"false_transaction": (("ghost", 5),)},
     ], ids=["offline", "bioauth_fail", "false_transaction"])
     def test_fault_for_unknown_node_rejected(self, faults):
-        with pytest.raises(ConfigInvalid, match="unknown node"):
+        with pytest.raises(DocumentInvalid, match="unknown node"):
             netsim.run(small_config(**faults))
 
     @pytest.mark.parametrize("kind", ["offline", "bioauth_fail"])
     @pytest.mark.parametrize("to_slot", [10, 9])
     def test_empty_or_reversed_window_rejected(self, kind, to_slot):
-        with pytest.raises(ConfigInvalid, match="empty fault window"):
+        with pytest.raises(DocumentInvalid, match="empty fault window"):
             netsim.run(small_config(**{kind: (OfflineWindow("node-01", 10, to_slot),)}))
 
     @pytest.mark.parametrize("faults", [
@@ -395,7 +395,7 @@ class TestConfig:
     def test_negative_fault_slot_rejected(self, faults):
         """A fault before slot 0 was ignored (offline), applied (bioauth) or
         dropped (false transaction); now all three are refused."""
-        with pytest.raises(ConfigInvalid, match="negative"):
+        with pytest.raises(DocumentInvalid, match="negative"):
             netsim.Simulation(small_config(**faults))
 
     @pytest.mark.parametrize("fees, period", [((5, 0), 1), ((5, 0, 0, 0), 2), ((1, 2, 0, 0), 2)])
@@ -403,7 +403,7 @@ class TestConfig:
         """A Fath period with no fees after one with fees is a -100% rebase,
         which fath refuses; the scenario is refused before the run instead."""
         cfg = small_config(epochs=len(fees), fees_per_epoch=fees, fath_period_epochs=period)
-        with pytest.raises(ConfigInvalid, match="zero"):
+        with pytest.raises(DocumentInvalid, match="zero"):
             netsim.Simulation(cfg)
 
     @pytest.mark.parametrize("fees, period", [((0, 5), 1), ((5, 0), 2), ((5, 5, 0), 2)])
@@ -414,7 +414,7 @@ class TestConfig:
                              ids=["overlap", "touch", "before"])
     def test_overlapping_offline_windows_rejected(self, second):
         windows = (OfflineWindow("node-01", 5, 20), OfflineWindow("node-01", *second))
-        with pytest.raises(ConfigInvalid, match="overlap"):
+        with pytest.raises(DocumentInvalid, match="overlap"):
             netsim.run(small_config(offline=windows))
 
     def test_separate_offline_windows_accepted(self):
@@ -760,7 +760,7 @@ class TestGeneratedScenarios:
         try:
             cfg = small_config(**fields)
             cfg.validate()
-        except ConfigInvalid:
+        except DocumentInvalid:
             return
         Simulation(cfg).run()
 
@@ -1112,7 +1112,7 @@ class TestScriptedGovernance:
 
     def test_bad_governance_section_rejected(self):
         cfg = small_config(governance={"governors": ["node-99"]})
-        with pytest.raises(ConfigInvalid):
+        with pytest.raises(DocumentInvalid):
             cfg.validate()
 
     @pytest.mark.parametrize("gov, match", [
@@ -1125,13 +1125,14 @@ class TestScriptedGovernance:
         (Governance(governors="all", proposals=((-1, "node-01", ProposalType.Product, 0, 0),)), "negative"),
         (Governance(governors="all", proposals=((0, "ghost", ProposalType.Product, 0, 0),)), "'ghost' is not a node"),
         (Governance(governors="all", proposals=((0, "node-01", ProposalType.Product, 3, 1),)), "casts 4 votes"),
+        (Governance(governors="all", tiers=(("node-01", "Consul"),)), "'Consul'"),
     ], ids=["unknown-governor", "self-delegation", "delegator-not-a-governor", "tier-on-a-delegator",
-            "no-governor", "negative-epoch", "proposer-not-a-node", "votes-above-roll"])
+            "no-governor", "negative-epoch", "proposer-not-a-node", "votes-above-roll", "tier-not-a-tier"])
     def test_bad_section_built_in_code_is_refused_by_validate(self, gov, match):
         """validate() checks the governance section of a config built in code,
         not only one read from a scenario file."""
         cfg = dataclasses.replace(small_config(), governance=gov)
-        with pytest.raises(ConfigInvalid, match=match):
+        with pytest.raises(DocumentInvalid, match=match):
             cfg.validate()
 
     @pytest.mark.parametrize("gov", [
@@ -1144,7 +1145,7 @@ class TestScriptedGovernance:
     ], ids=["governors-text", "governor-number", "tier-unknown", "pair-short", "delegatee-number",
             "type-unknown"])
     def test_bad_section_shape_is_refused_when_read(self, gov):
-        with pytest.raises(ConfigInvalid, match="governance|governor|delegatee|Nope"):
+        with pytest.raises(DocumentInvalid, match="governance|governor|delegatee|Nope"):
             netsim.read_governance(gov)
 
     @pytest.mark.parametrize("gov", [{"governors": "bogus"}, {}, ["node-01"], "all"],
@@ -1152,7 +1153,7 @@ class TestScriptedGovernance:
     def test_raw_section_built_in_code_is_refused_by_validate(self, gov):
         """A config built in code with the JSON section, not read_governance's
         value, is refused by name; it raised AttributeError."""
-        with pytest.raises(ConfigInvalid, match="governance must be a Governance value"):
+        with pytest.raises(DocumentInvalid, match="governance must be a Governance value"):
             SimConfig(governance=gov).validate()
 
     @pytest.mark.parametrize("gov", [
@@ -1163,7 +1164,7 @@ class TestScriptedGovernance:
     def test_tier_off_the_governor_roll_is_refused(self, gov):
         """A tier is read only for a Governor, so one on any other node would
         have no effect but show in the report; validate() refuses it by name."""
-        with pytest.raises(ConfigInvalid, match="tier to node-01, which is not on the governor roll"):
+        with pytest.raises(DocumentInvalid, match="tier to node-01, which is not on the governor roll"):
             small_config(governance=gov).validate()
 
     @pytest.mark.parametrize("proposals", [
@@ -1188,7 +1189,7 @@ class TestScriptedGovernance:
     def test_bad_proposal_rejected_before_the_run(self, proposals):
         """Every scripted proposal is checked before the run, also one whose
         epoch the run never reaches."""
-        with pytest.raises(ConfigInvalid):
+        with pytest.raises(DocumentInvalid):
             small_config(governance={"proposals": proposals}).validate()
 
     def test_pool_upvotes_is_refused_before_the_run(self):
@@ -1196,7 +1197,7 @@ class TestScriptedGovernance:
         proposal that sets pool_upvotes is refused when read, naming the field,
         even at a value that could never reach the vote."""
         proposal = {"epoch": 1, "proposer": "node-01", "type": "Product", "pool_upvotes": 0, "yes": 2}
-        with pytest.raises(ConfigInvalid, match="pool_upvotes"):
+        with pytest.raises(DocumentInvalid, match="pool_upvotes"):
             small_config(governance={"proposals": [proposal]})
 
     @pytest.mark.parametrize("epoch", [1, 9], ids=["reached", "never-reached"])
@@ -1205,7 +1206,7 @@ class TestScriptedGovernance:
         could only fail its submission; validate() refuses it, by name."""
         proposal = {"epoch": epoch, "proposer": "ghost", "type": "Product", "yes": 2}
         cfg = small_config(governance={"proposals": [proposal]})
-        with pytest.raises(ConfigInvalid, match="'ghost' is not a node"):
+        with pytest.raises(DocumentInvalid, match="'ghost' is not a node"):
             cfg.validate()
 
     @pytest.mark.parametrize("ptype", ["Product", "FeeDistribution"])
@@ -1215,7 +1216,7 @@ class TestScriptedGovernance:
         section that scripts one is refused by validate(), at any epoch and for a
         type its proposer would be slashed for."""
         gov = {"governors": [], "proposals": [{"epoch": epoch, "proposer": "node-01", "type": ptype}]}
-        with pytest.raises(ConfigInvalid, match="names no governor"):
+        with pytest.raises(DocumentInvalid, match="names no governor"):
             small_config(governance=gov).validate()
 
     @pytest.mark.parametrize("gov", [None, {}], ids=["null", "empty"])

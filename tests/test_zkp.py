@@ -1,4 +1,4 @@
-"""Verifiable linear computation: completeness, soundness, VSS, windows.
+"""Verifiable linear computation: completeness, soundness, windows.
 
 Soundness is exercised statistically: every single-component tamper of a
 valid statement or proof must be rejected. The plaintext oracle for
@@ -35,18 +35,12 @@ from bionode.zkp import (
     conv_as_linear,
     logeq_prove,
     logeq_verify,
-    poly_eval,
     prove_linear,
     read_statement_doc,
     statement_doc,
     verify_linear,
-    vss_commit,
-    vss_verify_share,
 )
 
-SMALL = GroupParams(p=23, q=11, g=4)
-# q = 83 keeps exhaustive VSS sweeps cheap; p = 2q+1 = 167
-VSS_GROUP = GroupParams(p=167, q=83, g=4)
 GROUP_64 = generate_params(64, seed=2024)
 GROUP_1024 = generate_params(1024)
 
@@ -93,40 +87,6 @@ def coefficients(params: GroupParams):
 @pytest.fixture(scope="module")
 def group():
     return GROUP_64, keygen(GROUP_64, rng_seed=1)
-
-
-class TestVss:
-    def test_zero_coefficient(self):
-        assert vss_commit(SMALL, [0]) == (1,)
-
-    def test_worked_example(self):
-        assert vss_commit(SMALL, [3]) == (18,)  # 4^3 mod 23
-
-    def test_length_preserved(self):
-        assert len(vss_commit(SMALL, [1, 2, 3, 4])) == 4
-
-    def test_constant_polynomial_share(self):
-        commitment = vss_commit(SMALL, [5])
-        assert vss_verify_share(SMALL, commitment, (7, 5))
-
-    def test_random_degree_three_polynomial(self):
-        rng = random.Random(3)
-        coeffs = [rng.randrange(VSS_GROUP.q) for _ in range(4)]
-        commitment = vss_commit(VSS_GROUP, coeffs)
-        for _ in range(50):
-            a = rng.randrange(VSS_GROUP.q)
-            b = poly_eval(coeffs, a, VSS_GROUP.q)
-            assert vss_verify_share(VSS_GROUP, commitment, (a, b))
-            assert not vss_verify_share(VSS_GROUP, commitment, (a, (b + 1) % VSS_GROUP.q))
-
-    def test_exhaustive_share_domain(self):
-        # over the whole field: exactly the true shares are accepted
-        coeffs = [17, 5, 80]
-        commitment = vss_commit(VSS_GROUP, coeffs)
-        for a in range(VSS_GROUP.q):
-            truth = poly_eval(coeffs, a, VSS_GROUP.q)
-            for b in range(VSS_GROUP.q):
-                assert vss_verify_share(VSS_GROUP, commitment, (a, b)) == (b == truth)
 
 
 class TestAggregate:
