@@ -349,9 +349,8 @@ def hom_scalar(ct: Ciphertext, k: int) -> Ciphertext:
 
 
 def field(doc, key, kind, default=...):
-    """kind(doc[key]) for a JSON object doc (or a list and an index), or kind(default) when doc has no
-    key, which a default of ... refuses. A refusal is a DocumentInvalid whose path gains key as it
-    passes, so a valid document builds none."""
+    """kind(doc[key]) for a JSON object doc (or a list and an index), else kind(default), which a default of
+    ... refuses. A refusal's path gains key as it passes, so a valid document builds none."""
     try:
         value = doc[key]
     except KeyError:
@@ -370,7 +369,7 @@ def field(doc, key, kind, default=...):
 
 def fields(doc, kinds: dict) -> dict:
     """{key: field(doc, key, kind)} for each key of kinds that the JSON object doc has."""
-    return {key: field(doc, key, kind) for key, kind in kinds.items() if key in _object(doc)}
+    return {key: field(doc, key, kind) for key, kind in kinds.items() if key in doc_object(doc)}
 
 
 def expected(kind: str, value) -> DocumentInvalid:
@@ -386,18 +385,12 @@ def typed(cls, kind: str):
     return read
 
 
-_object, _list = typed(dict, "an object"), typed(list, "a list")
+doc_object, doc_list = typed(dict, "an object"), typed(list, "a list")
 
 
 def each(kind):
     """The kind of a JSON list of items of kind, read as a tuple; a refusal names the item's index."""
-    def read(value) -> tuple:
-        items = _list(value)
-        try:
-            return tuple([kind(item) for item in items])
-        except DocumentInvalid:  # read again, item by item, to name the refused one
-            return tuple(field(items, i, kind) for i in range(len(items)))
-    return read
+    return lambda value: tuple([field(value, i, kind) for i in range(len(doc_list(value)))])
 
 
 def doc_int(value) -> int:

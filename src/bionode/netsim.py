@@ -35,7 +35,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from . import biometrics, lwe, vortex
-from .groups import DocumentInvalid, each, expected, field, fields, typed
+from .groups import DocumentInvalid, doc_object, each, expected, field, fields, typed
 from .fath import LedgerSnapshot, PeriodStats, run_period
 from .slashing import MONTH_SECONDS, Blacklist, Effect, PerpetrationKind
 from .vortex import TierInsufficient, Vortex
@@ -107,7 +107,7 @@ def _name_of(enum):
     return read
 
 
-_node, _bool, _object = typed(str, "a node id"), typed(bool, "true or false"), typed(dict, "an object")
+_node, _bool = typed(str, "a node id"), typed(bool, "true or false")
 _tier, _proposal_type = _name_of(vortex.Tier), _name_of(vortex.ProposalType)
 
 
@@ -141,14 +141,14 @@ def _pair(value) -> tuple[str, str]:
 
 
 def _proposal(doc) -> tuple[int, str, vortex.ProposalType, int, int]:
-    if "pool_upvotes" in _object(doc):
+    if "pool_upvotes" in doc_object(doc):
         raise DocumentInvalid("cannot be set; the pool threshold upvotes every proposal", ["pool_upvotes"])
     return (field(doc, "epoch", _int), field(doc, "proposer", _node), field(doc, "type", _proposal_type),
             field(doc, "yes", _int, 0), field(doc, "no", _int, 0))
 
 
 _GOVERNANCE = {"governors": lambda ids: ids if ids == "all" else each(_node)(ids),
-               "tiers": lambda tiers: tuple((nid, field(tiers, nid, _tier)) for nid in _object(tiers)),
+               "tiers": lambda tiers: tuple((nid, field(tiers, nid, _tier)) for nid in doc_object(tiers)),
                "delegations": each(_pair), "proposals": each(_proposal)}
 
 
